@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from mlcalib.core import EvalDataset, SampleMeta, ValidationError, confidences
+from mlcalib.core import EvalDataset, SampleMeta, ValidationError, confidences, inverse_sigmoid
 from mlcalib.metrics import (
     aggregate_multilabel,
     bin_class,
@@ -15,8 +17,11 @@ from mlcalib.protocol import (
     run_benchmark,
     split_first_minutes,
 )
+from mlcalib.report import Report, dumps_canonical, report_to_dict
 from mlcalib.scaling import FitConfig
 from mlcalib.synth import LatentSpec, SynthConfig, generate
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def _clips(n, dataset_id="ds", duration=5.0, offset=0.0):
@@ -217,6 +222,44 @@ class TestScopes:
         assert all_row.scores.ece == want.ece
         assert all_row.scores.mcs == want.mcs
         assert all_row.cmap == float(np.mean([m.ap for m in per_class]))
+
+    def test_mixed_class_pipeline_golden(self):
+        # pins the bytes of every scope, the All scope's pooled curve
+        # included, when the datasets' class tuples overlap but differ
+        want = open(os.path.join(GOLDEN, "pipeline_report.json"), "rb").read()
+        assert _mixed_class_report() == want
+
+
+def _mixed_class_report() -> bytes:
+    """Evaluate-only report over three datasets with class tuples
+    ("x","y"), ("p","x","r"), ("x","y"); the third interleaves its own scope
+    C with rows of scope A.  Confidences are 2-decimal probabilities with
+    bin edges mixed in, so the bytes depend on binning and summation only."""
+    r = np.random.default_rng(7)
+    edges = np.array([0.0, 0.1, 0.3, 0.5, 0.7, 1.0])
+
+    def dataset(classes, ids):
+        n, c = len(ids), len(classes)
+        probs = np.round(r.random((n, c)), 2)
+        probs.flat[r.choice(n * c, size=4, replace=False)] = r.choice(edges, size=4)
+        labels = (r.random((n, c)) < 0.4).astype(float)
+        labels[0, :] = 1.0
+        meta = tuple(
+            SampleMeta(f"{ds}-{i}", ds, i * 5.0, 5.0) for i, ds in enumerate(ids)
+        )
+        return EvalDataset(classes, inverse_sigmoid(probs), labels, meta, probs=probs)
+
+    datasets = [
+        dataset(("x", "y"), ["A"] * 12),
+        dataset(("p", "x", "r"), ["B"] * 9),
+        dataset(("x", "y"), ["C", "A", "C", "C", "A", "C", "A", "C"]),
+    ]
+    result = run_benchmark(datasets, m_bins=10, include_per_class=True, model_tag="golden")
+    report = Report(
+        config={"bins": 10}, rows=result.rows, curves=result.curves, params={},
+        version="0.0.0-test",
+    )
+    return (dumps_canonical(report_to_dict(report)) + "\n").encode()
 
 
 class TestHeldOutSplit:
