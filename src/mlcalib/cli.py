@@ -11,19 +11,11 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from .core import (
-    NumericalError,
-    ValidationError,
-    _read_matrix_csv,
-    inverse_sigmoid,
-    load_dataset,
-)
-from .metrics import BinStats, ReliabilityCurve
+from .core import NumericalError, ValidationError, load_dataset, read_predictions
 from .protocol import FIRST_MINUTES, HELD_OUT, SplitSpec, run_benchmark
 from .report import (
     Report,
+    curve_from_dict,
     emit_report,
     load_report,
     render_reliability_svg,
@@ -252,7 +244,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    classes, ids, values = _read_matrix_csv(args.predictions, "predictions")
+    classes, ids, logits, _ = read_predictions(args.predictions, args.probabilities, args.eps)
     params = load_params(args.params)
     if params.scope == "per-class":
         if params.classes is not None and tuple(params.classes) != classes:
@@ -260,16 +252,6 @@ def cmd_apply(args) -> int:
                 "params classes do not match predictions classes "
                 f"({len(params.classes)} vs {len(classes)})"
             )
-    if args.probabilities:
-        if np.any(values < 0.0) or np.any(values > 1.0) or not np.all(np.isfinite(values)):
-            raise ValidationError(
-                f"probability outside [0, 1] in {args.predictions}"
-            )
-        logits = inverse_sigmoid(values, args.eps)
-    else:
-        if not np.all(np.isfinite(values)):
-            raise ValidationError(f"non-finite value in {args.predictions}")
-        logits = values
     conf = apply_scaling(logits, params)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "calibrated.csv")
@@ -326,23 +308,8 @@ def cmd_plot(args) -> int:
             f"scope {wanted!r} not in report (available: {', '.join(scopes)})"
         )
     entries = [c for c in curves_doc if c["scope"] == wanted]
-    curves = []
-    labels = []
     mcs_values = []
     for entry in entries:
-        bins = tuple(
-            BinStats(
-                index=b["index"],
-                lower=b["lower"],
-                upper=b["upper"],
-                count=b["count"],
-                conf=b["conf"],
-                acc=b["acc"],
-            )
-            for b in entry["bins"]
-        )
-        curves.append(ReliabilityCurve(bins=bins, n=entry["n"], scope=entry["scope"]))
-        labels.append(entry["method"])
         row = next(
             (
                 r
@@ -356,7 +323,12 @@ def cmd_plot(args) -> int:
                 f"report row missing for scope {wanted!r} method {entry['method']!r}"
             )
         mcs_values.append(row["mcs"])
-    svg = render_reliability_svg(curves, labels=labels, mcs_values=mcs_values, title=wanted)
+    svg = render_reliability_svg(
+        [curve_from_dict(entry) for entry in entries],
+        labels=[entry["method"] for entry in entries],
+        mcs_values=mcs_values,
+        title=wanted,
+    )
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"reliability_{_slug(wanted)}.svg")
     with open(path, "w", newline="") as fh:

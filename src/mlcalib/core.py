@@ -270,6 +270,30 @@ def _read_manifest(path: str):
     return meta
 
 
+def read_predictions(path: str, inputs_are_probabilities: bool = False, eps: float = 1e-7):
+    """Read and check a predictions CSV: (classes, sample ids, logits, probs).
+
+    With ``inputs_are_probabilities`` every cell must lie in [0, 1]; logits
+    are recovered via :func:`inverse_sigmoid` with ``eps`` and ``probs`` is
+    the verbatim matrix.  Otherwise the cells are logits, every one must be
+    finite, and ``probs`` is None.  Errors name the first bad row and class.
+    """
+    classes, ids, values = _read_matrix_csv(path, "predictions")
+    if inputs_are_probabilities:
+        bad = (values < 0.0) | (values > 1.0) | ~np.isfinite(values)
+    else:
+        bad = ~np.isfinite(values)
+    if np.any(bad):
+        i, c = np.unravel_index(int(np.argmax(bad)), values.shape)
+        where = f"(row {i}, class {classes[c]}) in {path}"
+        if inputs_are_probabilities:
+            raise ValidationError(f"probability outside [0, 1] {where}: {values[i, c]!r}")
+        raise ValidationError(f"non-finite value {where}")
+    if inputs_are_probabilities:
+        return classes, ids, inverse_sigmoid(values, eps), values
+    return classes, ids, values, None
+
+
 def load_dataset(
     predictions_path: str,
     labels_path: str,
@@ -285,7 +309,9 @@ def load_dataset(
     recovered via :func:`inverse_sigmoid` with the given ``eps`` and the
     verbatim probabilities are retained on the dataset.
     """
-    p_classes, p_ids, p_vals = _read_matrix_csv(predictions_path, "predictions")
+    p_classes, p_ids, logits, probs = read_predictions(
+        predictions_path, inputs_are_probabilities, eps
+    )
     l_classes, l_ids, l_vals = _read_matrix_csv(labels_path, "labels")
     if p_classes != l_classes:
         raise ValidationError(
@@ -321,25 +347,6 @@ def load_dataset(
             f"non-binary label (row {i}, class {l_classes[c]}) in {labels_path}: "
             f"{l_vals[i, c]!r}"
         )
-
-    if inputs_are_probabilities:
-        if np.any(p_vals < 0.0) or np.any(p_vals > 1.0) or not np.all(np.isfinite(p_vals)):
-            mask = (p_vals < 0.0) | (p_vals > 1.0) | ~np.isfinite(p_vals)
-            i, c = np.unravel_index(int(np.argmax(mask)), p_vals.shape)
-            raise ValidationError(
-                f"probability outside [0, 1] (row {i}, class {p_classes[c]}) "
-                f"in {predictions_path}: {p_vals[i, c]!r}"
-            )
-        logits = inverse_sigmoid(p_vals, eps)
-        probs = p_vals
-    else:
-        if not np.all(np.isfinite(p_vals)):
-            i, c = np.unravel_index(int(np.argmax(~np.isfinite(p_vals))), p_vals.shape)
-            raise ValidationError(
-                f"non-finite value (row {i}, class {p_classes[c]}) in {predictions_path}"
-            )
-        logits = p_vals
-        probs = None
 
     return EvalDataset(
         classes=p_classes, logits=logits, labels=l_vals, meta=tuple(meta), probs=probs

@@ -14,6 +14,19 @@ Scores are assembled from the over/under components (ECE = OCS + UCS,
 MCS = OCS - UCS), so the two identities hold exactly in float64, not just
 to rounding.  Multi-label aggregation weights per-class scores by each
 class's positive-label count.
+
+All binning runs through one kernel, ``_bin_sums``.  It finds each cell's
+bin by binary search over the M+1 edges and accumulates counts,
+confidence sums and positive sums at ``class_code * M + bin``.  A scope is
+a list of (classes, confidences, labels) chunks.  Each class adds its cells
+chunk by chunk and, within a chunk, row by row, exactly as one pass over its
+concatenated column; the pooled curve sums every chunk row-major from zero
+and adds the chunk totals in chunk order.  The order is fixed, so results
+are bit-reproducible and equal the loop-based oracles.  OCS and UCS are
+accumulated bin by bin, vectorized across classes.  ``score_scope`` turns
+one scope into its per-class metrics and pooled curve; ``bin_class``,
+``calibration_scores``, ``per_class_scores`` and ``pooled_reliability`` go
+through the same kernel and accumulation.
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EvalDataset, ValidationError, pos_counts
+from .core import EvalDataset, ValidationError
 
 
 @dataclass(frozen=True)
@@ -109,13 +122,18 @@ def average_precision(scores, labels) -> float | None:
     return float(np.mean(precision[ranked == 1.0]))
 
 
-def cmap(d: EvalDataset, probs: np.ndarray) -> float:
-    """Macro-average AP over classes that have at least one positive."""
+def _check_shape(d: EvalDataset, probs) -> np.ndarray:
     probs = np.asarray(probs, dtype=np.float64)
     if probs.shape != d.labels.shape:
         raise ValidationError(
             f"shape mismatch: probs {probs.shape}, labels {d.labels.shape}"
         )
+    return probs
+
+
+def cmap(d: EvalDataset, probs: np.ndarray) -> float:
+    """Macro-average AP over classes that have at least one positive."""
+    probs = _check_shape(d, probs)
     aps = []
     for c in range(d.c):
         ap = average_precision(probs[:, c], d.labels[:, c])
@@ -130,39 +148,103 @@ def _bin_edges(m_bins: int) -> np.ndarray:
     return np.arange(m_bins + 1, dtype=np.float64) / m_bins
 
 
-def _bin_sums(conf: np.ndarray, labels: np.ndarray, m_bins: int):
-    """Sequential-order bin sums: (counts, conf sums, positive sums).
+def _bin_sums(chunks, n_classes: int, m_bins: int):
+    """Bin sums of a scope's cells, per class and pooled.
 
-    np.bincount accumulates weights in input order, so these sums are
-    bit-reproducible and match a plain per-element loop.
+    ``chunks`` holds (codes, confidences, labels) blocks, N_k x C_k, with
+    one class code per column.  A cell goes to the bin of the last edge not
+    above its confidence, the last bin closed at 1.  np.add.at carries each
+    class's sums on from one chunk to the next, so they equal one
+    np.bincount over the concatenated column without building it.  Returns
+    the per-class (counts, confidence sums, positive sums), each
+    n_classes x M, and the pooled triple, each of length M.
     """
+    if m_bins < 1:
+        raise ValidationError(f"M must be >= 1, got {m_bins}")
+    for _, conf, _ in chunks:
+        if conf.size and (conf.min() < 0.0 or conf.max() > 1.0):
+            raise ValidationError("confidences must lie in [0, 1]")
     edges = _bin_edges(m_bins)
-    idx = np.searchsorted(edges, conf, side="right") - 1
-    idx = np.clip(idx, 0, m_bins - 1)
-    counts = np.bincount(idx, minlength=m_bins)
-    conf_sums = np.bincount(idx, weights=conf, minlength=m_bins)
-    pos_sums = np.bincount(idx, weights=labels, minlength=m_bins)
-    return counts, conf_sums, pos_sums
+    size = n_classes * m_bins
+    counts = np.zeros(size, dtype=np.int64)
+    conf_sums = np.zeros(size)
+    pos_sums = np.zeros(size)
+    pooled = None
+    for codes, conf, labels in chunks:
+        bins = np.searchsorted(edges, conf, side="right") - 1
+        np.clip(bins, 0, m_bins - 1, out=bins)
+        flat_conf, flat_labels = conf.ravel(), labels.ravel()
+        sums = [
+            np.bincount(bins.ravel(), weights=w, minlength=m_bins)
+            for w in (None, flat_conf, flat_labels)
+        ]
+        pooled = sums if pooled is None else [p + q for p, q in zip(pooled, sums)]
+        cells = (bins + codes * m_bins).ravel()
+        counts += np.bincount(cells, minlength=size)
+        np.add.at(conf_sums, cells, flat_conf)
+        np.add.at(pos_sums, cells, flat_labels)
+    per_class = tuple(a.reshape(n_classes, m_bins) for a in (counts, conf_sums, pos_sums))
+    return per_class, pooled
 
 
-def _curve_from_sums(counts, conf_sums, pos_sums, m_bins: int, scope: str) -> ReliabilityCurve:
-    edges = _bin_edges(m_bins)
+def _over_under(counts, conf, acc, n):
+    """OCS and UCS of every row of (rows, M) bin arrays.
+
+    ``conf`` and ``acc`` hold each bin's mean confidence and positive
+    frequency (0 in empty bins, which add nothing), ``n`` each row's cell
+    count.  Vectorized across rows but accumulated bin by bin, so a row's
+    sums are bitwise those of a scalar loop over its bins.
+    """
+    ocs = np.zeros(counts.shape[0])
+    ucs = np.zeros(counts.shape[0])
+    for m in range(counts.shape[1]):
+        gap = conf[:, m] - acc[:, m]
+        share = counts[:, m] / n
+        ocs += np.where(gap > 0.0, share * gap, 0.0)
+        ucs += np.where(gap < 0.0, share * -gap, 0.0)
+    return ocs, ucs
+
+
+def _curve(counts, conf_sums, pos_sums, scope: str) -> ReliabilityCurve:
+    edges = _bin_edges(len(counts))
     bins = []
-    for m in range(m_bins):
-        cnt = int(counts[m])
+    for m, cnt in enumerate(counts.tolist()):
+        lower, upper = float(edges[m]), float(edges[m + 1])
         if cnt > 0:
-            stats = BinStats(
-                index=m + 1,
-                lower=float(edges[m]),
-                upper=float(edges[m + 1]),
-                count=cnt,
-                conf=float(conf_sums[m] / cnt),
-                acc=float(pos_sums[m] / cnt),
-            )
+            conf, acc = float(conf_sums[m] / cnt), float(pos_sums[m] / cnt)
         else:
-            stats = BinStats(m + 1, float(edges[m]), float(edges[m + 1]), 0, None, None)
-        bins.append(stats)
+            conf = acc = None
+        bins.append(BinStats(m + 1, lower, upper, cnt, conf, acc))
     return ReliabilityCurve(bins=tuple(bins), n=int(counts.sum()), scope=scope)
+
+
+def score_scope(chunks, m_bins: int, scope: str = "pooled"):
+    """Per-class metrics and pooled reliability curve of one scope.
+
+    ``chunks`` is a sequence of (classes, confidences, labels) blocks, each
+    N_k x C_k.  A class named by several chunks is one class: its column is
+    the concatenation of their columns in chunk order, and the returned
+    ClassMetrics list follows first-seen class order.
+    """
+    columns: dict = {}
+    for classes, conf, labels in chunks:
+        for j, name in enumerate(classes):
+            columns.setdefault(name, []).append((conf[:, j], labels[:, j]))
+    code = {name: k for k, name in enumerate(columns)}
+    coded = [(np.array([code[n] for n in classes]), c, y) for classes, c, y in chunks]
+    (counts, conf_sums, pos_sums), pooled = _bin_sums(coded, len(code), m_bins)
+    filled = np.maximum(counts, 1)
+    ocs, ucs = _over_under(counts, conf_sums / filled, pos_sums / filled, counts.sum(axis=1))
+    per_class = []
+    for k, (name, parts) in enumerate(columns.items()):
+        n_pos = int(pos_sums[k].sum())
+        scores = CalibrationScores.from_components(
+            float(ocs[k]), float(ucs[k]), scope=name, weight=float(n_pos)
+        )
+        conf_parts, label_parts = zip(*parts)
+        ap = average_precision(np.concatenate(conf_parts), np.concatenate(label_parts))
+        per_class.append(ClassMetrics(class_id=name, ap=ap, scores=scores, n_pos=n_pos))
+    return per_class, _curve(*pooled, scope=scope)
 
 
 def bin_class(confidences, labels, m_bins: int, scope: str = "class") -> ReliabilityCurve:
@@ -174,14 +256,10 @@ def bin_class(confidences, labels, m_bins: int, scope: str = "class") -> Reliabi
     """
     conf = np.asarray(confidences, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    if m_bins < 1:
-        raise ValidationError(f"M must be >= 1, got {m_bins}")
     if conf.shape != y.shape or conf.ndim != 1:
         raise ValidationError(f"length mismatch: conf {conf.shape}, labels {y.shape}")
-    if conf.size and (conf.min() < 0.0 or conf.max() > 1.0):
-        raise ValidationError("confidences must lie in [0, 1]")
-    counts, conf_sums, pos_sums = _bin_sums(conf, y, m_bins)
-    return _curve_from_sums(counts, conf_sums, pos_sums, m_bins, scope)
+    _, pooled = _bin_sums([(np.zeros(1, dtype=int), conf[:, None], y[:, None])], 1, m_bins)
+    return _curve(*pooled, scope=scope)
 
 
 def calibration_scores(curve: ReliabilityCurve, weight: float = 0.0) -> CalibrationScores:
@@ -192,36 +270,18 @@ def calibration_scores(curve: ReliabilityCurve, weight: float = 0.0) -> Calibrat
     """
     if curve.n == 0:
         raise ValidationError(f"empty scope {curve.scope!r}")
-    ocs = 0.0
-    ucs = 0.0
-    for b in curve.bins:
-        if b.count == 0:
-            continue
-        gap = b.conf - b.acc
-        share = b.count / curve.n
-        if gap > 0.0:
-            ocs += share * gap
-        elif gap < 0.0:
-            ucs += share * (-gap)
-    return CalibrationScores.from_components(ocs, ucs, scope=curve.scope, weight=weight)
+    counts = np.array([[b.count for b in curve.bins]])
+    conf = np.array([[b.conf if b.count else 0.0 for b in curve.bins]])
+    acc = np.array([[b.acc if b.count else 0.0 for b in curve.bins]])
+    ocs, ucs = _over_under(counts, conf, acc, curve.n)
+    return CalibrationScores.from_components(
+        float(ocs[0]), float(ucs[0]), scope=curve.scope, weight=weight
+    )
 
 
 def per_class_scores(d: EvalDataset, probs: np.ndarray, m_bins: int) -> list:
     """Bin and score every class column; weight = positive count."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape != d.labels.shape:
-        raise ValidationError(
-            f"shape mismatch: probs {probs.shape}, labels {d.labels.shape}"
-        )
-    counts = pos_counts(d)
-    out = []
-    for c, name in enumerate(d.classes):
-        curve = bin_class(probs[:, c], d.labels[:, c], m_bins, scope=name)
-        n_pos = int(counts[c])
-        scores = calibration_scores(curve, weight=float(n_pos))
-        ap = average_precision(probs[:, c], d.labels[:, c])
-        out.append(ClassMetrics(class_id=name, ap=ap, scores=scores, n_pos=n_pos))
-    return out
+    return score_scope([(d.classes, _check_shape(d, probs), d.labels)], m_bins)[0]
 
 
 def aggregate_multilabel(per_class, scope: str = "weighted") -> CalibrationScores:
@@ -252,10 +312,6 @@ def pooled_reliability(
     This is the curve drawn in reliability diagrams; the weighted per-class
     scores remain the tabulated numbers.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape != d.labels.shape:
-        raise ValidationError(
-            f"shape mismatch: probs {probs.shape}, labels {d.labels.shape}"
-        )
-    counts, conf_sums, pos_sums = _bin_sums(probs.ravel(), d.labels.ravel(), m_bins)
-    return _curve_from_sums(counts, conf_sums, pos_sums, m_bins, scope)
+    probs = _check_shape(d, probs)
+    _, pooled = _bin_sums([(np.zeros(d.c, dtype=int), probs, d.labels)], 1, m_bins)
+    return _curve(*pooled, scope=scope)

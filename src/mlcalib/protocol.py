@@ -6,7 +6,9 @@ one dataset_id, evaluate on the rest; global parameters only) and
 first-minutes (per dataset_id, the leading clips up to a cumulative
 duration form the calibration side).  The benchmark evaluates Base and
 calibrated confidences per dataset scope plus a pooled "All" scope, with
-positive-count weighted scores and frequent/rare class subsets.
+positive-count weighted scores and frequent/rare class subsets.  A scope
+is a list of (classes, confidences, labels) chunks, one per dataset that
+has rows in it, and metrics.score_scope bins and scores it.
 """
 
 from __future__ import annotations
@@ -16,15 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EvalDataset, ValidationError, confidences
-from .metrics import (
-    _bin_sums,
-    _curve_from_sums,
-    ClassMetrics,
-    aggregate_multilabel,
-    average_precision,
-    bin_class,
-    calibration_scores,
-)
+from .metrics import aggregate_multilabel, score_scope
 from .report import NOT_APPLICABLE, CurveEntry, ReportRow, relative_improvement
 from .scaling import PER_CLASS, FitConfig, apply_scaling, fit
 
@@ -145,57 +139,10 @@ class BenchmarkResult:
     split_summary: dict | None
 
 
-class _ScopeData:
-    """Per-class (confidence, label) pairs for one evaluation scope.
-
-    Chunks keep their source order and class tuple so pooled binning can
-    accumulate row-major within each chunk and then add across chunks
-    deterministically.
-    """
-
-    def __init__(self):
-        self.class_order: list = []
-        self.pairs: dict = {}
-        self.chunks: list = []
-        self.n_samples = 0
-
-    def add_chunk(self, classes, conf: np.ndarray, labels: np.ndarray):
-        self.chunks.append((tuple(classes), conf, labels))
-        self.n_samples += conf.shape[0]
-        for j, name in enumerate(classes):
-            if name not in self.pairs:
-                self.class_order.append(name)
-                self.pairs[name] = ([], [])
-            self.pairs[name][0].append(conf[:, j])
-            self.pairs[name][1].append(labels[:, j])
-
-    def class_vectors(self, name):
-        conf_parts, label_parts = self.pairs[name]
-        if len(conf_parts) == 1:
-            return conf_parts[0], label_parts[0]
-        return np.concatenate(conf_parts), np.concatenate(label_parts)
-
-
-def _merge_scope_data(parts) -> "_ScopeData":
-    merged = _ScopeData()
-    for part in parts:
-        for classes, conf, labels in part.chunks:
-            merged.add_chunk(classes, conf, labels)
-    return merged
-
-
-def _scope_metrics(data: _ScopeData, scope: str, m_bins: int, target_fraction: float):
+def _scope_metrics(chunks, scope: str, m_bins: int, target_fraction: float):
     """All metrics of one scope: per-class table, cmAP, weighted scores,
     frequent/rare aggregates, pooled curve."""
-    per_class = []
-    for name in data.class_order:
-        conf, lab = data.class_vectors(name)
-        curve = bin_class(conf, lab, m_bins, scope=name)
-        n_pos = int(lab.sum())
-        scores = calibration_scores(curve, weight=float(n_pos))
-        ap = average_precision(conf, lab)
-        per_class.append(ClassMetrics(class_id=name, ap=ap, scores=scores, n_pos=n_pos))
-
+    per_class, pooled = score_scope(chunks, m_bins, scope)
     aps = [m.ap for m in per_class if m.ap is not None]
     cmap_val = float(np.mean(aps)) if aps else None
     overall = aggregate_multilabel(per_class, scope=scope)
@@ -211,35 +158,21 @@ def _scope_metrics(data: _ScopeData, scope: str, m_bins: int, target_fraction: f
     rare_scores = (
         aggregate_multilabel(rare_metrics, scope=f"{scope}:rare") if rare_metrics else None
     )
-
-    counts_sum = conf_sum = pos_sum = None
-    for _, conf, labels in data.chunks:
-        c, cs, ps = _bin_sums(conf.ravel(), labels.ravel(), m_bins)
-        if counts_sum is None:
-            counts_sum, conf_sum, pos_sum = c, cs, ps
-        else:
-            counts_sum = counts_sum + c
-            conf_sum = conf_sum + cs
-            pos_sum = pos_sum + ps
-    pooled = _curve_from_sums(counts_sum, conf_sum, pos_sum, m_bins, scope=scope)
-
     return per_class, cmap_val, overall, assignment, freq_scores, rare_scores, pooled
 
 
 def _collect_scopes(datasets, conf_of_rows, eval_sel) -> dict:
-    """Bucket selected rows by dataset_id; conf_of_rows(k, rows) yields the
-    confidence block of dataset k restricted to rows."""
+    """Bucket selected rows by dataset_id into each scope's list of
+    (classes, confidences, labels) chunks, in dataset order;
+    conf_of_rows(k, rows) yields the confidence block of dataset k
+    restricted to rows."""
     scopes: dict = {}
     for k, (d, sel) in enumerate(zip(datasets, eval_sel)):
-        if sel.size == 0:
-            continue
-        ids = [d.meta[i].dataset_id for i in sel]
-        for ds_id in dict.fromkeys(ids):
-            rows = sel[np.array([x == ds_id for x in ids])]
-            conf = conf_of_rows(k, rows)
-            scopes.setdefault(ds_id, _ScopeData()).add_chunk(
-                d.classes, conf, d.labels[rows]
-            )
+        ids = np.array([d.meta[i].dataset_id for i in sel], dtype=object)
+        for ds_id in dict.fromkeys(ids.tolist()):
+            rows = sel[ids == ds_id]
+            chunk = (d.classes, conf_of_rows(k, rows), d.labels[rows])
+            scopes.setdefault(ds_id, []).append(chunk)
     return scopes
 
 
@@ -374,11 +307,11 @@ def run_benchmark(
         for label in [BASE] + list(fitted):
             per_scope = scopes_by_method[label]
             if scope_name == ALL_SCOPE:
-                data = _merge_scope_data([per_scope[s] for s in scope_ids])
+                chunks = [chunk for s in scope_ids for chunk in per_scope[s]]
             else:
-                data = per_scope[scope_name]
+                chunks = per_scope[scope_name]
             per_class, cmap_val, overall, assignment, freq_s, rare_s, pooled = (
-                _scope_metrics(data, scope_name, m_bins, target_fraction)
+                _scope_metrics(chunks, scope_name, m_bins, target_fraction)
             )
             if label == BASE:
                 base_mcs_by_scope[scope_name] = overall.mcs
@@ -393,7 +326,7 @@ def run_benchmark(
                     model=model_tag,
                     scope=scope_name,
                     method=label,
-                    n_samples=data.n_samples,
+                    n_samples=sum(conf.shape[0] for _, conf, _ in chunks),
                     cmap=cmap_val,
                     scores=overall,
                     frequent_classes=assignment.frequent,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NumericalError, ValidationError
-from .metrics import CalibrationScores, ReliabilityCurve, calibration_scores
+from .metrics import BinStats, CalibrationScores, ReliabilityCurve, calibration_scores
 
 try:
     _VERSION = importlib.metadata.version("mlcalib")
@@ -145,23 +145,22 @@ def _row_dict(row: ReportRow) -> dict:
     return doc
 
 
+_BIN_FIELDS = ("index", "lower", "upper", "count", "conf", "acc")
+
+
 def _curve_dict(entry: CurveEntry) -> dict:
     return {
         "scope": entry.scope,
         "method": entry.method,
         "n": entry.curve.n,
-        "bins": [
-            {
-                "index": b.index,
-                "lower": b.lower,
-                "upper": b.upper,
-                "count": b.count,
-                "conf": b.conf,
-                "acc": b.acc,
-            }
-            for b in entry.curve.bins
-        ],
+        "bins": [{key: getattr(b, key) for key in _BIN_FIELDS} for b in entry.curve.bins],
     }
+
+
+def curve_from_dict(doc: dict) -> ReliabilityCurve:
+    """Rebuild the curve of one ``curves`` entry of a report document."""
+    bins = tuple(BinStats(*(b[key] for key in _BIN_FIELDS)) for b in doc["bins"])
+    return ReliabilityCurve(bins=bins, n=doc["n"], scope=doc["scope"])
 
 
 def report_to_dict(report: Report) -> dict:

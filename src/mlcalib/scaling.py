@@ -179,11 +179,9 @@ class FitConfig:
     """Solver settings.
 
     ``steps`` caps the Newton iterations; the fit usually stops on
-    convergence well before.  ``lr`` is accepted for compatibility with
-    callers written for the former fixed-step solver and has no effect.
+    convergence well before.
     """
 
-    lr: float = 0.001
     steps: int = 1000
     record_history: bool = False
 

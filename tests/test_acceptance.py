@@ -152,8 +152,7 @@ def test_criterion_04_calibrated_sampling_reads_calibrated():
 
 def test_criterion_05_parameter_recovery_at_default_budget():
     """Recover generator (T*, b*) over a 4 x 3 grid with the documented
-    solver settings (the Newton solver, capped at 1000 iterations; lr
-    0.001 is accepted and has no effect).
+    solver settings (the Newton solver, capped at 1000 iterations).
 
     Newton stops on convergence rather than after a fixed travel, so
     targets far from the T = 1, b = 0 start, such as T* = 4
@@ -173,7 +172,7 @@ def test_criterion_05_parameter_recovery_at_default_budget():
         )
         params, trace = fit(
             d.logits, d.labels, method="ps", scope="global",
-            cfg=FitConfig(lr=0.001, steps=1000),
+            cfg=FitConfig(steps=1000),
         )
         nll_ok = nll_ok and trace.nll_final <= trace.nll_initial
         t_hat = params.temperature

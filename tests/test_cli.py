@@ -226,6 +226,26 @@ class TestApplyCommand:
         assert code == 2
         assert "do not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cells, flags, want",
+        [
+            ("0.25,0.5\ns1,0.75,1.5", ["--probabilities"], "probability outside [0, 1] (row 1, class b)"),
+            ("nan,0.5\ns1,0.75,1.5", [], "non-finite value (row 0, class a)"),
+        ],
+        ids=["probability-out-of-range", "nan-logit"],
+    )
+    def test_bad_cell_names_row_and_class(self, tmp_path, capsys, cells, flags, want):
+        pred = tmp_path / "predictions.csv"
+        pred.write_text("sample_id,a,b\ns0," + cells + "\n")
+        save_params(ScalingParams.identity("ts", "global"), None,
+                    str(tmp_path / "params.json"))
+        code = main(["apply", "--predictions", str(pred), *flags,
+                     "--params", str(tmp_path / "params.json"),
+                     "--out", str(tmp_path / "ap")])
+        assert code == 2
+        assert want in capsys.readouterr().err
+        assert not (tmp_path / "ap").exists()
+
 
 class TestPlotCommand:
     def test_renders_from_report(self, tmp_path, capsys):

@@ -15,6 +15,7 @@ from mlcalib.metrics import (
     cmap,
     per_class_scores,
     pooled_reliability,
+    score_scope,
 )
 
 import oracles
@@ -249,6 +250,39 @@ class TestOracleAgreement:
             assert scores.mcs == want["mcs"]
             assert scores.ocs == want["ocs"]
             assert scores.ucs == want["ucs"]
+
+    def test_scope_chunks_match_oracle_bitwise(self, rng):
+        # classes overlap across chunks: a class's column is its chunks'
+        # columns in order; the pooled curve adds per-chunk row-major sums
+        for _ in range(30):
+            chunks = []
+            for _ in range(int(rng.integers(1, 4))):
+                classes = tuple(rng.choice(list("abcd"), size=int(rng.integers(1, 4)), replace=False))
+                n = int(rng.integers(1, 20))
+                conf = rng.random((n, len(classes)))
+                labels = (rng.random((n, len(classes))) < 0.4).astype(float)
+                chunks.append((classes, conf, labels))
+            m = int(rng.choice([1, 2, 5, 15]))
+            per_class, pooled = score_scope(chunks, m)
+            for got in per_class:
+                cols = [(c[:, cl.index(got.class_id)], y[:, cl.index(got.class_id)])
+                        for cl, c, y in chunks if got.class_id in cl]
+                conf = np.concatenate([c for c, _ in cols])
+                labels = np.concatenate([y for _, y in cols])
+                want, _ = oracles.oracle_bin_sums_scores(conf, labels, m)
+                assert (got.scores.ocs, got.scores.ucs) == (want["ocs"], want["ucs"])
+                assert got.ap == oracles.oracle_average_precision(conf, labels)
+                assert got.n_pos == int(labels.sum())
+            sums = [oracles.oracle_bin_sums(c.ravel(), y.ravel(), m) for _, c, y in chunks]
+            for j, b in enumerate(pooled.bins):
+                count, conf_sum, pos_sum = sums[0][0][j], sums[0][1][j], sums[0][2][j]
+                for counts, conf_sums, pos_sums in sums[1:]:
+                    count += counts[j]
+                    conf_sum += conf_sums[j]
+                    pos_sum += pos_sums[j]
+                assert b.count == count
+                if count:
+                    assert (b.conf, b.acc) == (conf_sum / count, pos_sum / count)
 
     def test_ap_matches_oracle_bitwise(self, rng):
         for _ in range(50):

@@ -13,6 +13,8 @@ from mlcalib.report import (
     CurveEntry,
     Report,
     ReportRow,
+    _curve_dict,
+    curve_from_dict,
     dumps_canonical,
     emit_report,
     load_report,
@@ -162,6 +164,15 @@ class TestEmitReport:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             emit_report(_fixed_report(), "xml", str(tmp_path / "r.xml"))
+
+    def test_curve_round_trip(self):
+        for curve in _fixed_curves():
+            doc = _curve_dict(CurveEntry(scope="All", method="base", curve=curve))
+            back = curve_from_dict(json.loads(dumps_canonical(doc)))
+            assert (back.n, back.scope) == (curve.n, curve.scope)
+            assert len(back.bins) == len(curve.bins)
+            for got, want in zip(back.bins, curve.bins):
+                assert got == want
 
     def test_golden_json_bytes(self):
         want = open(os.path.join(GOLDEN, "report.json"), "rb").read()
