@@ -19,6 +19,7 @@ from .report import (
     emit_report,
     load_report,
     render_reliability_svg,
+    report_field,
 )
 from .scaling import FitConfig, apply_scaling, load_params, save_params
 from .synth import LatentSpec, SynthConfig, write_fixture
@@ -92,7 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--calib-dataset", help="dataset_id used as the held-out calibration set"
     )
     fit_p.add_argument(
-        "--steps", type=int, default=1000, help="Newton iteration cap (stops on convergence)"
+        "--steps",
+        type=int,
+        default=1000,
+        help="Newton iteration cap, at least 1 (stops on convergence)",
     )
 
     apply_p = sub.add_parser(
@@ -208,6 +212,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    cfg = FitConfig(steps=args.steps)
     dataset = load_dataset(
         args.predictions, args.labels, args.manifest, args.probabilities, args.eps
     )
@@ -215,7 +220,6 @@ def cmd_fit(args) -> int:
         split = SplitSpec(kind=FIRST_MINUTES, minutes=args.first_minutes)
     else:
         split = SplitSpec(kind=HELD_OUT, calib_dataset=args.calib_dataset)
-    cfg = FitConfig(steps=args.steps)
     result = run_benchmark(
         dataset,
         m_bins=args.bins,
@@ -257,9 +261,8 @@ def cmd_apply(args) -> int:
     path = os.path.join(args.out, "calibrated.csv")
     with open(path, "w", newline="") as fh:
         fh.write("sample_id," + ",".join(classes) + "\n")
-        for i, sample_id in enumerate(ids):
-            cells = ",".join(repr(float(v)) for v in conf[i])
-            fh.write(f"{sample_id},{cells}\n")
+        for sample_id, row in zip(ids, conf.tolist()):
+            fh.write(f"{sample_id},{','.join(map(repr, row))}\n")
     return 0
 
 
@@ -299,7 +302,7 @@ def cmd_plot(args) -> int:
     curves_doc = doc.get("curves") or []
     if not curves_doc:
         raise ValidationError(f"report {args.report} carries no curves")
-    scopes = list(dict.fromkeys(c["scope"] for c in curves_doc))
+    scopes = list(dict.fromkeys(report_field(c, "scope", "curve") for c in curves_doc))
     wanted = args.scope
     if wanted.lower() in POOLED_ALIAS:
         wanted = "All" if "All" in scopes else scopes[0]
@@ -308,24 +311,26 @@ def cmd_plot(args) -> int:
             f"scope {wanted!r} not in report (available: {', '.join(scopes)})"
         )
     entries = [c for c in curves_doc if c["scope"] == wanted]
+    methods = [report_field(entry, "method", "curve") for entry in entries]
     mcs_values = []
-    for entry in entries:
+    for method in methods:
         row = next(
             (
                 r
                 for r in doc["rows"]
-                if r["scope"] == wanted and r["method"] == entry["method"]
+                if report_field(r, "scope", "row") == wanted
+                and report_field(r, "method", "row") == method
             ),
             None,
         )
         if row is None:
             raise ValidationError(
-                f"report row missing for scope {wanted!r} method {entry['method']!r}"
+                f"report row missing for scope {wanted!r} method {method!r}"
             )
-        mcs_values.append(row["mcs"])
+        mcs_values.append(report_field(row, "mcs", "row"))
     svg = render_reliability_svg(
         [curve_from_dict(entry) for entry in entries],
-        labels=[entry["method"] for entry in entries],
+        labels=methods,
         mcs_values=mcs_values,
         title=wanted,
     )

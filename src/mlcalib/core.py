@@ -184,7 +184,78 @@ def pos_counts(d: EvalDataset) -> np.ndarray:
 
 
 def _read_matrix_csv(path: str, kind: str):
-    """Read a `sample_id,<class...>` CSV into (classes, ids, float matrix)."""
+    """Read a `sample_id,<class...>` CSV into (classes, ids, float matrix).
+
+    Cells follow ``csv.reader`` and Python ``float()``.  A plain file is
+    parsed in one C pass (:func:`_read_plain_csv`); every other file, and
+    every error message, comes from :func:`_read_csv_cells`.
+    """
+    return _read_plain_csv(path) or _read_csv_cells(path, kind)
+
+
+def _read_plain_csv(path: str):
+    """The C-parser read of :func:`_read_matrix_csv`, or None to decline.
+
+    It reads only files on which ``np.loadtxt`` must agree with
+    ``csv.reader`` + ``float()``: a valid header, no quote character, no
+    ``\\r``, no line over the csv field size limit, and exactly one comma
+    per class on every data line (so no blank line).  Cells then split at
+    the same commas, and both parsers strip the same whitespace and hand
+    the rest to ``PyOS_string_to_double``.  A cell that only ``float()``
+    takes (``1_0``, non-ASCII digits) makes loadtxt raise and the caller
+    falls back.
+    """
+    limit = csv.field_size_limit()
+    try:
+        fh = open(path, "r", newline="")
+    except OSError:
+        return None
+    with fh:
+        try:
+            header = fh.readline()
+            if '"' in header or "\r" in header or len(header) > limit:
+                return None
+            names = header.rstrip("\n").split(",")
+            classes = tuple(names[1:])
+            if names[0] != "sample_id" or not classes or len(set(classes)) != len(classes):
+                return None
+            ids = []
+            for line in fh:
+                if (
+                    line.count(",") != len(classes)
+                    or '"' in line
+                    or "\r" in line
+                    or len(line) > limit
+                ):
+                    return None
+                ids.append(line[: line.index(",")])
+        except UnicodeDecodeError:
+            return None
+        encoding = fh.encoding
+    if not ids:
+        return None
+    try:
+        values = np.loadtxt(
+            path,
+            delimiter=",",
+            comments=None,
+            quotechar=None,
+            usecols=range(1, len(classes) + 1),
+            dtype=np.float64,
+            ndmin=2,
+            skiprows=1,
+            encoding=encoding,
+        )
+    except ValueError:
+        return None
+    if values.shape[0] != len(ids):
+        return None
+    return classes, ids, values
+
+
+def _read_csv_cells(path: str, kind: str):
+    """``csv.reader`` + ``float()`` per cell: the reference read of
+    :func:`_read_matrix_csv`, which names the row and class of a bad cell."""
     try:
         fh = open(path, "r", newline="")
     except OSError as exc:

@@ -157,10 +157,23 @@ def _curve_dict(entry: CurveEntry) -> dict:
     }
 
 
+def report_field(doc, key: str, where: str):
+    """``doc[key]`` of an entry read back from a report; a missing key is a
+    ValidationError naming it and the kind of entry (``where``)."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValidationError(f"report {where} lacks key {key!r}")
+    return doc[key]
+
+
 def curve_from_dict(doc: dict) -> ReliabilityCurve:
     """Rebuild the curve of one ``curves`` entry of a report document."""
-    bins = tuple(BinStats(*(b[key] for key in _BIN_FIELDS)) for b in doc["bins"])
-    return ReliabilityCurve(bins=bins, n=doc["n"], scope=doc["scope"])
+    bins = tuple(
+        BinStats(*(report_field(b, key, "curve bin") for key in _BIN_FIELDS))
+        for b in report_field(doc, "bins", "curve")
+    )
+    return ReliabilityCurve(
+        bins=bins, n=report_field(doc, "n", "curve"), scope=report_field(doc, "scope", "curve")
+    )
 
 
 def report_to_dict(report: Report) -> dict:

@@ -178,12 +178,16 @@ class FitTrace:
 class FitConfig:
     """Solver settings.
 
-    ``steps`` caps the Newton iterations; the fit usually stops on
-    convergence well before.
+    ``steps`` (at least 1) caps the Newton iterations; the fit usually
+    stops on convergence well before.
     """
 
     steps: int = 1000
     record_history: bool = False
+
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ValidationError(f"steps must be >= 1, got {self.steps}")
 
 
 def _check_dims(logits: np.ndarray, params: ScalingParams):

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import EvalDataset, SampleMeta, ValidationError, sigmoid
 
@@ -99,6 +98,9 @@ def generate(cfg: SynthConfig):
     reproduce or verify the fixture: sizes, seed, latent spec, and the
     generating (true_T, true_b).
     """
+    # imported here so that commands which read files never load scipy
+    from scipy.special import ndtri
+
     means = latent_means(cfg)
     stddev = _per_class(cfg.latent.stddev, cfg.c, "latent stddev")
     if np.any(stddev <= 0):

@@ -8,7 +8,11 @@ with np.mean are finished with np.mean here too, over the same value
 sequence, so agreement is expected bit-for-bit in float64.
 """
 
+import csv
+
 import numpy as np
+
+from mlcalib.core import ValidationError
 
 
 def oracle_average_precision(scores, labels):
@@ -135,3 +139,53 @@ def oracle_pooled_curve(prob_matrix, label_matrix, m_bins):
     conf = [float(v) for row in prob_matrix for v in row]
     labels = [float(v) for row in label_matrix for v in row]
     return oracle_curve(conf, labels, m_bins)
+
+
+def oracle_read_matrix_csv(path, kind):
+    """The matrix CSV reader as ``csv.reader`` plus ``float()`` per cell.
+
+    Defines the accepted inputs, the parsed values and every error message
+    of ``core._read_matrix_csv``, whose C-parser path must agree with it.
+    """
+    try:
+        fh = open(path, "r", newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {kind} file {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError(f"{kind} file {path} is empty") from None
+        if not header or header[0] != "sample_id":
+            raise ValidationError(
+                f"{kind} file {path}: first header cell must be 'sample_id'"
+            )
+        classes = tuple(header[1:])
+        if not classes:
+            raise ValidationError(f"{kind} file {path}: no class columns")
+        if len(set(classes)) != len(classes):
+            dupe = next(c for c in classes if header[1:].count(c) > 1)
+            raise ValidationError(f"duplicate class name {dupe!r} in {kind} file {path}")
+        ids = []
+        rows = []
+        for i, cells in enumerate(reader):
+            if len(cells) != len(classes) + 1:
+                raise ValidationError(
+                    f"shape mismatch in {kind} file {path} (row {i}: "
+                    f"{len(cells)} cells, expected {len(classes) + 1})"
+                )
+            ids.append(cells[0])
+            row = []
+            for j, text in enumerate(cells[1:]):
+                try:
+                    row.append(float(text))
+                except ValueError:
+                    raise ValidationError(
+                        f"non-numeric value (row {i}, class {classes[j]}) "
+                        f"in {kind} file {path}: {text!r}"
+                    ) from None
+            rows.append(row)
+    if not rows:
+        raise ValidationError(f"{kind} file {path} has no data rows")
+    return classes, ids, np.array(rows, dtype=np.float64)

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -173,6 +175,17 @@ class TestFitCommand:
         assert code == 2
         assert "missing-id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    def test_steps_below_one_exits_2(self, tmp_path, capsys, steps):
+        paths = _synth(tmp_path / "fx", n=200)
+        out = tmp_path / "fit"
+        code = main(["fit", *_data_flags(paths), "--method", "ts",
+                     "--first-minutes", "5", f"--steps={steps}", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: steps must be >= 1, got {steps}\n"
+        assert not (out / "params.json").exists()
+
     def test_split_flags_are_exclusive(self, tmp_path):
         paths = _synth(tmp_path / "fx")
         with pytest.raises(SystemExit) as exc:
@@ -279,3 +292,43 @@ class TestPlotCommand:
                      "--scope", "nope", "--out", str(tmp_path)])
         assert code == 2
         assert "available" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry, key",
+        [("curves", "n"), ("curves", "bins"), ("curves", "scope"), ("curves", "method"),
+         ("rows", "mcs")],
+    )
+    def test_missing_key_exits_2(self, tmp_path, capsys, entry, key):
+        paths = _synth(tmp_path / "fx")
+        ev = tmp_path / "ev"
+        assert main(["evaluate", *_data_flags(paths), "--out", str(ev)]) == 0
+        doc = json.loads((ev / "report.json").read_text())
+        for item in doc[entry]:
+            del item[key]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["plot", "--report", str(broken), "--out", str(tmp_path / "plots")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(key) in err
+
+
+class TestImports:
+    def test_scipy_loads_only_when_synth_runs(self):
+        """Commands that read files never pay for scipy's import; synth
+        still loads it and works.  One child interpreter checks both."""
+        code = (
+            "import sys, mlcalib.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "from mlcalib.synth import SynthConfig, generate\n"
+            "dataset, _ = generate(SynthConfig(n=5, c=2))\n"
+            "print(dataset.logits.shape, 'scipy.special' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[]", "(5, 2) True"]

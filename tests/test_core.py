@@ -2,11 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlcalib.core import (
     EvalDataset,
     SampleMeta,
     ValidationError,
+    _read_matrix_csv,
+    _read_plain_csv,
     confidences,
     inverse_sigmoid,
     load_dataset,
@@ -15,6 +19,7 @@ from mlcalib.core import (
 )
 
 from conftest import simple_meta, write_triple
+from oracles import oracle_read_matrix_csv
 
 
 def _meta(n, dataset_id="ds"):
@@ -254,3 +259,106 @@ class TestLoaders:
         )
         with pytest.raises(ValidationError, match=r"probability outside \[0, 1\] \(row 0, class a\)"):
             load_dataset(pred, lab, man, inputs_are_probabilities=True)
+
+
+def _outcome(reader, path):
+    """What a reader makes of a file: classes, ids and value bits, or the
+    type and text of what it raised."""
+    try:
+        classes, ids, values = reader(path, "predictions")
+    except Exception as exc:  # the failure itself is what gets compared
+        return ("raised", type(exc), str(exc))
+    return ("read", classes, ids, values.dtype, values.shape, values.tobytes())
+
+
+# name -> (file bytes, whether the C-parser path reads it)
+_READER_CASES = {
+    "plain": (b"sample_id,a,b\ns0,1.5,-2\ns1,0,3e-5\n", True),
+    "special-values": (b"sample_id,a,b,c,d,e\ns0, 1.5,nan,-inf,1e400,-0.0\n", True),
+    "whitespace-around-cells": (b"sample_id,a,b\ns0,\t2.5 , 1.5\x0b\n", True),
+    "hash-in-id": (b"sample_id,a\n#s0,1\ns1,2\n", True),
+    "no-final-newline": (b"sample_id,a\ns0,1\ns1,2", True),
+    "quoted-id": (b'sample_id,a\n"s0",1\n', False),
+    "quoted-id-with-comma": (b'sample_id,a\n"s,0",1\n', False),
+    "quoted-cell": (b'sample_id,a\ns0,"1.5"\n', False),
+    "quoted-header": (b'"sample_id",a\ns0,1\n', False),
+    "underscore-literal": (b"sample_id,a\ns0,1_0\n", False),
+    "non-ascii-digit": ("sample_id,a\ns0,\u0661\n".encode("utf-8"), False),
+    "hash-in-cell": (b"sample_id,a\ns0,#1\n", False),
+    "crlf": (b"sample_id,a\r\ns0,1\r\n", False),
+    "trailing-blank-line": (b"sample_id,a\ns0,1\n\n", False),
+    "inner-blank-line": (b"sample_id,a\ns0,1\n\ns1,2\n", False),
+    "ragged-row": (b"sample_id,a,b\ns0,1\n", False),
+    "extra-column": (b"sample_id,a\ns0,1,2\n", False),
+    "empty-cell": (b"sample_id,a\ns0,\n", False),
+    "header-only": (b"sample_id,a\n", False),
+    "empty-file": (b"", False),
+    "bad-header": (b"id,a\ns0,1\n", False),
+    "duplicate-class": (b"sample_id,a,a\ns0,1,2\n", False),
+    "not-utf8": (b"sample_id,a\ns0,\xff\n", False),
+    "field-over-csv-limit": (b"sample_id,a\n" + b"s" * 200000 + b",1\n", False),
+}
+
+_PLAIN_CELLS = ("0", "1", "-2.5", "1e400", "-inf", "nan", "+.5", "-0.0", " 1.5", "2 ")
+_ODD_CELLS = (
+    "1_0", "", " ", "x", "#", "1#2", "0x1", "\u0661", "1\x002", '"3"', '"1,5"', "1.5\xa0"
+)
+_IDS = ("s0", "s 1", "#s", "", '"q"', '"q,1"', "\u00e9", "s\x00")
+
+
+@st.composite
+def _matrix_csv_text(draw):
+    """A matrix CSV that is plain most of the time; each part of it turns odd
+    (an odd cell or id, a ragged row, another line end, a stray tail) with
+    probability 1/8."""
+
+    def odd():
+        return draw(st.integers(0, 7)) == 0
+
+    n_classes = draw(st.integers(1, 3))
+    lines = ["sample_id," + ",".join(f"c{j}" for j in range(n_classes))]
+    plain = st.floats().map(repr) | st.sampled_from(_PLAIN_CELLS)
+    for i in range(draw(st.integers(0, 4))):
+        width = n_classes + (draw(st.sampled_from((-1, 1))) if odd() else 0)
+        cells = [draw(st.sampled_from(_IDS)) if odd() else f"s{i}"]
+        cells += [draw(st.sampled_from(_ODD_CELLS) if odd() else plain) for _ in range(width)]
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(("\r\n", "\r"))) if odd() else "\n"
+    text = newline.join(lines)
+    if draw(st.booleans()):
+        text += newline
+    if odd():
+        text += newline
+    if odd():
+        text += draw(st.text(st.sampled_from('01.,-e"\r\n #_a'), max_size=8))
+    return text
+
+
+class TestMatrixReader:
+    """The C-parser path of ``_read_matrix_csv`` against the csv.reader +
+    float() reference: same classes, ids and value bits, or the same error."""
+
+    @pytest.mark.parametrize("name", sorted(_READER_CASES))
+    def test_case_agrees_with_reference(self, tmp_path, name):
+        data, fast = _READER_CASES[name]
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        assert _outcome(_read_matrix_csv, str(path)) == _outcome(
+            oracle_read_matrix_csv, str(path)
+        )
+        assert (_read_plain_csv(str(path)) is not None) == fast
+
+    def test_trailing_blank_line_names_the_empty_row(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"sample_id,a\ns0,1\n\n")
+        with pytest.raises(ValidationError, match="row 1: 0 cells"):
+            _read_matrix_csv(str(path), "predictions")
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_matrix_csv_text())
+    def test_fuzz_agrees_with_reference(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "reader-fuzz.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(_read_matrix_csv, str(path)) == _outcome(
+            oracle_read_matrix_csv, str(path)
+        )
