@@ -228,6 +228,67 @@ class TestScopes:
         # included, when the datasets' class tuples overlap but differ
         want = open(os.path.join(GOLDEN, "pipeline_report.json"), "rb").read()
         assert _mixed_class_report() == want
+        # fitted runs: the calibration blocks flatten (held-out, classes
+        # differ) or stack (first-minutes, classes shared)
+        want = open(os.path.join(GOLDEN, "pipeline_fit_reports.json"), "rb").read()
+        assert _fitted_reports() == want
+
+
+def _fitted_reports() -> bytes:
+    """Two fitted reports with per-class tables and params documents.
+
+    First-minutes, ts/per-class and ps/global, over two datasets that share
+    the classes ("x","y") and interleave scopes A and B.  Held-out B,
+    ps/global, over datasets with classes ("x","y"), ("p","x","r") and
+    ("x","y"), where B's rows sit in the second and third, so the global
+    fit runs over one flattened column.  Logits carry 2 decimals; labels
+    are drawn at sigmoid(z / 2 + 0.3)."""
+    r = np.random.default_rng(11)
+
+    def dataset(classes, ids):
+        n, c = len(ids), len(classes)
+        z = np.round(r.normal(scale=2.0, size=(n, c)), 2)
+        labels = (r.random((n, c)) < 1.0 / (1.0 + np.exp(-(z / 2.0 + 0.3)))).astype(float)
+        labels[0, :], labels[1, :] = 1.0, 0.0
+        meta = tuple(
+            SampleMeta(f"{ds}-{i}", ds, i * 5.0, 5.0) for i, ds in enumerate(ids)
+        )
+        return EvalDataset(classes, z, labels, meta)
+
+    runs = [
+        (
+            [
+                dataset(("x", "y"), ["A"] * 24),
+                dataset(("x", "y"), ["B", "A", "B", "B", "A", "B"] * 4),
+            ],
+            SplitSpec(kind="first-minutes", minutes=0.5),
+            [("ts", "per-class"), ("ps", "global")],
+        ),
+        (
+            [
+                dataset(("x", "y"), ["A"] * 12),
+                dataset(("p", "x", "r"), ["B", "C"] * 7),
+                dataset(("x", "y"), ["B", "A", "B", "A"] * 3),
+            ],
+            SplitSpec(kind="held-out-dataset", calib_dataset="B"),
+            [("ps", "global")],
+        ),
+    ]
+    docs = []
+    for datasets, split, methods in runs:
+        result = run_benchmark(
+            datasets, m_bins=10, split=split, methods=methods,
+            include_per_class=True, model_tag="golden",
+        )
+        params = {}
+        for label, (p, trace) in result.params.items():
+            params[label] = dict(p.to_json_dict(), trace=trace.to_json_dict())
+        report = Report(
+            config={"bins": 10}, rows=result.rows, curves=result.curves, params=params,
+            split_summary=result.split_summary, version="0.0.0-test",
+        )
+        docs.append(report_to_dict(report))
+    return (dumps_canonical(docs) + "\n").encode()
 
 
 def _mixed_class_report() -> bytes:
