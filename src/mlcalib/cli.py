@@ -1,5 +1,13 @@
 """Command-line front end: evaluate, fit, apply, synth, plot.
 
+evaluate and fit share one body: load the file triple, run
+protocol.run_benchmark (fit adds its split and method), then write
+params.json for the fit, the report and, with --svg, one reliability
+diagram per scope.  The diagrams of --svg and of plot come from one
+writer that draws a scope from a report document, so plot on a saved
+report reproduces the --svg bytes.  apply writes calibrated.csv with
+core.write_matrix_csv, which also writes synth's fixture CSVs.
+
 Exit codes: 0 on success, 2 on input or validation errors, 3 on numerical
 failures.  Every subcommand is deterministic given identical inputs and
 flags; reports echo the full flag set so a run can be reproduced.
@@ -11,7 +19,13 @@ import argparse
 import os
 import sys
 
-from .core import NumericalError, ValidationError, load_dataset, read_predictions
+from .core import (
+    NumericalError,
+    ValidationError,
+    load_dataset,
+    read_predictions,
+    write_matrix_csv,
+)
 from .protocol import FIRST_MINUTES, HELD_OUT, SplitSpec, run_benchmark
 from .report import (
     Report,
@@ -20,6 +34,7 @@ from .report import (
     load_report,
     render_reliability_svg,
     report_field,
+    report_to_dict,
 )
 from .scaling import FitConfig, apply_scaling, load_params, save_params
 from .synth import LatentSpec, SynthConfig, write_fixture
@@ -154,97 +169,96 @@ def _model_tag(args) -> str:
     return stem.rsplit(".", 1)[0] if "." in stem else stem
 
 
-def _write_svgs(result_rows, result_curves, out_dir: str) -> list:
-    """One diagram per scope, overlaying Base and calibrated curves; legend
-    MCS values come from the matching report rows."""
-    scopes = list(dict.fromkeys(c.scope for c in result_curves))
-    written = []
-    for scope in scopes:
-        entries = [c for c in result_curves if c.scope == scope]
-        mcs = []
-        for entry in entries:
-            row = next(
-                r for r in result_rows if r.scope == scope and r.method == entry.method
-            )
-            mcs.append(row.scores.mcs)
-        svg = render_reliability_svg(
-            [e.curve for e in entries],
-            labels=[e.method for e in entries],
-            mcs_values=mcs,
-            title=scope,
+def _out_dir(path: str) -> str:
+    """Create the output directory ``path`` (and its parents) if needed."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {path}: {exc}") from exc
+    return path
+
+
+def _write_svg(doc: dict, scope: str, out_dir: str) -> str:
+    """Draw one scope's reliability diagram from a report document: every
+    method's pooled curve overlaid, legend MCS values from the matching
+    rows.  Returns the path written."""
+    entries = [c for c in doc["curves"] if report_field(c, "scope", "curve") == scope]
+    methods = [report_field(entry, "method", "curve") for entry in entries]
+    mcs_values = []
+    for method in methods:
+        row = next(
+            (
+                r
+                for r in doc["rows"]
+                if report_field(r, "scope", "row") == scope
+                and report_field(r, "method", "row") == method
+            ),
+            None,
         )
-        path = os.path.join(out_dir, f"reliability_{_slug(scope)}.svg")
-        with open(path, "w", newline="") as fh:
-            fh.write(svg)
-        written.append(path)
-    return written
+        if row is None:
+            raise ValidationError(
+                f"report row missing for scope {scope!r} method {method!r}"
+            )
+        mcs_values.append(report_field(row, "mcs", "row"))
+    svg = render_reliability_svg(
+        [curve_from_dict(entry) for entry in entries],
+        labels=methods,
+        mcs_values=mcs_values,
+        title=scope,
+    )
+    path = os.path.join(out_dir, f"reliability_{_slug(scope)}.svg")
+    with open(path, "w", newline="") as fh:
+        fh.write(svg)
+    return path
 
 
-def _params_doc(params, trace) -> dict:
-    doc = params.to_json_dict()
-    doc["trace"] = trace.to_json_dict()
-    return doc
-
-
-def cmd_evaluate(args) -> int:
+def _benchmark(args, split=None, methods=(), fit_cfg=None) -> int:
+    """The body of evaluate and fit: load the triple, run the benchmark,
+    write params.json for each fit, the report and, with --svg, one
+    diagram per scope."""
     dataset = load_dataset(
         args.predictions, args.labels, args.manifest, args.probabilities, args.eps
     )
-    result = run_benchmark(
-        dataset,
-        m_bins=args.bins,
-        target_fraction=args.target_fraction,
-        include_per_class=args.per_class,
-        model_tag=_model_tag(args),
-    )
-    os.makedirs(args.out, exist_ok=True)
-    report = Report(
-        config=_echo(args),
-        rows=result.rows,
-        curves=result.curves,
-        params={},
-        split_summary=None,
-    )
-    emit_report(report, args.format, os.path.join(args.out, f"report.{args.format}"))
-    if args.svg:
-        _write_svgs(result.rows, result.curves, args.out)
-    return 0
-
-
-def cmd_fit(args) -> int:
-    cfg = FitConfig(steps=args.steps)
-    dataset = load_dataset(
-        args.predictions, args.labels, args.manifest, args.probabilities, args.eps
-    )
-    if args.first_minutes is not None:
-        split = SplitSpec(kind=FIRST_MINUTES, minutes=args.first_minutes)
-    else:
-        split = SplitSpec(kind=HELD_OUT, calib_dataset=args.calib_dataset)
     result = run_benchmark(
         dataset,
         m_bins=args.bins,
         split=split,
-        methods=[(args.method, args.scope)],
-        fit_cfg=cfg,
+        methods=methods,
+        fit_cfg=fit_cfg,
         target_fraction=args.target_fraction,
         include_per_class=args.per_class,
         model_tag=_model_tag(args),
     )
-    os.makedirs(args.out, exist_ok=True)
-    label = f"{args.method}/{args.scope}"
-    params, trace = result.params[label]
-    save_params(params, trace, os.path.join(args.out, "params.json"))
+    out_dir = _out_dir(args.out)
+    params_docs = {}
+    for label, (params, trace) in result.params.items():
+        params_docs[label] = save_params(params, trace, os.path.join(out_dir, "params.json"))
     report = Report(
         config=_echo(args),
         rows=result.rows,
         curves=result.curves,
-        params={label: _params_doc(params, trace)},
+        params=params_docs,
         split_summary=result.split_summary,
     )
-    emit_report(report, args.format, os.path.join(args.out, f"report.{args.format}"))
+    emit_report(report, args.format, os.path.join(out_dir, f"report.{args.format}"))
     if args.svg:
-        _write_svgs(result.rows, result.curves, args.out)
+        doc = report_to_dict(report)
+        for scope in dict.fromkeys(c.scope for c in result.curves):
+            _write_svg(doc, scope, out_dir)
     return 0
+
+
+def cmd_evaluate(args) -> int:
+    return _benchmark(args)
+
+
+def cmd_fit(args) -> int:
+    cfg = FitConfig(steps=args.steps)
+    if args.first_minutes is not None:
+        split = SplitSpec(kind=FIRST_MINUTES, minutes=args.first_minutes)
+    else:
+        split = SplitSpec(kind=HELD_OUT, calib_dataset=args.calib_dataset)
+    return _benchmark(args, split, [(args.method, args.scope)], cfg)
 
 
 def cmd_apply(args) -> int:
@@ -257,12 +271,7 @@ def cmd_apply(args) -> int:
                 f"({len(params.classes)} vs {len(classes)})"
             )
     conf = apply_scaling(logits, params)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "calibrated.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("sample_id," + ",".join(classes) + "\n")
-        for sample_id, row in zip(ids, conf.tolist()):
-            fh.write(f"{sample_id},{','.join(map(repr, row))}\n")
+    write_matrix_csv(os.path.join(_out_dir(args.out), "calibrated.csv"), classes, ids, conf)
     return 0
 
 
@@ -292,7 +301,7 @@ def cmd_synth(args) -> int:
         clip_duration_s=args.clip_duration,
         latent=LatentSpec(means=means, stddev=args.stddev),
     )
-    paths = write_fixture(cfg, args.out)
+    paths = write_fixture(cfg, _out_dir(args.out))
     print("\n".join(f"wrote {paths[key]}" for key in ("predictions", "labels", "manifest", "truth")))
     return 0
 
@@ -310,34 +319,7 @@ def cmd_plot(args) -> int:
         raise ValidationError(
             f"scope {wanted!r} not in report (available: {', '.join(scopes)})"
         )
-    entries = [c for c in curves_doc if c["scope"] == wanted]
-    methods = [report_field(entry, "method", "curve") for entry in entries]
-    mcs_values = []
-    for method in methods:
-        row = next(
-            (
-                r
-                for r in doc["rows"]
-                if report_field(r, "scope", "row") == wanted
-                and report_field(r, "method", "row") == method
-            ),
-            None,
-        )
-        if row is None:
-            raise ValidationError(
-                f"report row missing for scope {wanted!r} method {method!r}"
-            )
-        mcs_values.append(report_field(row, "mcs", "row"))
-    svg = render_reliability_svg(
-        [curve_from_dict(entry) for entry in entries],
-        labels=methods,
-        mcs_values=mcs_values,
-        title=wanted,
-    )
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"reliability_{_slug(wanted)}.svg")
-    with open(path, "w", newline="") as fh:
-        fh.write(svg)
+    path = _write_svg(doc, wanted, _out_dir(args.out))
     print(f"wrote {path}")
     return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,11 @@ def sigmoid(z):
     return out
 
 
+def _check_eps(eps: float):
+    if not 0.0 < eps < 0.5:
+        raise ValidationError(f"eps must be in (0, 0.5), got {eps}")
+
+
 def inverse_sigmoid(p, eps: float = 1e-7):
     """Recover logits from probabilities.
 
@@ -49,8 +54,7 @@ def inverse_sigmoid(p, eps: float = 1e-7):
     finite logits instead of infinities.  Exact inverse of :func:`sigmoid`
     on (eps, 1-eps).
     """
-    if not 0.0 < eps < 0.5:
-        raise ValidationError(f"eps must be in (0, 0.5), got {eps}")
+    _check_eps(eps)
     arr = np.asarray(p, dtype=np.float64)
     if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
         bad = int(np.argmax((arr < 0.0) | (arr > 1.0) | ~np.isfinite(arr)))
@@ -74,13 +78,15 @@ class SampleMeta:
     duration_s: float
 
     def __post_init__(self):
-        if not self.duration_s > 0:
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ValidationError(
-                f"duration_s must be > 0 (sample {self.sample_id!r}, got {self.duration_s})"
+                f"duration_s must be finite and > 0 "
+                f"(sample {self.sample_id!r}, got {self.duration_s})"
             )
-        if self.start_s < 0:
+        if not (math.isfinite(self.start_s) and self.start_s >= 0):
             raise ValidationError(
-                f"start_s must be >= 0 (sample {self.sample_id!r}, got {self.start_s})"
+                f"start_s must be finite and >= 0 "
+                f"(sample {self.sample_id!r}, got {self.start_s})"
             )
 
 
@@ -193,6 +199,16 @@ def _read_matrix_csv(path: str, kind: str):
     return _read_plain_csv(path) or _read_csv_cells(path, kind)
 
 
+def write_matrix_csv(path: str, classes, ids, values) -> None:
+    """Write a `sample_id,<class...>` CSV, one row per id, that
+    :func:`_read_matrix_csv` reads back exactly: each cell is the ``repr``
+    of its value (floats round-trip bit for bit, ints print bare)."""
+    with open(path, "w", newline="") as fh:
+        fh.write("sample_id," + ",".join(classes) + "\n")
+        for sample_id, row in zip(ids, values.tolist()):
+            fh.write(f"{sample_id},{','.join(map(repr, row))}\n")
+
+
 def _read_plain_csv(path: str):
     """The C-parser read of :func:`_read_matrix_csv`, or None to decline.
 
@@ -207,7 +223,7 @@ def _read_plain_csv(path: str):
     """
     limit = csv.field_size_limit()
     try:
-        fh = open(path, "r", newline="")
+        fh = open(path, "r", encoding="utf-8", newline="")
     except OSError:
         return None
     with fh:
@@ -231,7 +247,6 @@ def _read_plain_csv(path: str):
                 ids.append(line[: line.index(",")])
         except UnicodeDecodeError:
             return None
-        encoding = fh.encoding
     if not ids:
         return None
     try:
@@ -244,7 +259,7 @@ def _read_plain_csv(path: str):
             dtype=np.float64,
             ndmin=2,
             skiprows=1,
-            encoding=encoding,
+            encoding="utf-8",
         )
     except ValueError:
         return None
@@ -257,42 +272,48 @@ def _read_csv_cells(path: str, kind: str):
     """``csv.reader`` + ``float()`` per cell: the reference read of
     :func:`_read_matrix_csv`, which names the row and class of a bad cell."""
     try:
-        fh = open(path, "r", newline="")
+        fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise ValidationError(f"cannot read {kind} file {path}: {exc}") from exc
+    header = None
+    ids = []
+    rows = []
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{kind} file {path} is empty") from None
-        if not header or header[0] != "sample_id":
-            raise ValidationError(
-                f"{kind} file {path}: first header cell must be 'sample_id'"
-            )
-        classes = tuple(header[1:])
-        if not classes:
-            raise ValidationError(f"{kind} file {path}: no class columns")
-        if len(set(classes)) != len(classes):
-            dupe = next(c for c in classes if header[1:].count(c) > 1)
-            raise ValidationError(f"duplicate class name {dupe!r} in {kind} file {path}")
-        ids = []
-        rows = []
-        for i, cells in enumerate(reader):
-            if len(cells) != len(classes) + 1:
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{kind} file {path} is empty")
+            if not header or header[0] != "sample_id":
                 raise ValidationError(
-                    f"shape mismatch in {kind} file {path} (row {i}: "
-                    f"{len(cells)} cells, expected {len(classes) + 1})"
+                    f"{kind} file {path}: first header cell must be 'sample_id'"
                 )
-            ids.append(cells[0])
-            try:
-                rows.append([float(x) for x in cells[1:]])
-            except ValueError:
-                bad = next(j for j, x in enumerate(cells[1:]) if not _is_float(x))
-                raise ValidationError(
-                    f"non-numeric value (row {i}, class {classes[bad]}) "
-                    f"in {kind} file {path}: {cells[1 + bad]!r}"
-                ) from None
+            classes = tuple(header[1:])
+            if not classes:
+                raise ValidationError(f"{kind} file {path}: no class columns")
+            if len(set(classes)) != len(classes):
+                dupe = next(c for c in classes if header[1:].count(c) > 1)
+                raise ValidationError(f"duplicate class name {dupe!r} in {kind} file {path}")
+            for i, cells in enumerate(reader):
+                if len(cells) != len(classes) + 1:
+                    raise ValidationError(
+                        f"shape mismatch in {kind} file {path} (row {i}: "
+                        f"{len(cells)} cells, expected {len(classes) + 1})"
+                    )
+                ids.append(cells[0])
+                try:
+                    rows.append([float(x) for x in cells[1:]])
+                except ValueError:
+                    bad = next(j for j, x in enumerate(cells[1:]) if not _is_float(x))
+                    raise ValidationError(
+                        f"non-numeric value (row {i}, class {classes[bad]}) "
+                        f"in {kind} file {path}: {cells[1 + bad]!r}"
+                    ) from None
+        except UnicodeDecodeError:
+            raise ValidationError(f"{kind} file {path} is not UTF-8 text") from None
+        except csv.Error as exc:
+            where = "header" if header is None else f"row {len(rows)}"
+            raise ValidationError(f"{kind} file {path} ({where}): {exc}") from None
     if not rows:
         raise ValidationError(f"{kind} file {path} has no data rows")
     return classes, ids, np.array(rows, dtype=np.float64)
@@ -308,13 +329,13 @@ def _is_float(text: str) -> bool:
 
 def _read_manifest(path: str):
     try:
-        fh = open(path, "r")
+        fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read manifest file {path}: {exc}") from exc
     with fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError(f"manifest file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise ValidationError(f"manifest file {path} must be a JSON array")
@@ -347,8 +368,10 @@ def read_predictions(path: str, inputs_are_probabilities: bool = False, eps: flo
     With ``inputs_are_probabilities`` every cell must lie in [0, 1]; logits
     are recovered via :func:`inverse_sigmoid` with ``eps`` and ``probs`` is
     the verbatim matrix.  Otherwise the cells are logits, every one must be
-    finite, and ``probs`` is None.  Errors name the first bad row and class.
+    finite, and ``probs`` is None.  ``eps`` must lie in (0, 0.5) either
+    way.  Errors name the first bad row and class.
     """
+    _check_eps(eps)
     classes, ids, values = _read_matrix_csv(path, "predictions")
     if inputs_are_probabilities:
         bad = (values < 0.0) | (values > 1.0) | ~np.isfinite(values)

@@ -2,13 +2,25 @@
 benchmark pipeline tying metrics and scaling together.
 
 Two calibration-split protocols are supported: a held-out dataset (fit on
-one dataset_id, evaluate on the rest; global parameters only) and
-first-minutes (per dataset_id, the leading clips up to a cumulative
-duration form the calibration side).  The benchmark evaluates Base and
-calibrated confidences per dataset scope plus a pooled "All" scope, with
-positive-count weighted scores and frequent/rare class subsets.  A scope
-is a list of (classes, confidences, labels) chunks, one per dataset that
-has rows in it, and metrics.score_scope bins and scores it.
+one dataset_id, evaluate on the rest) and first-minutes (per dataset_id,
+the leading clips up to a cumulative duration form the calibration side).
+
+:func:`run_benchmark` is one pipeline from the datasets to report rows,
+and each of its steps happens once:
+
+1. the split gives every dataset's (calibration, evaluation) rows;
+2. each fit gets its calibration input: per-class scope stacks the row
+   blocks (all datasets must share one class tuple), global scope
+   concatenates the ravelled blocks into one column;
+3. each method's confidences are computed once per whole dataset (Base:
+   the file's probabilities or sigmoid of the logits; a fit: its scaling);
+4. evaluation rows are grouped into scopes once, one per dataset_id plus a
+   pooled "All" scope when there is more than one, and each scope's label
+   blocks are built once and shared by every method;
+5. a scope is a list of (classes, confidences, labels) chunks, one per
+   dataset with rows in it; metrics.score_scope bins and scores it into a
+   report row (positive-count weighted scores, frequent/rare class
+   subsets, the relative |MCS| improvement over Base) and a pooled curve.
 """
 
 from __future__ import annotations
@@ -139,70 +151,110 @@ class BenchmarkResult:
     split_summary: dict | None
 
 
-def _scope_metrics(chunks, scope: str, m_bins: int, target_fraction: float):
-    """All metrics of one scope: per-class table, cmAP, weighted scores,
-    frequent/rare aggregates, pooled curve."""
-    per_class, pooled = score_scope(chunks, m_bins, scope)
-    aps = [m.ap for m in per_class if m.ap is not None]
-    cmap_val = float(np.mean(aps)) if aps else None
-    overall = aggregate_multilabel(per_class, scope=scope)
+def _split_rows(datasets, split: SplitSpec | None):
+    """Each dataset's (calibration, evaluation) row indices under split;
+    without a split every row evaluates."""
+    if split is None:
+        return [(np.array([], dtype=np.intp), np.arange(d.n, dtype=np.intp)) for d in datasets]
+    if split.kind == FIRST_MINUTES:
+        return [split_first_minutes(d, split.minutes) for d in datasets]
+    parts = []
+    for d in datasets:
+        mask = np.array([m.dataset_id == split.calib_dataset for m in d.meta], dtype=bool)
+        parts.append((np.flatnonzero(mask), np.flatnonzero(~mask)))
+    if not any(cal.size for cal, _ in parts):
+        raise ValidationError(
+            f"calibration dataset {split.calib_dataset!r} not found in any manifest"
+        )
+    if not any(ev.size for _, ev in parts):
+        raise ValidationError(
+            f"calibration dataset {split.calib_dataset!r} is the only dataset; "
+            "nothing left to evaluate"
+        )
+    return parts
 
-    counts = {m.class_id: m.n_pos for m in per_class}
-    assignment = frequent_rare_split(counts, target_fraction)
-    freq_set = set(assignment.frequent)
-    rare_set = set(assignment.rare)
-    freq_scores = aggregate_multilabel(
-        [m for m in per_class if m.class_id in freq_set], scope=f"{scope}:frequent"
-    )
-    rare_metrics = [m for m in per_class if m.class_id in rare_set]
-    rare_scores = (
-        aggregate_multilabel(rare_metrics, scope=f"{scope}:rare") if rare_metrics else None
-    )
-    return per_class, cmap_val, overall, assignment, freq_scores, rare_scores, pooled
 
-
-def _collect_scopes(datasets, conf_of_rows, eval_sel) -> dict:
-    """Bucket selected rows by dataset_id into each scope's list of
-    (classes, confidences, labels) chunks, in dataset order;
-    conf_of_rows(k, rows) yields the confidence block of dataset k
-    restricted to rows."""
-    scopes: dict = {}
+def _scope_parts(datasets, eval_sel) -> list:
+    """Evaluation rows grouped into scopes: (scope, parts) pairs in sorted
+    dataset_id order, each part a (dataset index, rows) pair, in dataset
+    order.  With more than one scope an "All" scope comes first and pools
+    every part."""
+    by_id: dict = {}
     for k, (d, sel) in enumerate(zip(datasets, eval_sel)):
         ids = np.array([d.meta[i].dataset_id for i in sel], dtype=object)
         for ds_id in dict.fromkeys(ids.tolist()):
-            rows = sel[ids == ds_id]
-            chunk = (d.classes, conf_of_rows(k, rows), d.labels[rows])
-            scopes.setdefault(ds_id, []).append(chunk)
+            by_id.setdefault(ds_id, []).append((k, sel[ids == ds_id]))
+    scopes = [(ds_id, by_id[ds_id]) for ds_id in sorted(by_id)]
+    if len(scopes) > 1:
+        scopes.insert(0, (ALL_SCOPE, [part for _, parts in scopes for part in parts]))
     return scopes
 
 
-def _calibration_matrices(datasets, calib_sel, scope):
-    """Assemble the calibration (classes, logits, labels) for fitting.
+def _calibration_input(datasets, calib_sel, scope: str):
+    """Calibration (classes, logits, labels) for one fit.
 
-    When every contributing dataset shares one class tuple the row blocks
-    stack into matrices; otherwise (global fitting only) the pairs flatten
-    into a single column, so the NLL runs over each dataset's own classes.
+    Per-class scope needs one class tuple across all datasets, since its
+    parameters transfer column by column, and stacks the row blocks.
+    Global scope concatenates the ravelled blocks into one column, so the
+    NLL runs over each dataset's own classes; that is the order of the
+    stacked matrix ravelled.
     """
     blocks = [
-        (d.classes, d.logits[sel], d.labels[sel])
-        for d, sel in zip(datasets, calib_sel)
-        if sel.size > 0
+        (d.logits[sel], d.labels[sel]) for d, sel in zip(datasets, calib_sel) if sel.size > 0
     ]
     if not blocks:
         raise ValidationError("calibration split selected no samples")
-    class_tuples = {classes for classes, _, _ in blocks}
-    if len(class_tuples) == 1:
-        classes = blocks[0][0]
-        if len(blocks) == 1:
-            return classes, blocks[0][1], blocks[0][2]
-        z = np.vstack([b[1] for b in blocks])
-        y = np.vstack([b[2] for b in blocks])
-        return classes, z, y
+    z_blocks, y_blocks = zip(*blocks)
     if scope == PER_CLASS:
-        raise ValidationError("per-class fitting requires matching classes")
-    z = np.concatenate([b[1].ravel() for b in blocks]).reshape(-1, 1)
-    y = np.concatenate([b[2].ravel() for b in blocks]).reshape(-1, 1)
+        if len({d.classes for d in datasets}) > 1:
+            raise ValidationError("per-class fitting requires matching classes")
+        return datasets[0].classes, np.vstack(z_blocks), np.vstack(y_blocks)
+    z = np.concatenate([b.ravel() for b in z_blocks]).reshape(-1, 1)
+    y = np.concatenate([b.ravel() for b in y_blocks]).reshape(-1, 1)
     return None, z, y
+
+
+def _scope_result(
+    chunks, scope, method, base_mcs, m_bins, target_fraction, include_per_class, model_tag
+):
+    """The report row and pooled curve of one (scope, method): per-class
+    table, cmAP, weighted scores, frequent/rare aggregates and, against
+    ``base_mcs``, the relative |MCS| improvement (None for Base)."""
+    per_class, pooled = score_scope(chunks, m_bins, scope)
+    aps = [m.ap for m in per_class if m.ap is not None]
+    overall = aggregate_multilabel(per_class, scope=scope)
+    assignment = frequent_rare_split({m.class_id: m.n_pos for m in per_class}, target_fraction)
+    freq_set = set(assignment.frequent)
+    rare_set = set(assignment.rare)
+    rare_metrics = [m for m in per_class if m.class_id in rare_set]
+    rel = None
+    if method != BASE:
+        try:
+            rel = relative_improvement(base_mcs, overall.mcs)
+        except ValidationError:
+            rel = NOT_APPLICABLE
+    row = ReportRow(
+        model=model_tag,
+        scope=scope,
+        method=method,
+        n_samples=sum(conf.shape[0] for _, conf, _ in chunks),
+        cmap=float(np.mean(aps)) if aps else None,
+        scores=overall,
+        frequent_classes=assignment.frequent,
+        frequent_k=assignment.k,
+        frequent_mass_fraction=assignment.mass_fraction,
+        frequent_scores=aggregate_multilabel(
+            [m for m in per_class if m.class_id in freq_set], scope=f"{scope}:frequent"
+        ),
+        rare_classes=assignment.rare,
+        rare_scores=(
+            aggregate_multilabel(rare_metrics, scope=f"{scope}:rare") if rare_metrics else None
+        ),
+        per_class=tuple(per_class) if include_per_class else None,
+        rel_improvement_mcs=rel,
+        params_ref=None if method == BASE else method,
+    )
+    return row, CurveEntry(scope=scope, method=method, curve=pooled)
 
 
 def run_benchmark(
@@ -231,33 +283,9 @@ def run_benchmark(
         raise ValidationError("no datasets given")
     if m_bins < 1:
         raise ValidationError(f"M must be >= 1, got {m_bins}")
-    conf_mats = [confidences(d) for d in datasets]
-
-    if split is None:
-        if methods:
-            raise ValidationError("fitting requires a calibration split")
-        calib_sel = [np.array([], dtype=np.intp) for _ in datasets]
-        eval_sel = [np.arange(d.n, dtype=np.intp) for d in datasets]
-    elif split.kind == FIRST_MINUTES:
-        parts = [split_first_minutes(d, split.minutes) for d in datasets]
-        calib_sel = [p[0] for p in parts]
-        eval_sel = [p[1] for p in parts]
-    else:
-        calib_sel = []
-        eval_sel = []
-        for d in datasets:
-            mask = np.array([m.dataset_id == split.calib_dataset for m in d.meta])
-            calib_sel.append(np.flatnonzero(mask).astype(np.intp))
-            eval_sel.append(np.flatnonzero(~mask).astype(np.intp))
-        if sum(s.size for s in calib_sel) == 0:
-            raise ValidationError(
-                f"calibration dataset {split.calib_dataset!r} not found in any manifest"
-            )
-        if sum(s.size for s in eval_sel) == 0:
-            raise ValidationError(
-                f"calibration dataset {split.calib_dataset!r} is the only dataset; "
-                "nothing left to evaluate"
-            )
+    if split is None and methods:
+        raise ValidationError("fitting requires a calibration split")
+    calib_sel, eval_sel = zip(*_split_rows(datasets, split))
 
     split_summary = None
     if split is not None:
@@ -270,11 +298,11 @@ def run_benchmark(
         }
 
     fitted: dict = {}
+    # each method's confidences over whole datasets; scaling is elementwise,
+    # so a scope's rows of it equal scaling that scope's logits
+    conf_mats = {BASE: [confidences(d) for d in datasets]}
     for method, scope in methods:
-        if scope == PER_CLASS and len({d.classes for d in datasets}) > 1:
-            # per-class params can only transfer between identical class sets
-            raise ValidationError("per-class fitting requires matching classes")
-        classes, z_cal, y_cal = _calibration_matrices(datasets, calib_sel, scope)
+        classes, z_cal, y_cal = _calibration_input(datasets, calib_sel, scope)
         label = f"{method}/{scope}"
         params, trace = fit(
             z_cal,
@@ -282,65 +310,30 @@ def run_benchmark(
             method=method,
             scope=scope,
             cfg=fit_cfg,
-            classes=classes if scope == PER_CLASS else None,
+            classes=classes,
             fitted_on=split.describe(),
         )
         fitted[label] = (params, trace)
-
-    scopes_by_method = {
-        BASE: _collect_scopes(datasets, lambda k, rows: conf_mats[k][rows], eval_sel)
-    }
-    for label, (params, _) in fitted.items():
-        scopes_by_method[label] = _collect_scopes(
-            datasets,
-            lambda k, rows, p=params: apply_scaling(datasets[k].logits[rows], p),
-            eval_sel,
-        )
-
-    scope_ids = sorted(scopes_by_method[BASE])
-    ordered_scopes = ([ALL_SCOPE] if len(scope_ids) > 1 else []) + scope_ids
+        conf_mats[label] = [apply_scaling(d.logits, params) for d in datasets]
 
     rows: list = []
     curves: list = []
-    base_mcs_by_scope: dict = {}
-    for scope_name in ordered_scopes:
-        for label in [BASE] + list(fitted):
-            per_scope = scopes_by_method[label]
-            if scope_name == ALL_SCOPE:
-                chunks = [chunk for s in scope_ids for chunk in per_scope[s]]
-            else:
-                chunks = per_scope[scope_name]
-            per_class, cmap_val, overall, assignment, freq_s, rare_s, pooled = (
-                _scope_metrics(chunks, scope_name, m_bins, target_fraction)
+    for scope_name, parts in _scope_parts(datasets, eval_sel):
+        label_blocks = [datasets[k].labels[sel] for k, sel in parts]
+        base_mcs = None
+        for label, mats in conf_mats.items():
+            chunks = [
+                (datasets[k].classes, mats[k][sel], labels)
+                for (k, sel), labels in zip(parts, label_blocks)
+            ]
+            row, curve = _scope_result(
+                chunks, scope_name, label, base_mcs, m_bins, target_fraction,
+                include_per_class, model_tag,
             )
             if label == BASE:
-                base_mcs_by_scope[scope_name] = overall.mcs
-                rel = None
-            else:
-                try:
-                    rel = relative_improvement(base_mcs_by_scope[scope_name], overall.mcs)
-                except ValidationError:
-                    rel = NOT_APPLICABLE
-            rows.append(
-                ReportRow(
-                    model=model_tag,
-                    scope=scope_name,
-                    method=label,
-                    n_samples=sum(conf.shape[0] for _, conf, _ in chunks),
-                    cmap=cmap_val,
-                    scores=overall,
-                    frequent_classes=assignment.frequent,
-                    frequent_k=assignment.k,
-                    frequent_mass_fraction=assignment.mass_fraction,
-                    frequent_scores=freq_s,
-                    rare_classes=assignment.rare,
-                    rare_scores=rare_s,
-                    per_class=tuple(per_class) if include_per_class else None,
-                    rel_improvement_mcs=rel,
-                    params_ref=None if label == BASE else label,
-                )
-            )
-            curves.append(CurveEntry(scope=scope_name, method=label, curve=pooled))
+                base_mcs = row.scores.mcs
+            rows.append(row)
+            curves.append(curve)
 
     return BenchmarkResult(
         rows=tuple(rows),

@@ -295,11 +295,11 @@ def emit_report(report: Report, fmt: str, path: str):
 
 def load_report(path: str) -> dict:
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read report file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"report file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "rows" not in doc:
         raise ValidationError(f"report file {path} is not a report document")

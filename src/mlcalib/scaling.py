@@ -12,7 +12,7 @@ stochasticity anywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,9 @@ T_MIN = 1e-3
 T_MAX = 1e3
 _A_MIN = 1.0 / T_MAX
 _A_MAX = 1.0 / T_MIN
+# the tau range a fit can produce, computed as fit computes tau
+_TAU_MIN = float(-np.log(_A_MAX) + 0.0)
+_TAU_MAX = float(-np.log(_A_MIN) + 0.0)
 _NEWTON_TOL = 1e-10  # squared Newton decrement per row at which a column stops
 _NEWTON_RIDGE = 1e-12  # Hessian damping per row, keeps constant columns solvable
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the backtracking line search
@@ -120,12 +123,14 @@ class ScalingParams:
         except KeyError as exc:
             raise ValidationError(f"params document missing key {exc}") from exc
         classes = tuple(doc["classes"]) if "classes" in doc else None
-        if scope == GLOBAL:
-            tau_arr = np.float64(tau)
-            bias_arr = np.float64(bias)
-        else:
-            tau_arr = np.asarray(tau, dtype=np.float64)
-            bias_arr = np.asarray(bias, dtype=np.float64)
+        tau_arr = _json_numbers(tau, "tau", scope)
+        bias_arr = _json_numbers(bias, "b", scope)
+        outside = (tau_arr < _TAU_MIN) | (tau_arr > _TAU_MAX)
+        if np.any(outside):
+            raise ValidationError(
+                f"params tau must lie in [{_TAU_MIN!r}, {_TAU_MAX!r}] "
+                f"(T in [{T_MIN:g}, {T_MAX:g}]), got {float(tau_arr[outside][0])!r}"
+            )
         return cls(
             method=method,
             scope=scope,
@@ -134,6 +139,16 @@ class ScalingParams:
             classes=classes,
             fitted_on=str(doc.get("fitted_on", "")),
         )
+
+
+def _json_numbers(value, name: str, scope: str) -> np.ndarray:
+    """A params document's ``name`` entry as float64: a JSON number for
+    global scope, else a list of them."""
+    items = value if scope != GLOBAL and isinstance(value, list) else [value]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
+        kind = "a number" if scope == GLOBAL else "a list of numbers"
+        raise ValidationError(f"params {name} must be {kind}, got {value!r}")
+    return np.float64(value) if scope == GLOBAL else np.asarray(value, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -463,9 +478,9 @@ def fit(
     return params, trace
 
 
-def save_params(params: ScalingParams, trace: FitTrace | None, path: str):
-    """Write a params JSON document; floats carry 17 significant digits so
-    the round trip is bit-exact."""
+def save_params(params: ScalingParams, trace: FitTrace | None, path: str) -> dict:
+    """Write a params JSON document and return it; floats carry 17
+    significant digits so the round trip is bit-exact."""
     from .report import dumps_canonical
 
     doc = params.to_json_dict()
@@ -474,15 +489,16 @@ def save_params(params: ScalingParams, trace: FitTrace | None, path: str):
     with open(path, "w", newline="") as fh:
         fh.write(dumps_canonical(doc))
         fh.write("\n")
+    return doc
 
 
 def load_params(path: str) -> ScalingParams:
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read params file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"params file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"params file {path} must hold a JSON object")

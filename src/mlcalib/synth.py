@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EvalDataset, SampleMeta, ValidationError, sigmoid
+from .core import EvalDataset, SampleMeta, ValidationError, sigmoid, write_matrix_csv
 
 _STREAM_LOGITS = 0
 _STREAM_LABELS = 1
@@ -68,8 +68,11 @@ class SynthConfig:
     def __post_init__(self):
         if self.n < 1 or self.c < 1:
             raise ValidationError(f"N and C must be >= 1, got N={self.n}, C={self.c}")
-        if np.any(np.asarray(self.true_t, dtype=np.float64) <= 0):
-            raise ValidationError(f"true_T must be > 0, got {self.true_t}")
+        true_t = np.asarray(self.true_t, dtype=np.float64)
+        if not np.all(np.isfinite(true_t) & (true_t > 0)):
+            raise ValidationError(f"true_T must be finite and > 0, got {self.true_t}")
+        if not np.all(np.isfinite(np.asarray(self.true_b, dtype=np.float64))):
+            raise ValidationError(f"true_b must be finite, got {self.true_b}")
         if self.clip_duration_s <= 0:
             raise ValidationError(f"clip_duration_s must be > 0, got {self.clip_duration_s}")
 
@@ -142,11 +145,6 @@ def generate(cfg: SynthConfig):
     return dataset, truth
 
 
-def _format_float(x: float) -> str:
-    # repr round-trips float64 exactly and is deterministic
-    return repr(float(x))
-
-
 def write_fixture(cfg: SynthConfig, out_dir: str) -> dict:
     """Generate and write the standard file triple plus a truth sidecar.
 
@@ -165,17 +163,10 @@ def write_fixture(cfg: SynthConfig, out_dir: str) -> dict:
         "manifest": os.path.join(out_dir, "manifest.json"),
         "truth": os.path.join(out_dir, "truth.json"),
     }
-    header = "sample_id," + ",".join(dataset.classes)
-    with open(paths["predictions"], "w", newline="") as fh:
-        fh.write(header + "\n")
-        for i, row in enumerate(dataset.meta):
-            cells = ",".join(_format_float(v) for v in dataset.logits[i])
-            fh.write(f"{row.sample_id},{cells}\n")
-    with open(paths["labels"], "w", newline="") as fh:
-        fh.write(header + "\n")
-        for i, row in enumerate(dataset.meta):
-            cells = ",".join(str(int(v)) for v in dataset.labels[i])
-            fh.write(f"{row.sample_id},{cells}\n")
+    ids = [m.sample_id for m in dataset.meta]
+    write_matrix_csv(paths["predictions"], dataset.classes, ids, dataset.logits)
+    # int cells print as 0 and 1, as labels files carry them
+    write_matrix_csv(paths["labels"], dataset.classes, ids, dataset.labels.astype(np.int64))
     with open(paths["manifest"], "w", newline="") as fh:
         fh.write(dumps_canonical([
             {

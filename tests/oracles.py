@@ -148,44 +148,51 @@ def oracle_read_matrix_csv(path, kind):
     of ``core._read_matrix_csv``, whose C-parser path must agree with it.
     """
     try:
-        fh = open(path, "r", newline="")
+        fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise ValidationError(f"cannot read {kind} file {path}: {exc}") from exc
+    header = None
+    ids = []
+    rows = []
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{kind} file {path} is empty") from None
-        if not header or header[0] != "sample_id":
-            raise ValidationError(
-                f"{kind} file {path}: first header cell must be 'sample_id'"
-            )
-        classes = tuple(header[1:])
-        if not classes:
-            raise ValidationError(f"{kind} file {path}: no class columns")
-        if len(set(classes)) != len(classes):
-            dupe = next(c for c in classes if header[1:].count(c) > 1)
-            raise ValidationError(f"duplicate class name {dupe!r} in {kind} file {path}")
-        ids = []
-        rows = []
-        for i, cells in enumerate(reader):
-            if len(cells) != len(classes) + 1:
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{kind} file {path} is empty")
+            if not header or header[0] != "sample_id":
                 raise ValidationError(
-                    f"shape mismatch in {kind} file {path} (row {i}: "
-                    f"{len(cells)} cells, expected {len(classes) + 1})"
+                    f"{kind} file {path}: first header cell must be 'sample_id'"
                 )
-            ids.append(cells[0])
-            row = []
-            for j, text in enumerate(cells[1:]):
-                try:
-                    row.append(float(text))
-                except ValueError:
+            classes = tuple(header[1:])
+            if not classes:
+                raise ValidationError(f"{kind} file {path}: no class columns")
+            if len(set(classes)) != len(classes):
+                dupe = next(c for c in classes if header[1:].count(c) > 1)
+                raise ValidationError(f"duplicate class name {dupe!r} in {kind} file {path}")
+            for i, cells in enumerate(reader):
+                if len(cells) != len(classes) + 1:
                     raise ValidationError(
-                        f"non-numeric value (row {i}, class {classes[j]}) "
-                        f"in {kind} file {path}: {text!r}"
-                    ) from None
-            rows.append(row)
+                        f"shape mismatch in {kind} file {path} (row {i}: "
+                        f"{len(cells)} cells, expected {len(classes) + 1})"
+                    )
+                ids.append(cells[0])
+                row = []
+                for j, text in enumerate(cells[1:]):
+                    try:
+                        row.append(float(text))
+                    except ValueError:
+                        raise ValidationError(
+                            f"non-numeric value (row {i}, class {classes[j]}) "
+                            f"in {kind} file {path}: {text!r}"
+                        ) from None
+                rows.append(row)
+        except UnicodeDecodeError:
+            raise ValidationError(f"{kind} file {path} is not UTF-8 text") from None
+        except csv.Error as exc:
+            # the record being read failed: the header, or data row len(rows)
+            where = "header" if header is None else f"row {len(rows)}"
+            raise ValidationError(f"{kind} file {path} ({where}): {exc}") from None
     if not rows:
         raise ValidationError(f"{kind} file {path} has no data rows")
     return classes, ids, np.array(rows, dtype=np.float64)

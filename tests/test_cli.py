@@ -10,7 +10,7 @@ import pytest
 from mlcalib.cli import main
 from mlcalib.core import _read_matrix_csv, sigmoid
 from mlcalib.report import load_report
-from mlcalib.scaling import ScalingParams, apply_scaling, load_params, save_params
+from mlcalib.scaling import T_MAX, T_MIN, ScalingParams, apply_scaling, fit, load_params, save_params
 
 
 def _synth(out_dir, n=2000, c=3, true_t="1.0", true_b="0.0", seed=11, extra=()):
@@ -313,6 +313,134 @@ class TestPlotCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(key) in err
+
+
+@pytest.fixture(scope="module")
+def small(tmp_path_factory):
+    """A 200 x 3 fixture, identity params and an evaluate report."""
+    root = tmp_path_factory.mktemp("small")
+    paths = _synth(root / "fx", n=200)
+    paths["params"] = str(root / "params.json")
+    save_params(ScalingParams.identity("ts", "global"), None, paths["params"])
+    assert main(["evaluate", *_data_flags(paths), "--out", str(root / "ev")]) == 0
+    paths["report"] = str(root / "ev" / "report.json")
+    return paths
+
+
+def _argv(command, paths, out):
+    """A minimal valid command line of each subcommand."""
+    inputs = {
+        "evaluate": _data_flags(paths),
+        "fit": [*_data_flags(paths), "--method", "ts", "--first-minutes", "5"],
+        "apply": ["--predictions", paths["predictions"], "--params", paths["params"]],
+        "synth": ["--n", "10", "--classes", "2"],
+        "plot": ["--report", paths["report"]],
+    }[command]
+    return [command, *inputs, "--out", str(out)]
+
+
+class TestInputBoundaries:
+    """Each of these inputs ends in exit 2 and a message naming its cause."""
+
+    @pytest.mark.parametrize(
+        "data, want",
+        [
+            (b"sample_id,a\ns0,\xff\n", "is not UTF-8 text"),
+            (b"sample_id,a\n" + b"s" * 200000 + b",1\n",
+             "(row 0): field larger than field limit"),
+        ],
+        ids=["not-utf8", "field-over-csv-limit"],
+    )
+    def test_apply_unreadable_csv_exits_2(self, tmp_path, capsys, small, data, want):
+        pred = tmp_path / "predictions.csv"
+        pred.write_bytes(data)
+        code = main(["apply", "--predictions", str(pred), "--params", small["params"],
+                     "--out", str(tmp_path / "ap")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: predictions file {pred}") and want in err
+
+    @pytest.mark.parametrize("which", ["manifest", "params", "report"])
+    def test_json_that_is_not_utf8_exits_2(self, tmp_path, capsys, small, which):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'[{"sample_id": "\xff"}]')
+        argv = _argv({"manifest": "evaluate", "params": "apply", "report": "plot"}[which],
+                     dict(small, **{which: str(bad)}), tmp_path / "out")
+        assert main(argv) == 2
+        assert f"{which} file {bad} is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "tau, b, want",
+        [("1.0", 0.0, "params tau must be a number"),
+         (0.0, None, "params b must be a number"),
+         (800.0, 0.0, "params tau must lie in"),
+         (-7.0, 0.0, "params tau must lie in")],
+        ids=["string-tau", "null-b", "tau-800", "tau-below-t-min"],
+    )
+    def test_apply_rejects_bad_params(self, tmp_path, capsys, small, tau, b, want):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"method": "ps", "scope": "global", "tau": tau, "b": b}))
+        code = main(["apply", "--predictions", small["predictions"], "--params", str(params),
+                     "--out", str(tmp_path / "ap")])
+        assert code == 2
+        assert want in capsys.readouterr().err
+        assert not (tmp_path / "ap").exists()
+
+    @pytest.mark.parametrize("edge", ["t-min", "t-max"])
+    def test_clamped_fit_params_apply(self, tmp_path, small, edge):
+        # separable scores clamp T at T_MIN, anti-correlated ones at T_MAX
+        z = np.linspace(-3.0, 3.0, 40).reshape(-1, 1)
+        y = ((z > 0) == (edge == "t-min")).astype(float)
+        params, trace = fit(z, y, method="ps")
+        assert trace.clamped == (0,)
+        assert float(params.temperature) == pytest.approx(T_MIN if edge == "t-min" else T_MAX)
+        save_params(params, trace, str(tmp_path / "params.json"))
+        out = tmp_path / "ap"
+        assert main(["apply", "--predictions", small["predictions"],
+                     "--params", str(tmp_path / "params.json"), "--out", str(out)]) == 0
+        _, _, logits = _read_matrix_csv(small["predictions"], "predictions")
+        _, _, got = _read_matrix_csv(str(out / "calibrated.csv"), "calibrated")
+        assert np.array_equal(got, apply_scaling(logits, load_params(str(tmp_path / "params.json"))))
+
+    @pytest.mark.parametrize("flag", ["--true-t=inf", "--true-t=nan", "--true-b=-inf",
+                                      "--true-b=nan"])
+    def test_synth_non_finite_truth_exits_2(self, tmp_path, capsys, flag):
+        out = tmp_path / "fx"
+        assert main(["synth", "--n", "10", "--classes", "2", flag, "--out", str(out)]) == 2
+        name = "true_T" if "true-t" in flag else "true_b"
+        assert f"error: {name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("probabilities", [False, True], ids=["logits", "probabilities"])
+    @pytest.mark.parametrize("eps", ["inf", "nan", "0", "0.5", "5"])
+    @pytest.mark.parametrize("command", ["evaluate", "fit", "apply"])
+    def test_eps_outside_range_exits_2(self, tmp_path, capsys, small, command, eps,
+                                       probabilities):
+        argv = _argv(command, small, tmp_path / "out")
+        argv += [f"--eps={eps}"] + (["--probabilities"] if probabilities else [])
+        assert main(argv) == 2
+        assert "error: eps must be in (0, 0.5)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, value", [("start_s", "nan"), ("start_s", "inf"),
+                                              ("duration_s", "nan"), ("duration_s", "inf")])
+    def test_non_finite_manifest_time_exits_2(self, tmp_path, capsys, small, field, value):
+        rows = json.load(open(small["manifest"]))
+        rows[3][field] = float(value)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(rows))
+        argv = _argv("fit", dict(small, manifest=str(manifest)), tmp_path / "out")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"row 3: {field} must be finite" in err and str(manifest) in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "fit", "apply", "synth", "plot"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, small, command):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(_argv(command, small, taken)) == 2
+        assert f"error: cannot create output directory {taken}" in capsys.readouterr().err
+        assert taken.read_text() == ""
 
 
 class TestImports:

@@ -77,6 +77,20 @@ class TestSampleMeta:
         with pytest.raises(ValidationError):
             SampleMeta("a", "ds", -1.0, 5.0)
 
+    @pytest.mark.parametrize(
+        "start, duration, field",
+        [
+            (float("nan"), 5.0, "start_s"),
+            (float("inf"), 5.0, "start_s"),
+            (0.0, float("nan"), "duration_s"),
+            (0.0, float("inf"), "duration_s"),
+        ],
+        ids=["nan-start", "inf-start", "nan-duration", "inf-duration"],
+    )
+    def test_rejects_non_finite_times(self, start, duration, field):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            SampleMeta("a", "ds", start, duration)
+
 
 class TestEvalDataset:
     def test_happy_path_properties(self):
@@ -297,6 +311,8 @@ _READER_CASES = {
     "duplicate-class": (b"sample_id,a,a\ns0,1,2\n", False),
     "not-utf8": (b"sample_id,a\ns0,\xff\n", False),
     "field-over-csv-limit": (b"sample_id,a\n" + b"s" * 200000 + b",1\n", False),
+    "header-field-over-csv-limit": (b"sample_id," + b"a" * 200000 + b"\ns0,1\n", False),
+    "not-utf8-in-header": (b"sample_id,\xe9\ns0,1\n", False),
 }
 
 _PLAIN_CELLS = ("0", "1", "-2.5", "1e400", "-inf", "nan", "+.5", "-0.0", " 1.5", "2 ")
