@@ -16,6 +16,7 @@ import numpy as np
 from mlcalib import (
     EvalDataset,
     FitConfig,
+    Manifest,
     LatentSpec,
     SynthConfig,
     aggregate_multilabel,
@@ -42,7 +43,12 @@ evaluation = EvalDataset(
     classes=dataset.classes,
     logits=dataset.logits[eval_idx],
     labels=dataset.labels[eval_idx],
-    meta=tuple(dataset.meta[i] for i in eval_idx),
+    meta=Manifest(
+        sample_id=tuple(dataset.meta.sample_id[i] for i in eval_idx),
+        dataset_id=tuple(dataset.meta.dataset_id[i] for i in eval_idx),
+        start_s=dataset.meta.start_s[eval_idx],
+        duration_s=dataset.meta.duration_s[eval_idx],
+    ),
 )
 print(f"calibration window: {calib_idx.size} clips; "
       f"evaluation remainder: {evaluation.n}")

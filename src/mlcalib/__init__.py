@@ -8,8 +8,8 @@ on a held-out calibration split to shrink the miscalibration it found.
 
 from .core import (
     EvalDataset,
+    Manifest,
     NumericalError,
-    SampleMeta,
     ValidationError,
     confidences,
     inverse_sigmoid,
@@ -78,11 +78,11 @@ __all__ = [
     "FitConfig",
     "FitTrace",
     "LatentSpec",
+    "Manifest",
     "NumericalError",
     "ReliabilityCurve",
     "Report",
     "ReportRow",
-    "SampleMeta",
     "ScalingParams",
     "SplitSpec",
     "SubsetAssignment",

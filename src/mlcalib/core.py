@@ -2,16 +2,15 @@
 
 Everything downstream (metrics, scaling, protocols) consumes the
 :class:`EvalDataset` built here: an aligned logit matrix, a binary label
-matrix, class names, and one manifest row per sample.  All arithmetic is
-float64; input files are parsed as decimal text.
+matrix, class names, and a columnar :class:`Manifest` with one row per
+sample.  All arithmetic is float64; input files are parsed as decimal text.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,47 +67,94 @@ def inverse_sigmoid(p, eps: float = 1e-7):
     return out
 
 
-@dataclass(frozen=True)
-class SampleMeta:
-    """Manifest row: where a clip sits on its dataset's timeline."""
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 C-order copy of ``values``."""
+    out = np.array(values, dtype=np.float64, order="C", copy=True)
+    out.flags.writeable = False
+    return out
 
-    sample_id: str
-    dataset_id: str
-    start_s: float
-    duration_s: float
+
+@dataclass(frozen=True, eq=False)
+class Manifest:
+    """Where each clip sits on its dataset's timeline, one column per field.
+
+    ``sample_id`` and ``dataset_id`` are tuples of str; ``start_s`` and
+    ``duration_s`` are read-only float64 arrays.  ``datasets`` names the
+    dataset_ids in first-seen order and ``codes`` holds each row's index
+    into it.  The constructor is the one manifest check: every start_s is
+    finite and >= 0, every duration_s finite and > 0, and no
+    (dataset_id, sample_id) pair repeats.  Errors name the first bad row.
+    """
+
+    sample_id: tuple
+    dataset_id: tuple
+    start_s: np.ndarray
+    duration_s: np.ndarray
+    datasets: tuple = field(init=False)
+    codes: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+        ids, ds_ids = tuple(self.sample_id), tuple(self.dataset_id)
+        start, duration = _frozen(self.start_s), _frozen(self.duration_s)
+        n = len(ids)
+        if not (n,) == (len(ds_ids),) == start.shape == duration.shape:
+            raise ValidationError(f"manifest columns differ in length: {n}, {len(ds_ids)}, "
+                                  f"{start.shape}, {duration.shape}")
+        bad_duration = ~(np.isfinite(duration) & (duration > 0))
+        bad = bad_duration | ~(np.isfinite(start) & (start >= 0))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            name, rule, value = ("duration_s", "> 0", duration[i]) if bad_duration[i] else (
+                "start_s", ">= 0", start[i])
             raise ValidationError(
-                f"duration_s must be finite and > 0 "
-                f"(sample {self.sample_id!r}, got {self.duration_s})"
+                f"row {i}: {name} must be finite and {rule} (sample {ids[i]!r}, got {value})"
             )
-        if not (math.isfinite(self.start_s) and self.start_s >= 0):
+        names, first, inverse = np.unique(
+            np.array(ds_ids, dtype=object), return_index=True, return_inverse=True)
+        seen = np.argsort(first)  # names in first-seen order
+        codes = np.argsort(seen)[inverse]
+        codes.flags.writeable = False
+        # sorted by (dataset, sample_id), a repeated pair sits right after
+        # its first row; Python's string order sorts the object array
+        id_col = np.array(ids, dtype=object)
+        order = np.lexsort((id_col, codes))
+        by_ds, by_id = codes[order], id_col[order]
+        repeat = order[1:][(by_ds[1:] == by_ds[:-1]) & (by_id[1:] == by_id[:-1])]
+        if repeat.size:
+            i = int(repeat.min())
             raise ValidationError(
-                f"start_s must be finite and >= 0 "
-                f"(sample {self.sample_id!r}, got {self.start_s})"
+                f"row {i}: duplicate sample_id {ids[i]!r} within dataset {ds_ids[i]!r}"
             )
+        columns = dict(sample_id=ids, dataset_id=ds_ids, start_s=start, duration_s=duration,
+                       datasets=tuple(names[seen].tolist()), codes=codes)
+        for name, value in columns.items():
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.sample_id)
 
 
 @dataclass(frozen=True)
 class EvalDataset:
     """Aligned predictions and labels for one evaluation run.
 
-    ``logits`` and ``labels`` are N x C float64 matrices; ``probs`` holds the
-    verbatim probability matrix when the source file contained probabilities
-    (kept so that downstream binning sees the exact file values rather than a
-    sigmoid/log-odds round trip).  Immutable after construction.
+    ``logits`` and ``labels`` are N x C float64 matrices and ``meta`` is the
+    N-row :class:`Manifest`; ``probs`` holds the verbatim probability matrix
+    when the source file contained probabilities (kept so that downstream
+    binning sees the exact file values rather than a sigmoid/log-odds round
+    trip).  Immutable after construction.  The constructor is the one check
+    of a dataset's content: shapes agree, logits are finite, labels are
+    0 or 1 and class names are distinct.
     """
 
     classes: tuple
     logits: np.ndarray
     labels: np.ndarray
-    meta: tuple
+    meta: Manifest
     probs: np.ndarray | None = None
 
     def __post_init__(self):
-        logits = np.array(self.logits, dtype=np.float64, order="C", copy=True)
-        labels = np.array(self.labels, dtype=np.float64, order="C", copy=True)
+        logits, labels = _frozen(self.logits), _frozen(self.labels)
         if logits.ndim != 2 or labels.shape != logits.shape:
             raise ValidationError(
                 f"shape mismatch: logits {logits.shape}, labels {labels.shape}"
@@ -135,29 +181,17 @@ class EvalDataset:
             raise ValidationError(
                 f"non-binary label (row {i}, class {self.classes[c]}): {labels[i, c]!r}"
             )
-        seen = {}
-        for row in self.meta:
-            key = (row.dataset_id, row.sample_id)
-            if key in seen:
-                raise ValidationError(
-                    f"duplicate sample_id {row.sample_id!r} within dataset {row.dataset_id!r}"
-                )
-            seen[key] = True
         probs = self.probs
         if probs is not None:
-            probs = np.array(probs, dtype=np.float64, order="C", copy=True)
+            probs = _frozen(probs)
             if probs.shape != logits.shape:
                 raise ValidationError(
                     f"shape mismatch: probs {probs.shape}, logits {logits.shape}"
                 )
-            probs.flags.writeable = False
-        logits.flags.writeable = False
-        labels.flags.writeable = False
         object.__setattr__(self, "logits", logits)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "classes", tuple(self.classes))
-        object.__setattr__(self, "meta", tuple(self.meta))
 
     @property
     def n(self) -> int:
@@ -166,14 +200,6 @@ class EvalDataset:
     @property
     def c(self) -> int:
         return self.logits.shape[1]
-
-    @property
-    def dataset_ids(self) -> tuple:
-        seen = []
-        for row in self.meta:
-            if row.dataset_id not in seen:
-                seen.append(row.dataset_id)
-        return tuple(seen)
 
 
 def confidences(d: EvalDataset) -> np.ndarray:
@@ -327,7 +353,10 @@ def _is_float(text: str) -> bool:
         return False
 
 
-def _read_manifest(path: str):
+_MANIFEST_FIELDS = {"sample_id", "dataset_id", "start_s", "duration_s"}
+
+
+def _read_manifest(path: str) -> Manifest:
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -339,27 +368,23 @@ def _read_manifest(path: str):
             raise ValidationError(f"manifest file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise ValidationError(f"manifest file {path} must be a JSON array")
-    meta = []
     for i, row in enumerate(doc):
         if not isinstance(row, dict):
             raise ValidationError(f"manifest file {path} row {i} is not an object")
-        missing = {"sample_id", "dataset_id", "start_s", "duration_s"} - set(row)
+        missing = _MANIFEST_FIELDS - row.keys()
         if missing:
             raise ValidationError(
                 f"manifest file {path} row {i} missing {sorted(missing)}"
             )
-        try:
-            meta.append(
-                SampleMeta(
-                    sample_id=str(row["sample_id"]),
-                    dataset_id=str(row["dataset_id"]),
-                    start_s=float(row["start_s"]),
-                    duration_s=float(row["duration_s"]),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"manifest file {path} row {i}: {exc}") from exc
-    return meta
+    try:
+        return Manifest(
+            sample_id=tuple(str(row["sample_id"]) for row in doc),
+            dataset_id=tuple(str(row["dataset_id"]) for row in doc),
+            start_s=[float(row["start_s"]) for row in doc],
+            duration_s=[float(row["duration_s"]) for row in doc],
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"manifest file {path} {exc}") from None
 
 
 def read_predictions(path: str, inputs_are_probabilities: bool = False, eps: float = 1e-7):
@@ -398,7 +423,9 @@ def load_dataset(
     """Load and validate the predictions/labels/manifest file triple.
 
     The three files must agree on sample order; predictions and labels must
-    list identical class headers.  With ``inputs_are_probabilities`` the
+    list identical class headers.  Those are the checks across files; each
+    file's own content is checked by its reader, :class:`Manifest` and
+    :class:`EvalDataset`.  With ``inputs_are_probabilities`` the
     prediction cells are read as probabilities in [0, 1]: logits are
     recovered via :func:`inverse_sigmoid` with the given ``eps`` and the
     verbatim probabilities are retained on the dataset.
@@ -411,37 +438,19 @@ def load_dataset(
         raise ValidationError(
             f"class header mismatch between {predictions_path} and {labels_path}"
         )
-    if len(p_ids) != len(l_ids):
-        raise ValidationError(
-            f"shape mismatch: {len(p_ids)} prediction rows vs {len(l_ids)} label rows"
-        )
     for i, (a, b) in enumerate(zip(p_ids, l_ids)):
         if a != b:
             raise ValidationError(
                 f"sample order mismatch at row {i}: {a!r} in {predictions_path} "
                 f"vs {b!r} in {labels_path}"
             )
-
     meta = _read_manifest(manifest_path)
-    if len(meta) != len(p_ids):
-        raise ValidationError(
-            f"shape mismatch: {len(p_ids)} prediction rows vs {len(meta)} manifest rows"
-        )
-    for i, (pid, row) in enumerate(zip(p_ids, meta)):
-        if pid != row.sample_id:
+    for i, (a, b) in enumerate(zip(p_ids, meta.sample_id)):
+        if a != b:
             raise ValidationError(
-                f"unknown sample_id at row {i}: predictions say {pid!r}, "
-                f"manifest says {row.sample_id!r} ({manifest_path})"
+                f"unknown sample_id at row {i}: predictions say {a!r}, "
+                f"manifest says {b!r} ({manifest_path})"
             )
-
-    bad = (l_vals != 0.0) & (l_vals != 1.0)
-    if np.any(bad):
-        i, c = np.unravel_index(int(np.argmax(bad)), l_vals.shape)
-        raise ValidationError(
-            f"non-binary label (row {i}, class {l_classes[c]}) in {labels_path}: "
-            f"{l_vals[i, c]!r}"
-        )
-
     return EvalDataset(
-        classes=p_classes, logits=logits, labels=l_vals, meta=tuple(meta), probs=probs
+        classes=p_classes, logits=logits, labels=l_vals, meta=meta, probs=probs
     )

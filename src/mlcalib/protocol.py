@@ -87,29 +87,22 @@ def split_first_minutes(d: EvalDataset, minutes: float):
     """
     if not minutes > 0:
         raise ValidationError(f"minutes must be > 0, got {minutes}")
-    limit = minutes * 60.0
-    by_ds: dict = {}
-    for i, row in enumerate(d.meta):
-        by_ds.setdefault(row.dataset_id, []).append(i)
-    cal: list = []
-    ev: list = []
-    for ds_id, idxs in by_ds.items():
-        ordered = sorted(idxs, key=lambda i: (d.meta[i].start_s, d.meta[i].sample_id))
-        cum = 0.0
-        n_eval = 0
-        for i in ordered:
-            if cum < limit:
-                cal.append(i)
-            else:
-                ev.append(i)
-                n_eval += 1
-            cum += d.meta[i].duration_s
-        if n_eval == 0:
-            raise ValidationError(
-                f"calibration window consumes entire dataset {ds_id!r} "
-                f"({minutes:g} minutes >= total duration)"
-            )
-    return np.array(sorted(cal), dtype=np.intp), np.array(sorted(ev), dtype=np.intp)
+    m = d.meta
+    # an object array sorts in Python's string order
+    order = np.lexsort((np.array(m.sample_id, dtype=object), m.start_s, m.codes))
+    codes = m.codes[order]
+    # the duration before each clip, restarted per dataset; np.cumsum adds
+    # in sequence, so the sums are those of a running total
+    runs = np.split(m.duration_s[order], np.flatnonzero(np.diff(codes)) + 1)
+    elapsed = np.concatenate([np.cumsum(np.concatenate(([0.0], run[:-1]))) for run in runs])
+    cal = elapsed < minutes * 60.0
+    n_eval = np.bincount(codes[~cal], minlength=len(m.datasets))
+    if not n_eval.all():
+        raise ValidationError(
+            f"calibration window consumes entire dataset {m.datasets[int(np.argmin(n_eval))]!r} "
+            f"({minutes:g} minutes >= total duration)"
+        )
+    return np.sort(order[cal]), np.sort(order[~cal])
 
 
 def frequent_rare_split(counts: dict, target_fraction: float = 0.5) -> SubsetAssignment:
@@ -160,7 +153,8 @@ def _split_rows(datasets, split: SplitSpec | None):
         return [split_first_minutes(d, split.minutes) for d in datasets]
     parts = []
     for d in datasets:
-        mask = np.array([m.dataset_id == split.calib_dataset for m in d.meta], dtype=bool)
+        # no row has the code of a name missing from the manifest
+        mask = d.meta.codes == (*d.meta.datasets, split.calib_dataset).index(split.calib_dataset)
         parts.append((np.flatnonzero(mask), np.flatnonzero(~mask)))
     if not any(cal.size for cal, _ in parts):
         raise ValidationError(
@@ -181,9 +175,9 @@ def _scope_parts(datasets, eval_sel) -> list:
     every part."""
     by_id: dict = {}
     for k, (d, sel) in enumerate(zip(datasets, eval_sel)):
-        ids = np.array([d.meta[i].dataset_id for i in sel], dtype=object)
-        for ds_id in dict.fromkeys(ids.tolist()):
-            by_id.setdefault(ds_id, []).append((k, sel[ids == ds_id]))
+        codes = d.meta.codes[sel]
+        for code in np.unique(codes):
+            by_id.setdefault(d.meta.datasets[code], []).append((k, sel[codes == code]))
     scopes = [(ds_id, by_id[ds_id]) for ds_id in sorted(by_id)]
     if len(scopes) > 1:
         scopes.insert(0, (ALL_SCOPE, [part for _, parts in scopes for part in parts]))

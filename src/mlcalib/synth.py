@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EvalDataset, SampleMeta, ValidationError, sigmoid, write_matrix_csv
+from .core import EvalDataset, Manifest, ValidationError, sigmoid, write_matrix_csv
 
 _STREAM_LOGITS = 0
 _STREAM_LABELS = 1
@@ -119,14 +119,11 @@ def generate(cfg: SynthConfig):
     labels = (u_y < p_true).astype(np.float64)
 
     width = max(6, len(str(cfg.n - 1)))
-    meta = tuple(
-        SampleMeta(
-            sample_id=f"{cfg.dataset_id}-{i:0{width}d}",
-            dataset_id=cfg.dataset_id,
-            start_s=i * cfg.clip_duration_s,
-            duration_s=cfg.clip_duration_s,
-        )
-        for i in range(cfg.n)
+    meta = Manifest(
+        sample_id=tuple(f"{cfg.dataset_id}-{i:0{width}d}" for i in range(cfg.n)),
+        dataset_id=(cfg.dataset_id,) * cfg.n,
+        start_s=np.arange(cfg.n) * cfg.clip_duration_s,
+        duration_s=np.full(cfg.n, cfg.clip_duration_s),
     )
     classes = tuple(f"class_{c:03d}" for c in range(cfg.c))
     dataset = EvalDataset(classes=classes, logits=z, labels=labels, meta=meta)
@@ -163,20 +160,18 @@ def write_fixture(cfg: SynthConfig, out_dir: str) -> dict:
         "manifest": os.path.join(out_dir, "manifest.json"),
         "truth": os.path.join(out_dir, "truth.json"),
     }
-    ids = [m.sample_id for m in dataset.meta]
-    write_matrix_csv(paths["predictions"], dataset.classes, ids, dataset.logits)
+    meta = dataset.meta
+    write_matrix_csv(paths["predictions"], dataset.classes, meta.sample_id, dataset.logits)
     # int cells print as 0 and 1, as labels files carry them
-    write_matrix_csv(paths["labels"], dataset.classes, ids, dataset.labels.astype(np.int64))
+    write_matrix_csv(paths["labels"], dataset.classes, meta.sample_id, dataset.labels.astype(int))
+    columns = {
+        "sample_id": meta.sample_id,
+        "dataset_id": meta.dataset_id,
+        "start_s": meta.start_s.tolist(),
+        "duration_s": meta.duration_s.tolist(),
+    }
     with open(paths["manifest"], "w", newline="") as fh:
-        fh.write(dumps_canonical([
-            {
-                "sample_id": m.sample_id,
-                "dataset_id": m.dataset_id,
-                "start_s": m.start_s,
-                "duration_s": m.duration_s,
-            }
-            for m in dataset.meta
-        ]))
+        fh.write(dumps_canonical([dict(zip(columns, row)) for row in zip(*columns.values())]))
         fh.write("\n")
     with open(paths["truth"], "w", newline="") as fh:
         fh.write(dumps_canonical(truth))

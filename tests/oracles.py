@@ -9,6 +9,7 @@ sequence, so agreement is expected bit-for-bit in float64.
 """
 
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -196,3 +197,42 @@ def oracle_read_matrix_csv(path, kind):
     if not rows:
         raise ValidationError(f"{kind} file {path} has no data rows")
     return classes, ids, np.array(rows, dtype=np.float64)
+
+
+def oracle_split_first_minutes(d, minutes):
+    """The first-minutes split as a running total, one manifest row at a
+    time: rows grouped per dataset_id in first-seen order, each group
+    ordered with ``sorted`` on (start_s, sample_id), and ``cum +=`` over
+    the durations.  Returns (calibration, evaluation) row indices."""
+    meta = [
+        SimpleNamespace(sample_id=s, dataset_id=ds, start_s=t, duration_s=u)
+        for s, ds, t, u in zip(
+            d.meta.sample_id, d.meta.dataset_id, d.meta.start_s.tolist(),
+            d.meta.duration_s.tolist(),
+        )
+    ]
+    if not minutes > 0:
+        raise ValidationError(f"minutes must be > 0, got {minutes}")
+    limit = minutes * 60.0
+    by_ds: dict = {}
+    for i, row in enumerate(meta):
+        by_ds.setdefault(row.dataset_id, []).append(i)
+    cal: list = []
+    ev: list = []
+    for ds_id, idxs in by_ds.items():
+        ordered = sorted(idxs, key=lambda i: (meta[i].start_s, meta[i].sample_id))
+        cum = 0.0
+        n_eval = 0
+        for i in ordered:
+            if cum < limit:
+                cal.append(i)
+            else:
+                ev.append(i)
+                n_eval += 1
+            cum += meta[i].duration_s
+        if n_eval == 0:
+            raise ValidationError(
+                f"calibration window consumes entire dataset {ds_id!r} "
+                f"({minutes:g} minutes >= total duration)"
+            )
+    return np.array(sorted(cal), dtype=np.intp), np.array(sorted(ev), dtype=np.intp)

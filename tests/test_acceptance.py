@@ -14,7 +14,7 @@ from time import perf_counter
 import numpy as np
 
 from mlcalib.cli import main
-from mlcalib.core import EvalDataset, SampleMeta, confidences, sigmoid
+from mlcalib.core import EvalDataset, Manifest, confidences, sigmoid
 from mlcalib.metrics import (
     CalibrationScores,
     ClassMetrics,
@@ -48,9 +48,11 @@ def _dataset(probs, labels):
     """Wrap raw matrices so the public dataset-based entry points apply."""
     n, c = probs.shape
     classes = tuple(f"c{j}" for j in range(c))
-    meta = tuple(
-        SampleMeta(sample_id=f"s{i}", dataset_id="acc", start_s=5.0 * i, duration_s=5.0)
-        for i in range(n)
+    meta = Manifest(
+        sample_id=tuple(f"s{i}" for i in range(n)),
+        dataset_id=("acc",) * n,
+        start_s=5.0 * np.arange(n),
+        duration_s=np.full(n, 5.0),
     )
     return EvalDataset(classes=classes, logits=np.zeros((n, c)), labels=labels, meta=meta)
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mlcalib.core import (
     EvalDataset,
-    SampleMeta,
+    Manifest,
     ValidationError,
     _read_matrix_csv,
     _read_plain_csv,
@@ -23,9 +23,11 @@ from oracles import oracle_read_matrix_csv
 
 
 def _meta(n, dataset_id="ds"):
-    return tuple(
-        SampleMeta(sample_id=f"s{i}", dataset_id=dataset_id, start_s=5.0 * i, duration_s=5.0)
-        for i in range(n)
+    return Manifest(
+        sample_id=tuple(f"s{i}" for i in range(n)),
+        dataset_id=(dataset_id,) * n,
+        start_s=5.0 * np.arange(n),
+        duration_s=np.full(n, 5.0),
     )
 
 
@@ -68,14 +70,14 @@ class TestSigmoid:
             inverse_sigmoid(0.5, eps=0.0)
 
 
-class TestSampleMeta:
+class TestManifest:
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ValidationError):
-            SampleMeta("a", "ds", 0.0, 0.0)
+            Manifest(("a",), ("ds",), [0.0], [0.0])
 
     def test_rejects_negative_start(self):
         with pytest.raises(ValidationError):
-            SampleMeta("a", "ds", -1.0, 5.0)
+            Manifest(("a",), ("ds",), [-1.0], [5.0])
 
     @pytest.mark.parametrize(
         "start, duration, field",
@@ -89,7 +91,7 @@ class TestSampleMeta:
     )
     def test_rejects_non_finite_times(self, start, duration, field):
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
-            SampleMeta("a", "ds", start, duration)
+            Manifest(("a",), ("ds",), [start], [duration])
 
 
 class TestEvalDataset:
@@ -98,7 +100,7 @@ class TestEvalDataset:
         y = np.array([[0, 1], [1, 0], [0, 0]], dtype=float)
         d = EvalDataset(classes=("a", "b"), logits=z, labels=y, meta=_meta(3))
         assert d.n == 3 and d.c == 2
-        assert d.dataset_ids == ("ds",)
+        assert d.meta.datasets == ("ds",)
         assert list(pos_counts(d)) == [1, 1]
 
     def test_arrays_are_frozen_and_caller_unaffected(self):
@@ -132,20 +134,14 @@ class TestEvalDataset:
             EvalDataset(("a", "a"), np.zeros((1, 2)), np.zeros((1, 2)), _meta(1))
 
     def test_duplicate_sample_id_within_dataset(self):
-        meta = (
-            SampleMeta("s0", "ds", 0.0, 5.0),
-            SampleMeta("s0", "ds", 5.0, 5.0),
-        )
         with pytest.raises(ValidationError, match="duplicate sample_id"):
+            meta = Manifest(("s0", "s0"), ("ds", "ds"), [0.0, 5.0], [5.0, 5.0])
             EvalDataset(("a",), np.zeros((2, 1)), np.zeros((2, 1)), meta)
 
     def test_same_sample_id_in_different_datasets_ok(self):
-        meta = (
-            SampleMeta("s0", "dsA", 0.0, 5.0),
-            SampleMeta("s0", "dsB", 0.0, 5.0),
-        )
+        meta = Manifest(("s0", "s0"), ("dsA", "dsB"), [0.0, 0.0], [5.0, 5.0])
         d = EvalDataset(("a",), np.zeros((2, 1)), np.zeros((2, 1)), meta)
-        assert d.dataset_ids == ("dsA", "dsB")
+        assert d.meta.datasets == ("dsA", "dsB")
 
     def test_confidences_from_logits(self):
         z = np.array([[0.0, 2.0]])
@@ -172,7 +168,7 @@ class TestLoaders:
         np.testing.assert_array_equal(d.labels, labels.astype(float))
         assert d.classes == ("a", "b")
         assert d.probs is None
-        assert d.meta[1].start_s == 5.0
+        assert d.meta.start_s[1] == 5.0
 
     def test_probabilities_retained_verbatim(self, tmp_path):
         probs = np.array([[0.1, 0.9], [0.5, 0.3]])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mlcalib.core import EvalDataset, SampleMeta, ValidationError
+from mlcalib.core import EvalDataset, Manifest, ValidationError
 from mlcalib.metrics import (
     CalibrationScores,
     ClassMetrics,
@@ -23,9 +23,11 @@ import oracles
 
 def _dataset(probs, labels):
     n, c = probs.shape
-    meta = tuple(
-        SampleMeta(sample_id=f"s{i}", dataset_id="ds", start_s=5.0 * i, duration_s=5.0)
-        for i in range(n)
+    meta = Manifest(
+        sample_id=tuple(f"s{i}" for i in range(n)),
+        dataset_id=("ds",) * n,
+        start_s=5.0 * np.arange(n),
+        duration_s=np.full(n, 5.0),
     )
     classes = tuple(f"c{j}" for j in range(c))
     logits = np.where(probs <= 0, -40.0, np.where(probs >= 1, 40.0, 0.0))

@@ -2,8 +2,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mlcalib.core import EvalDataset, SampleMeta, ValidationError, confidences, inverse_sigmoid
+from mlcalib.core import EvalDataset, Manifest, ValidationError, confidences, inverse_sigmoid
 from mlcalib.metrics import (
     aggregate_multilabel,
     bin_class,
@@ -21,13 +23,17 @@ from mlcalib.report import Report, dumps_canonical, report_to_dict
 from mlcalib.scaling import FitConfig
 from mlcalib.synth import LatentSpec, SynthConfig, generate
 
+from oracles import oracle_split_first_minutes
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def _clips(n, dataset_id="ds", duration=5.0, offset=0.0):
-    return tuple(
-        SampleMeta(f"{dataset_id}-{i}", dataset_id, offset + i * duration, duration)
-        for i in range(n)
+    return Manifest(
+        tuple(f"{dataset_id}-{i}" for i in range(n)),
+        (dataset_id,) * n,
+        [offset + i * duration for i in range(n)],
+        np.full(n, duration),
     )
 
 
@@ -42,6 +48,45 @@ def _tiny(n, c, dataset_id="ds", seed=3, classes=None):
         labels=y,
         meta=_clips(n, dataset_id),
     )
+
+
+def _split_outcome(split, d, minutes):
+    """The (calibration, evaluation) rows of a split, or its error text."""
+    try:
+        cal, ev = split(d, minutes)
+    except ValidationError as exc:
+        return ("raised", str(exc))
+    return ("split", cal.dtype, cal.tolist(), ev.dtype, ev.tolist())
+
+
+# ids that differ only by case, an accent (composed or combining) or
+# trailing NULs, which numpy's fixed-width strings would drop
+_SAMPLE_IDS = ("s", "S", "s\x00", "s\x00\x00", "\u00e9", "e\u0301", "e", "E", "", "\x00")
+# start ties and -0.0; durations whose running sums round, some so long
+# that a total carried over from another dataset would shift the sums of
+# this one; windows that running sums of 5 s clips reach exactly
+_STARTS = st.sampled_from((0.0, -0.0, 5.0, 5.0, 7.5)) | st.floats(0.0, 60.0)
+_DURATIONS = st.sampled_from((5.0, 5.0, 5.0, 4.4, 0.1, 0.7, 1e6 + 0.3)) | st.floats(1e-3, 30.0)
+_MINUTES = st.sampled_from((0.0, -1.0, 1 / 12, 1 / 6, 0.25, 0.01)) | st.floats(1e-4, 1.0)
+
+
+@st.composite
+def _timelines(draw):
+    """A manifest of 2 to 10 clips in each of one to three dataset_ids,
+    the rows of the datasets interleaved."""
+    pairs = draw(st.permutations([
+        (ds, sid)
+        for ds in draw(st.sampled_from((("A",), ("A", "B"), ("B", "a", "A"))))
+        for sid in draw(st.lists(st.sampled_from(_SAMPLE_IDS), min_size=2, max_size=10, unique=True))
+    ]))
+    n = len(pairs)
+    meta = Manifest(
+        tuple(sid for _, sid in pairs),
+        tuple(ds for ds, _ in pairs),
+        draw(st.lists(_STARTS, min_size=n, max_size=n)),
+        draw(st.lists(_DURATIONS, min_size=n, max_size=n)),
+    )
+    return EvalDataset(("c0",), np.zeros((n, 1)), np.zeros((n, 1)), meta)
 
 
 class TestSplitFirstMinutes:
@@ -59,14 +104,16 @@ class TestSplitFirstMinutes:
         assert np.intersect1d(cal, ev).size == 0
 
     def test_interleaved_datasets_split_independently(self):
-        meta = []
-        for i in range(40):
-            ds_id = "A" if i % 2 == 0 else "B"
-            meta.append(SampleMeta(f"s{i}", ds_id, (i // 2) * 5.0, 5.0))
-        d = EvalDataset(("c0",), np.zeros((40, 1)), np.zeros((40, 1)), tuple(meta))
+        meta = Manifest(
+            tuple(f"s{i}" for i in range(40)),
+            tuple("A" if i % 2 == 0 else "B" for i in range(40)),
+            [(i // 2) * 5.0 for i in range(40)],
+            np.full(40, 5.0),
+        )
+        d = EvalDataset(("c0",), np.zeros((40, 1)), np.zeros((40, 1)), meta)
         cal, ev = split_first_minutes(d, 1.0)  # 60 s -> 12 clips per dataset
-        cal_a = [i for i in cal if d.meta[i].dataset_id == "A"]
-        cal_b = [i for i in cal if d.meta[i].dataset_id == "B"]
+        cal_a = [i for i in cal if d.meta.dataset_id[i] == "A"]
+        cal_b = [i for i in cal if d.meta.dataset_id[i] == "B"]
         assert len(cal_a) == len(cal_b) == 12
 
     def test_exclusive_boundary(self):
@@ -82,10 +129,7 @@ class TestSplitFirstMinutes:
             split_first_minutes(d, 60.0)
 
     def test_orders_by_start_not_row_position(self):
-        meta = (
-            SampleMeta("late", "ds", 100.0, 5.0),
-            SampleMeta("early", "ds", 0.0, 5.0),
-        )
+        meta = Manifest(("late", "early"), ("ds", "ds"), [100.0, 0.0], [5.0, 5.0])
         d = EvalDataset(("c0",), np.zeros((2, 1)), np.zeros((2, 1)), meta)
         cal, ev = split_first_minutes(d, 5.0 / 60.0)
         assert list(cal) == [1] and list(ev) == [0]
@@ -93,6 +137,27 @@ class TestSplitFirstMinutes:
     def test_rejects_nonpositive_minutes(self):
         with pytest.raises(ValidationError):
             split_first_minutes(_tiny(5, 1), 0.0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(d=_timelines(), minutes=_MINUTES)
+    def test_matches_running_total_oracle(self, d, minutes):
+        assert _split_outcome(split_first_minutes, d, minutes) == _split_outcome(
+            oracle_split_first_minutes, d, minutes
+        )
+
+    def test_running_total_restarts_per_dataset(self):
+        # B's second clip starts 5 s into B, on the edge of a 5 s window;
+        # measured as a difference of totals carried over A's 14.4 s, it
+        # would start 4.999999999999998 s in and calibrate
+        meta = Manifest(("a0", "a1", "a2", "b0", "b1"), ("A", "A", "A", "B", "B"),
+                        [0.0, 4.4, 9.4, 0.0, 5.0], [4.4, 5.0, 5.0, 5.0, 5.0])
+        d = EvalDataset(("c0",), np.zeros((5, 1)), np.zeros((5, 1)), meta)
+        cal, ev = split_first_minutes(d, 1 / 12)
+        assert (cal.tolist(), ev.tolist()) == ([0, 1, 3], [2, 4])
+        assert _split_outcome(split_first_minutes, d, 1 / 12) == _split_outcome(
+            oracle_split_first_minutes, d, 1 / 12
+        )
+
 
 
 class TestFrequentRareSplit:
@@ -192,7 +257,12 @@ class TestScopes:
             a.classes,
             np.vstack([a.logits, b.logits]),
             np.vstack([a.labels, b.labels]),
-            a.meta + b.meta,
+            Manifest(
+                a.meta.sample_id + b.meta.sample_id,
+                a.meta.dataset_id + b.meta.dataset_id,
+                np.concatenate([a.meta.start_s, b.meta.start_s]),
+                np.concatenate([a.meta.duration_s, b.meta.duration_s]),
+            ),
         )
         r1 = run_benchmark([a, b]).rows
         r2 = run_benchmark(merged).rows
@@ -250,8 +320,9 @@ def _fitted_reports() -> bytes:
         z = np.round(r.normal(scale=2.0, size=(n, c)), 2)
         labels = (r.random((n, c)) < 1.0 / (1.0 + np.exp(-(z / 2.0 + 0.3)))).astype(float)
         labels[0, :], labels[1, :] = 1.0, 0.0
-        meta = tuple(
-            SampleMeta(f"{ds}-{i}", ds, i * 5.0, 5.0) for i, ds in enumerate(ids)
+        meta = Manifest(
+            tuple(f"{ds}-{i}" for i, ds in enumerate(ids)), tuple(ids),
+            5.0 * np.arange(n), np.full(n, 5.0),
         )
         return EvalDataset(classes, z, labels, meta)
 
@@ -305,8 +376,9 @@ def _mixed_class_report() -> bytes:
         probs.flat[r.choice(n * c, size=4, replace=False)] = r.choice(edges, size=4)
         labels = (r.random((n, c)) < 0.4).astype(float)
         labels[0, :] = 1.0
-        meta = tuple(
-            SampleMeta(f"{ds}-{i}", ds, i * 5.0, 5.0) for i, ds in enumerate(ids)
+        meta = Manifest(
+            tuple(f"{ds}-{i}" for i, ds in enumerate(ids)), tuple(ids),
+            5.0 * np.arange(n), np.full(n, 5.0),
         )
         return EvalDataset(classes, inverse_sigmoid(probs), labels, meta, probs=probs)
 

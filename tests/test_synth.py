@@ -42,9 +42,9 @@ class TestShape:
         d, truth = generate(SynthConfig(n=12, c=3, dataset_id="demo"))
         assert d.n == 12 and d.c == 3
         assert d.classes == ("class_000", "class_001", "class_002")
-        assert d.meta[0].sample_id == "demo-000000"
-        assert d.meta[3].start_s == 15.0
-        assert d.meta[3].duration_s == 5.0
+        assert d.meta.sample_id[0] == "demo-000000"
+        assert d.meta.start_s[3] == 15.0
+        assert d.meta.duration_s[3] == 5.0
         assert set(np.unique(d.labels)) <= {0.0, 1.0}
         assert truth["true_T"] == [1.0, 1.0, 1.0]
 
@@ -113,7 +113,8 @@ class TestFixtureFiles:
         assert np.array_equal(loaded.logits, direct.logits)
         assert np.array_equal(loaded.labels, direct.labels)
         assert loaded.classes == direct.classes
-        assert loaded.meta == direct.meta
+        for name in ("sample_id", "dataset_id", "start_s", "duration_s"):
+            assert np.array_equal(getattr(loaded.meta, name), getattr(direct.meta, name))
 
     def test_truth_sidecar_content(self, tmp_path):
         import json
