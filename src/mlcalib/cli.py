@@ -229,6 +229,16 @@ def _benchmark(args, split=None, methods=(), fit_cfg=None) -> int:
         include_per_class=args.per_class,
         model_tag=_model_tag(args),
     )
+    scopes = list(dict.fromkeys(c.scope for c in result.curves))
+    if args.svg:
+        drawn = {}
+        for scope in scopes:
+            other = drawn.setdefault(_slug(scope), scope)
+            if other != scope:
+                raise ValidationError(
+                    f"scopes {other!r} and {scope!r} would both be drawn to "
+                    f"reliability_{_slug(scope)}.svg"
+                )
     out_dir = _out_dir(args.out)
     params_docs = {}
     for label, (params, trace) in result.params.items():
@@ -243,7 +253,7 @@ def _benchmark(args, split=None, methods=(), fit_cfg=None) -> int:
     emit_report(report, args.format, os.path.join(out_dir, f"report.{args.format}"))
     if args.svg:
         doc = report_to_dict(report)
-        for scope in dict.fromkeys(c.scope for c in result.curves):
+        for scope in scopes:
             _write_svg(doc, scope, out_dir)
     return 0
 

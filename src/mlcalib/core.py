@@ -249,7 +249,7 @@ def _read_plain_csv(path: str):
     """
     limit = csv.field_size_limit()
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError:
         return None
     with fh:
@@ -285,7 +285,7 @@ def _read_plain_csv(path: str):
             dtype=np.float64,
             ndmin=2,
             skiprows=1,
-            encoding="utf-8",
+            encoding="utf-8-sig",
         )
     except ValueError:
         return None
@@ -296,9 +296,10 @@ def _read_plain_csv(path: str):
 
 def _read_csv_cells(path: str, kind: str):
     """``csv.reader`` + ``float()`` per cell: the reference read of
-    :func:`_read_matrix_csv`, which names the row and class of a bad cell."""
+    :func:`_read_matrix_csv`, which names the row and class of a bad cell.
+    A leading UTF-8 byte order mark is skipped."""
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise ValidationError(f"cannot read {kind} file {path}: {exc}") from exc
     header = None
@@ -353,7 +354,15 @@ def _is_float(text: str) -> bool:
         return False
 
 
-_MANIFEST_FIELDS = {"sample_id", "dataset_id", "start_s", "duration_s"}
+# the JSON types of each manifest field: ids are strings or integers (read
+# as their decimal text), times are numbers; type() is exact, so true and
+# false, which are ints to isinstance, are refused
+_MANIFEST_FIELDS = {
+    "sample_id": ((str, int), "a string or an integer"),
+    "dataset_id": ((str, int), "a string or an integer"),
+    "start_s": ((int, float), "a number"),
+    "duration_s": ((int, float), "a number"),
+}
 
 
 def _read_manifest(path: str) -> Manifest:
@@ -364,18 +373,24 @@ def _read_manifest(path: str) -> Manifest:
     with fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an int over 4300 digits
             raise ValidationError(f"manifest file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise ValidationError(f"manifest file {path} must be a JSON array")
     for i, row in enumerate(doc):
         if not isinstance(row, dict):
             raise ValidationError(f"manifest file {path} row {i} is not an object")
-        missing = _MANIFEST_FIELDS - row.keys()
+        missing = _MANIFEST_FIELDS.keys() - row.keys()
         if missing:
             raise ValidationError(
                 f"manifest file {path} row {i} missing {sorted(missing)}"
             )
+        for name, (types, kind) in _MANIFEST_FIELDS.items():
+            if type(row[name]) not in types:
+                raise ValidationError(
+                    f"manifest file {path} row {i}: {name} must be {kind}, "
+                    f"got {json.dumps(row[name])}"
+                )
     try:
         return Manifest(
             sample_id=tuple(str(row["sample_id"]) for row in doc),
@@ -383,8 +398,10 @@ def _read_manifest(path: str) -> Manifest:
             start_s=[float(row["start_s"]) for row in doc],
             duration_s=[float(row["duration_s"]) for row in doc],
         )
-    except (TypeError, ValueError) as exc:
+    except ValidationError as exc:
         raise ValidationError(f"manifest file {path} {exc}") from None
+    except OverflowError:
+        raise ValidationError(f"manifest file {path}: a time is too large for a float") from None
 
 
 def read_predictions(path: str, inputs_are_probabilities: bool = False, eps: float = 1e-7):

@@ -144,6 +144,18 @@ def cmap(d: EvalDataset, probs: np.ndarray) -> float:
     return float(np.mean(aps))
 
 
+# the most reliability bins M a run may ask for: time and memory grow
+# linearly in M, and with more bins than this most of them stay empty at
+# the sample sizes of a calibration study
+MAX_BINS = 1000
+
+
+def check_bins(m_bins: int) -> None:
+    """Reject a bin count M outside [1, MAX_BINS]."""
+    if not 1 <= m_bins <= MAX_BINS:
+        raise ValidationError(f"M must be in [1, {MAX_BINS}], got {m_bins}")
+
+
 def _bin_edges(m_bins: int) -> np.ndarray:
     return np.arange(m_bins + 1, dtype=np.float64) / m_bins
 
@@ -159,8 +171,7 @@ def _bin_sums(chunks, n_classes: int, m_bins: int):
     the per-class (counts, confidence sums, positive sums), each
     n_classes x M, and the pooled triple, each of length M.
     """
-    if m_bins < 1:
-        raise ValidationError(f"M must be >= 1, got {m_bins}")
+    check_bins(m_bins)
     for _, conf, _ in chunks:
         if conf.size and (conf.min() < 0.0 or conf.max() > 1.0):
             raise ValidationError("confidences must lie in [0, 1]")
@@ -296,7 +307,9 @@ def aggregate_multilabel(per_class, scope: str = "weighted") -> CalibrationScore
     w = np.array([m.n_pos for m in items], dtype=np.float64)
     total = float(w.sum())
     if total <= 0.0:
-        raise ValidationError("all classes have zero positives; aggregate undefined")
+        raise ValidationError(
+            f"all classes have zero positives in scope {scope!r}; aggregate undefined"
+        )
     ocs_vals = np.array([m.scores.ocs for m in items], dtype=np.float64)
     ucs_vals = np.array([m.scores.ucs for m in items], dtype=np.float64)
     ocs = float((w * ocs_vals).sum() / total)

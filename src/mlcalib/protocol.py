@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EvalDataset, ValidationError, confidences
-from .metrics import aggregate_multilabel, score_scope
+from .metrics import aggregate_multilabel, check_bins, score_scope
 from .report import NOT_APPLICABLE, CurveEntry, ReportRow, relative_improvement
 from .scaling import PER_CLASS, FitConfig, apply_scaling, fit
 
@@ -172,7 +172,7 @@ def _scope_parts(datasets, eval_sel) -> list:
     """Evaluation rows grouped into scopes: (scope, parts) pairs in sorted
     dataset_id order, each part a (dataset index, rows) pair, in dataset
     order.  With more than one scope an "All" scope comes first and pools
-    every part."""
+    every part, and no dataset_id may be named "All"."""
     by_id: dict = {}
     for k, (d, sel) in enumerate(zip(datasets, eval_sel)):
         codes = d.meta.codes[sel]
@@ -180,6 +180,10 @@ def _scope_parts(datasets, eval_sel) -> list:
             by_id.setdefault(d.meta.datasets[code], []).append((k, sel[codes == code]))
     scopes = [(ds_id, by_id[ds_id]) for ds_id in sorted(by_id)]
     if len(scopes) > 1:
+        if ALL_SCOPE in by_id:
+            raise ValidationError(
+                f"dataset_id {ALL_SCOPE!r} is reserved for the scope that pools several datasets"
+            )
         scopes.insert(0, (ALL_SCOPE, [part for _, parts in scopes for part in parts]))
     return scopes
 
@@ -275,11 +279,11 @@ def run_benchmark(
     datasets = list(datasets)
     if not datasets:
         raise ValidationError("no datasets given")
-    if m_bins < 1:
-        raise ValidationError(f"M must be >= 1, got {m_bins}")
+    check_bins(m_bins)
     if split is None and methods:
         raise ValidationError("fitting requires a calibration split")
     calib_sel, eval_sel = zip(*_split_rows(datasets, split))
+    scopes = _scope_parts(datasets, eval_sel)
 
     split_summary = None
     if split is not None:
@@ -312,7 +316,7 @@ def run_benchmark(
 
     rows: list = []
     curves: list = []
-    for scope_name, parts in _scope_parts(datasets, eval_sel):
+    for scope_name, parts in scopes:
         label_blocks = [datasets[k].labels[sel] for k, sel in parts]
         base_mcs = None
         for label, mats in conf_mats.items():

@@ -147,9 +147,10 @@ def oracle_read_matrix_csv(path, kind):
 
     Defines the accepted inputs, the parsed values and every error message
     of ``core._read_matrix_csv``, whose C-parser path must agree with it.
+    A leading UTF-8 byte order mark is skipped.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise ValidationError(f"cannot read {kind} file {path}: {exc}") from exc
     header = None

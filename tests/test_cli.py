@@ -9,6 +9,7 @@ import pytest
 
 from mlcalib.cli import main
 from mlcalib.core import _read_matrix_csv, sigmoid
+from mlcalib.metrics import MAX_BINS
 from mlcalib.report import load_report
 from mlcalib.scaling import T_MAX, T_MIN, ScalingParams, apply_scaling, fit, load_params, save_params
 
@@ -339,6 +340,17 @@ def _argv(command, paths, out):
     return [command, *inputs, "--out", str(out)]
 
 
+def _two_datasets(tmp_path, paths, first, second):
+    """``paths`` with a manifest whose first 100 rows belong to dataset
+    ``first`` and whose other rows belong to ``second``."""
+    rows = json.load(open(paths["manifest"]))
+    for i, row in enumerate(rows):
+        row["dataset_id"] = first if i < 100 else second
+    manifest = tmp_path / "two.json"
+    manifest.write_text(json.dumps(rows))
+    return dict(paths, manifest=str(manifest))
+
+
 class TestInputBoundaries:
     """Each of these inputs ends in exit 2 and a message naming its cause."""
 
@@ -433,6 +445,62 @@ class TestInputBoundaries:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"row 3: {field} must be finite" in err and str(manifest) in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("sample_id", None), ("dataset_id", None), ("sample_id", 1.5), ("dataset_id", True),
+         ("start_s", "5"), ("duration_s", True), ("start_s", False), ("duration_s", None),
+         ("start_s", [0.0])],
+    )
+    def test_manifest_field_of_wrong_json_type_exits_2(self, tmp_path, capsys, small, field,
+                                                       value):
+        rows = json.load(open(small["manifest"]))
+        rows[3][field] = value
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(rows))
+        assert main(_argv("evaluate", dict(small, manifest=str(manifest)), tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        kind = "a number" if field.endswith("_s") else "a string or an integer"
+        assert f"row 3: {field} must be {kind}, got {json.dumps(value)}" in err
+        assert str(manifest) in err and not (tmp_path / "out").exists()
+
+    def test_bins_above_maximum_exits_2(self, tmp_path, capsys, small):
+        argv = _argv("evaluate", small, tmp_path / "out") + ["--bins", str(MAX_BINS + 1)]
+        assert main(argv) == 2
+        assert f"M must be in [1, {MAX_BINS}], got {MAX_BINS + 1}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bins_at_maximum_runs(self, tmp_path, small):
+        argv = _argv("fit", small, tmp_path / "out") + ["--bins", str(MAX_BINS)]
+        assert main(argv) == 0
+        doc = load_report(str(tmp_path / "out" / "report.json"))
+        assert len(doc["curves"][0]["bins"]) == MAX_BINS
+
+    def test_dataset_named_all_next_to_others_exits_2(self, tmp_path, capsys, small):
+        paths = _two_datasets(tmp_path, small, "All", "B")
+        assert main(_argv("evaluate", paths, tmp_path / "out") + ["--svg"]) == 2
+        assert "dataset_id 'All' is reserved" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_svg_names_that_collide_exit_2(self, tmp_path, capsys, small):
+        paths = _two_datasets(tmp_path, small, "site 1", "site-1")
+        assert main(_argv("evaluate", paths, tmp_path / "out") + ["--svg"]) == 2
+        err = capsys.readouterr().err
+        assert "scopes 'site 1' and 'site-1'" in err and "reliability_site-1.svg" in err
+        assert not (tmp_path / "out").exists()
+        # without --svg there is nothing to collide
+        assert main(_argv("evaluate", paths, tmp_path / "out")) == 0
+
+    def test_scope_without_positives_is_named(self, tmp_path, capsys, small):
+        paths = _two_datasets(tmp_path, small, "north", "south")
+        lines = open(small["labels"]).read().splitlines()
+        # every label of the second half, the south rows, set to 0
+        south = [line.split(",")[0] + ",0,0,0" for line in lines[101:]]
+        (tmp_path / "labels.csv").write_text("\n".join(lines[:101] + south) + "\n")
+        paths["labels"] = str(tmp_path / "labels.csv")
+        assert main(_argv("evaluate", paths, tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert "zero positives in scope 'south'" in err
 
     @pytest.mark.parametrize("command", ["evaluate", "fit", "apply", "synth", "plot"])
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys, small, command):

@@ -262,6 +262,33 @@ class TestLoaders:
         with pytest.raises(ValidationError, match=r"non-binary label \(row 0, class a\)"):
             load_dataset(pred, str(lab2), man)
 
+    def test_manifest_integer_ids_read_as_text(self, tmp_path):
+        pred, lab, _ = write_triple(
+            tmp_path, ("a",), ["7", "8"], np.zeros((2, 1)), np.zeros((2, 1)),
+            simple_meta(["7", "8"]),
+        )
+        man2 = tmp_path / "m2.json"
+        man2.write_text(json.dumps([
+            {"sample_id": 7, "dataset_id": 3, "start_s": 0, "duration_s": 5},
+            {"sample_id": 8, "dataset_id": 3, "start_s": 5.0, "duration_s": 5},
+        ]))
+        d = load_dataset(pred, lab, str(man2))
+        assert d.meta.sample_id == ("7", "8") and d.meta.datasets == ("3",)
+        assert d.meta.start_s.tolist() == [0.0, 5.0]
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    def test_utf8_bom_is_skipped(self, tmp_path, quoted):
+        header = '"sample_id",a' if quoted else "sample_id,a"
+        pred, lab, man = write_triple(
+            tmp_path, ("a",), ["s0"], np.zeros((1, 1)), np.ones((1, 1)), simple_meta(["s0"]),
+        )
+        for path in (pred, lab):
+            text = open(path).read().split("\n", 1)[1]
+            open(path, "w", encoding="utf-8-sig").write(header + "\n" + text)
+        d = load_dataset(pred, lab, man)
+        assert d.classes == ("a",) and d.meta.sample_id == ("s0",)
+        assert d.labels.tolist() == [[1.0]]
+
     def test_probability_out_of_range(self, tmp_path):
         pred, lab, man = write_triple(
             tmp_path, ("a",), ["s0"], np.array([[1.5]]), np.zeros((1, 1)),
@@ -309,6 +336,8 @@ _READER_CASES = {
     "field-over-csv-limit": (b"sample_id,a\n" + b"s" * 200000 + b",1\n", False),
     "header-field-over-csv-limit": (b"sample_id," + b"a" * 200000 + b"\ns0,1\n", False),
     "not-utf8-in-header": (b"sample_id,\xe9\ns0,1\n", False),
+    "utf8-bom": (b"\xef\xbb\xbfsample_id,a\ns0,1\n", True),
+    "utf8-bom-quoted-header": (b'\xef\xbb\xbf"sample_id",a\ns0,1\n', False),
 }
 
 _PLAIN_CELLS = ("0", "1", "-2.5", "1e400", "-inf", "nan", "+.5", "-0.0", " 1.5", "2 ")

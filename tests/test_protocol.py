@@ -249,6 +249,16 @@ class TestScopes:
         rows = run_benchmark(_tiny(20, 2)).rows
         assert [r.scope for r in rows] == ["ds"]
 
+    def test_dataset_named_all_alone_is_its_own_scope(self):
+        rows = run_benchmark(_tiny(20, 2, dataset_id="All")).rows
+        assert [r.scope for r in rows] == ["All"]
+
+    def test_dataset_named_all_next_to_others_rejected(self):
+        a = _tiny(20, 2, dataset_id="All", seed=1)
+        b = _tiny(20, 2, dataset_id="B", seed=2)
+        with pytest.raises(ValidationError, match="'All' is reserved"):
+            run_benchmark([a, b])
+
     def test_merged_manifest_equals_separate_datasets(self):
         # one EvalDataset holding two dataset_ids == two EvalDataset objects
         a = _tiny(40, 2, dataset_id="A", seed=1)
