@@ -16,8 +16,8 @@ import numpy as np
 from mlcalib import (
     EvalDataset,
     FitConfig,
-    Manifest,
     LatentSpec,
+    Manifest,
     SynthConfig,
     aggregate_multilabel,
     apply_scaling,

@@ -283,8 +283,10 @@ class TestLoaders:
             tmp_path, ("a",), ["s0"], np.zeros((1, 1)), np.ones((1, 1)), simple_meta(["s0"]),
         )
         for path in (pred, lab):
-            text = open(path).read().split("\n", 1)[1]
-            open(path, "w", encoding="utf-8-sig").write(header + "\n" + text)
+            with open(path) as fh:
+                body = fh.read().split("\n", 1)[1]
+            with open(path, "w", encoding="utf-8-sig") as fh:
+                fh.write(header + "\n" + body)
         d = load_dataset(pred, lab, man)
         assert d.classes == ("a",) and d.meta.sample_id == ("s0",)
         assert d.labels.tolist() == [[1.0]]

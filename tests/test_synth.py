@@ -113,8 +113,10 @@ class TestFixtureFiles:
         assert np.array_equal(loaded.logits, direct.logits)
         assert np.array_equal(loaded.labels, direct.labels)
         assert loaded.classes == direct.classes
-        for name in ("sample_id", "dataset_id", "start_s", "duration_s"):
-            assert np.array_equal(getattr(loaded.meta, name), getattr(direct.meta, name))
+        assert loaded.meta.sample_id == direct.meta.sample_id
+        assert loaded.meta.dataset_id == direct.meta.dataset_id
+        assert np.array_equal(loaded.meta.start_s, direct.meta.start_s)
+        assert np.array_equal(loaded.meta.duration_s, direct.meta.duration_s)
 
     def test_truth_sidecar_content(self, tmp_path):
         import json
