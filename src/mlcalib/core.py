@@ -104,8 +104,10 @@ class Manifest:
         bad = bad_duration | ~(np.isfinite(start) & (start >= 0))
         if np.any(bad):
             i = int(np.argmax(bad))
-            name, rule, value = ("duration_s", "> 0", duration[i]) if bad_duration[i] else (
-                "start_s", ">= 0", start[i])
+            if bad_duration[i]:
+                name, rule, value = "duration_s", "> 0", duration[i]
+            else:
+                name, rule, value = "start_s", ">= 0", start[i]
             raise ValidationError(
                 f"row {i}: {name} must be finite and {rule} (sample {ids[i]!r}, got {value})"
             )

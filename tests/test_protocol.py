@@ -77,7 +77,9 @@ def _timelines(draw):
     pairs = draw(st.permutations([
         (ds, sid)
         for ds in draw(st.sampled_from((("A",), ("A", "B"), ("B", "a", "A"))))
-        for sid in draw(st.lists(st.sampled_from(_SAMPLE_IDS), min_size=2, max_size=10, unique=True))
+        for sid in draw(
+            st.lists(st.sampled_from(_SAMPLE_IDS), min_size=2, max_size=10, unique=True)
+        )
     ]))
     n = len(pairs)
     meta = Manifest(
