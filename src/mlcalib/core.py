@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,11 +32,15 @@ def sigmoid(z):
     exactly 0.5 and the function is strictly increasing.
     """
     arr = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ez = np.exp(arr[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # e = exp(-|z|) never overflows: 1 / (1 + e) for z >= 0, e / (1 + e)
+    # below, computed in place in the output.  min(z, -z) is -|z| except
+    # that it returns a NaN as it is, where -np.abs would set its sign bit.
+    out = np.negative(arr, out=np.empty_like(arr))
+    np.minimum(arr, out, out=out)
+    np.exp(out, out=out)
+    denom = out + 1.0
+    np.copyto(out, 1.0, where=arr >= 0)
+    out /= denom
     if out.ndim == 0:
         return float(out)
     return out
@@ -227,12 +233,27 @@ def _read_matrix_csv(path: str, kind: str):
     return _read_plain_csv(path) or _read_csv_cells(path, kind)
 
 
+# csv.writer's default dialect quotes a field that holds one of these
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer's default dialect writes it: in quotes, each
+    inner quote doubled, when it holds a comma, a quote or a line break."""
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_matrix_csv(path: str, classes, ids, values) -> None:
     """Write a `sample_id,<class...>` CSV, one row per id, that
-    :func:`_read_matrix_csv` reads back exactly: each cell is the ``repr``
-    of its value (floats round-trip bit for bit, ints print bare)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("sample_id," + ",".join(classes) + "\n")
+    :func:`_read_matrix_csv` reads back exactly: ids and class names are
+    quoted as csv.writer quotes them, and each cell is the ``repr`` of its
+    value (floats round-trip bit for bit, ints print bare)."""
+    if _NEEDS_QUOTES.search("".join(map(str, ids))):  # one scan for the usual plain ids
+        ids = [_csv_field(str(sample_id)) for sample_id in ids]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(map(_csv_field, ("sample_id", *classes))) + "\n")
         for sample_id, row in zip(ids, values.tolist()):
             fh.write(f"{sample_id},{','.join(map(repr, row))}\n")
 
@@ -367,16 +388,28 @@ _MANIFEST_FIELDS = {
 }
 
 
-def _read_manifest(path: str) -> Manifest:
+def read_json(path: str, kind: str):
+    """The JSON document in ``path``, a ``kind`` file (manifest, params,
+    report).  Each way a file can fail to load is a ValidationError that
+    names the file: it cannot be read, it is not UTF-8 or not JSON, it holds
+    an integer over Python's 4300-digit limit, or it nests deeper than the
+    interpreter's recursion limit."""
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as exc:
-        raise ValidationError(f"cannot read manifest file {path}: {exc}") from exc
-    with fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # bad JSON or UTF-8, or an int over 4300 digits
-            raise ValidationError(f"manifest file {path} is not valid JSON: {exc}") from exc
+        raise ValidationError(f"cannot read {kind} file {path}: {exc}") from exc
+    except ValueError as exc:  # bad JSON or UTF-8, or an int over 4300 digits
+        raise ValidationError(f"{kind} file {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValidationError(
+            f"{kind} file {path} nests deeper than the recursion limit "
+            f"({sys.getrecursionlimit()})"
+        ) from None
+
+
+def _read_manifest(path: str) -> Manifest:
+    doc = read_json(path, "manifest")
     if not isinstance(doc, list):
         raise ValidationError(f"manifest file {path} must be a JSON array")
     for i, row in enumerate(doc):

@@ -14,13 +14,16 @@ and each of its steps happens once:
    concatenates the ravelled blocks into one column;
 3. each method's confidences are computed once per whole dataset (Base:
    the file's probabilities or sigmoid of the logits; a fit: its scaling);
-4. evaluation rows are grouped into scopes once, one per dataset_id plus a
-   pooled "All" scope when there is more than one, and each scope's label
-   blocks are built once and shared by every method;
-5. a scope is a list of (classes, confidences, labels) chunks, one per
-   dataset with rows in it; metrics.score_scope bins and scores it into a
-   report row (positive-count weighted scores, frequent/rare class
-   subsets, the relative |MCS| improvement over Base) and a pooled curve.
+4. evaluation rows are grouped into parts once, one per (dataset_id,
+   dataset) pair, sorted by dataset_id; a scope is a run of parts, one per
+   dataset_id plus a pooled "All" scope over every part when there is more
+   than one;
+5. metrics.score_scopes scores every (scope, method) pair in one call: it
+   bins each method's parts once for all scopes and sorts each class column
+   once per method, and a fitted method reuses Base's order where that
+   order is provably its own.  Each pair becomes a report row
+   (positive-count weighted scores, frequent/rare class subsets, the
+   relative |MCS| improvement over Base) and a pooled curve.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EvalDataset, ValidationError, confidences
-from .metrics import aggregate_multilabel, check_bins, score_scope
+from .metrics import aggregate_multilabel, check_bins, score_scopes
 from .report import NOT_APPLICABLE, CurveEntry, ReportRow, relative_improvement
 from .scaling import PER_CLASS, FitConfig, apply_scaling, fit
 
@@ -168,24 +171,30 @@ def _split_rows(datasets, split: SplitSpec | None):
     return parts
 
 
-def _scope_parts(datasets, eval_sel) -> list:
-    """Evaluation rows grouped into scopes: (scope, parts) pairs in sorted
-    dataset_id order, each part a (dataset index, rows) pair, in dataset
-    order.  With more than one scope an "All" scope comes first and pools
-    every part, and no dataset_id may be named "All"."""
+def _scope_parts(datasets, eval_sel):
+    """Evaluation rows grouped into scopes: (parts, scopes).  ``parts``
+    lists (dataset index, rows) pairs grouped by dataset_id in sorted order
+    and, within one, in dataset order; ``scopes`` lists (name, start, stop)
+    triples, one per dataset_id, whose rows are ``parts[start:stop]``.  With
+    more than one scope an "All" scope over every part comes first, and no
+    dataset_id may be named "All"."""
     by_id: dict = {}
     for k, (d, sel) in enumerate(zip(datasets, eval_sel)):
         codes = d.meta.codes[sel]
         for code in np.unique(codes):
             by_id.setdefault(d.meta.datasets[code], []).append((k, sel[codes == code]))
-    scopes = [(ds_id, by_id[ds_id]) for ds_id in sorted(by_id)]
+    parts: list = []
+    scopes = []
+    for ds_id in sorted(by_id):
+        scopes.append((ds_id, len(parts), len(parts) + len(by_id[ds_id])))
+        parts.extend(by_id[ds_id])
     if len(scopes) > 1:
         if ALL_SCOPE in by_id:
             raise ValidationError(
                 f"dataset_id {ALL_SCOPE!r} is reserved for the scope that pools several datasets"
             )
-        scopes.insert(0, (ALL_SCOPE, [part for _, parts in scopes for part in parts]))
-    return scopes
+        scopes.insert(0, (ALL_SCOPE, 0, len(parts)))
+    return parts, scopes
 
 
 def _calibration_input(datasets, calib_sel, scope: str):
@@ -212,13 +221,12 @@ def _calibration_input(datasets, calib_sel, scope: str):
     return None, z, y
 
 
-def _scope_result(
-    chunks, scope, method, base_mcs, m_bins, target_fraction, include_per_class, model_tag
+def _scope_row(
+    per_class, scope, method, n_samples, base_mcs, target_fraction, include_per_class, model_tag
 ):
-    """The report row and pooled curve of one (scope, method): per-class
-    table, cmAP, weighted scores, frequent/rare aggregates and, against
+    """The report row of one (scope, method) from its per-class metrics:
+    cmAP, weighted scores, frequent/rare aggregates and, against
     ``base_mcs``, the relative |MCS| improvement (None for Base)."""
-    per_class, pooled = score_scope(chunks, m_bins, scope)
     aps = [m.ap for m in per_class if m.ap is not None]
     overall = aggregate_multilabel(per_class, scope=scope)
     assignment = frequent_rare_split({m.class_id: m.n_pos for m in per_class}, target_fraction)
@@ -231,11 +239,11 @@ def _scope_result(
             rel = relative_improvement(base_mcs, overall.mcs)
         except ValidationError:
             rel = NOT_APPLICABLE
-    row = ReportRow(
+    return ReportRow(
         model=model_tag,
         scope=scope,
         method=method,
-        n_samples=sum(conf.shape[0] for _, conf, _ in chunks),
+        n_samples=n_samples,
         cmap=float(np.mean(aps)) if aps else None,
         scores=overall,
         frequent_classes=assignment.frequent,
@@ -252,7 +260,6 @@ def _scope_result(
         rel_improvement_mcs=rel,
         params_ref=None if method == BASE else method,
     )
-    return row, CurveEntry(scope=scope, method=method, curve=pooled)
 
 
 def run_benchmark(
@@ -283,7 +290,7 @@ def run_benchmark(
     if split is None and methods:
         raise ValidationError("fitting requires a calibration split")
     calib_sel, eval_sel = zip(*_split_rows(datasets, split))
-    scopes = _scope_parts(datasets, eval_sel)
+    parts, scopes = _scope_parts(datasets, eval_sel)
 
     split_summary = None
     if split is not None:
@@ -314,24 +321,25 @@ def run_benchmark(
         fitted[label] = (params, trace)
         conf_mats[label] = [apply_scaling(d.logits, params) for d in datasets]
 
+    blocks = [(datasets[k].classes, datasets[k].labels, sel) for k, sel in parts]
+    scored = score_scopes(
+        blocks, [[mats[k] for k, _ in parts] for mats in conf_mats.values()], scopes, m_bins
+    )
     rows: list = []
     curves: list = []
-    for scope_name, parts in scopes:
-        label_blocks = [datasets[k].labels[sel] for k, sel in parts]
+    for s, (scope_name, start, stop) in enumerate(scopes):
+        n_samples = sum(sel.size for _, sel in parts[start:stop])
         base_mcs = None
-        for label, mats in conf_mats.items():
-            chunks = [
-                (datasets[k].classes, mats[k][sel], labels)
-                for (k, sel), labels in zip(parts, label_blocks)
-            ]
-            row, curve = _scope_result(
-                chunks, scope_name, label, base_mcs, m_bins, target_fraction,
+        for label, by_scope in zip(conf_mats, scored):
+            per_class, pooled = by_scope[s]
+            row = _scope_row(
+                per_class, scope_name, label, n_samples, base_mcs, target_fraction,
                 include_per_class, model_tag,
             )
             if label == BASE:
                 base_mcs = row.scores.mcs
             rows.append(row)
-            curves.append(curve)
+            curves.append(CurveEntry(scope=scope_name, method=label, curve=pooled))
 
     return BenchmarkResult(
         rows=tuple(rows),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericalError, ValidationError
+from .core import NumericalError, ValidationError, read_json
 from .metrics import BinStats, CalibrationScores, ReliabilityCurve, calibration_scores
 
 try:
@@ -294,13 +294,7 @@ def emit_report(report: Report, fmt: str, path: str):
 
 
 def load_report(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read report file {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"report file {path} is not valid JSON: {exc}") from exc
+    doc = read_json(path, "report")
     if not isinstance(doc, dict) or "rows" not in doc:
         raise ValidationError(f"report file {path} is not a report document")
     return doc

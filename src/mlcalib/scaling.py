@@ -11,12 +11,11 @@ stochasticity anywhere.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericalError, ValidationError, sigmoid
+from .core import NumericalError, ValidationError, read_json, sigmoid
 
 TS = "ts"
 PS = "ps"
@@ -493,13 +492,7 @@ def save_params(params: ScalingParams, trace: FitTrace | None, path: str) -> dic
 
 
 def load_params(path: str) -> ScalingParams:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read params file {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"params file {path} is not valid JSON: {exc}") from exc
+    doc = read_json(path, "params")
     if not isinstance(doc, dict):
         raise ValidationError(f"params file {path} must hold a JSON object")
     return ScalingParams.from_json_dict(doc)

@@ -56,6 +56,14 @@ class TestSynthCommand:
         assert truth["true_T"] == [1.0, 2.0, 0.5]
         assert truth["true_b"] == [0.1, 0.0, -0.1]
 
+    def test_dataset_id_with_a_comma_evaluates(self, tmp_path):
+        paths = _synth(tmp_path / "fx", n=40, c=2, extra=("--dataset-id", "a,b"))
+        _, ids, _ = _read_matrix_csv(paths["predictions"], "predictions")
+        assert ids[0] == "a,b-000000"
+        assert main(["evaluate", *_data_flags(paths), "--out", str(tmp_path / "ev")]) == 0
+        rows = load_report(str(tmp_path / "ev" / "report.json"))["rows"]
+        assert [r["scope"] for r in rows] == ["a,b"]
+
     def test_bad_true_t_exits_2(self, tmp_path, capsys):
         code = main(["synth", "--n", "10", "--classes", "2",
                      "--true-t", "abc", "--out", str(tmp_path)])
@@ -261,6 +269,23 @@ class TestApplyCommand:
         assert not (tmp_path / "ap").exists()
 
 
+    def test_quoted_ids_and_classes_round_trip(self, tmp_path):
+        # an id or class name holding a comma or a quote is quoted on the
+        # way out, so calibrated.csv keeps one cell per class
+        pred = tmp_path / "predictions.csv"
+        pred.write_text('sample_id,a,"b,c"\n"s,0",1.5,-2.0\n"q""1",0.0,3.0\nplain,-1.0,0.5\n')
+        save_params(ScalingParams.identity("ts", "global"), None,
+                    str(tmp_path / "params.json"))
+        out = tmp_path / "ap"
+        assert main(["apply", "--predictions", str(pred),
+                     "--params", str(tmp_path / "params.json"), "--out", str(out)]) == 0
+        text = (out / "calibrated.csv").read_text()
+        assert text.splitlines()[0] == 'sample_id,a,"b,c"'
+        assert text.splitlines()[3].startswith("plain,")
+        classes, ids, got = _read_matrix_csv(str(out / "calibrated.csv"), "calibrated")
+        assert classes == ("a", "b,c") and ids == ["s,0", 'q"1', "plain"]
+        assert np.array_equal(got, sigmoid(np.array([[1.5, -2.0], [0.0, 3.0], [-1.0, 0.5]])))
+
 class TestPlotCommand:
     def test_renders_from_report(self, tmp_path, capsys):
         paths = _synth(tmp_path / "fx")
@@ -380,6 +405,27 @@ class TestInputBoundaries:
                      dict(small, **{which: str(bad)}), tmp_path / "out")
         assert main(argv) == 2
         assert f"{which} file {bad} is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["manifest", "params", "report"])
+    def test_json_nested_past_recursion_limit_exits_2(self, tmp_path, capsys, small, which):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        argv = _argv({"manifest": "evaluate", "params": "apply", "report": "plot"}[which],
+                     dict(small, **{which: str(deep)}), tmp_path / "out")
+        assert main(argv) == 2
+        assert f"{which} file {deep} nests deeper than the recursion limit" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("which", ["manifest", "params", "report"])
+    def test_json_integer_over_digit_limit_exits_2(self, tmp_path, capsys, small, which):
+        # Python refuses to convert an integer of more than 4300 digits
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"tau": ' + "9" * 5000 + "}")
+        argv = _argv({"manifest": "evaluate", "params": "apply", "report": "plot"}[which],
+                     dict(small, **{which: str(huge)}), tmp_path / "out")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{which} file {huge} is not valid JSON" in err and "4300" in err
 
     @pytest.mark.parametrize(
         "tau, b, want",

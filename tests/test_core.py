@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -16,6 +18,7 @@ from mlcalib.core import (
     load_dataset,
     pos_counts,
     sigmoid,
+    write_matrix_csv,
 )
 
 from conftest import simple_meta, write_triple
@@ -42,6 +45,21 @@ class TestSigmoid:
         out = sigmoid(np.array([-800.0, -40.0, 40.0, 800.0]))
         assert np.all(np.isfinite(out))
         assert out[0] == 0.0 and out[-1] == 1.0
+
+    def test_bits_match_two_branch_formula(self):
+        # the masked two-pass form: 1 / (1 + exp(-z)) where z >= 0, else
+        # exp(z) / (1 + exp(z)); equal bits, signed zeros and NaNs included
+        nan = np.float64(np.nan)
+        z = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, nan, -nan, 800.0, -800.0, 36.8, -745.2, 1e-300],
+            np.random.default_rng(3).normal(0.0, 30.0, 500),
+        ])
+        want = np.empty_like(z)
+        pos = z >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        want[~pos] = ez / (1.0 + ez)
+        assert sigmoid(z).view(np.int64).tolist() == want.view(np.int64).tolist()
 
     def test_symmetry(self):
         z = np.linspace(-30, 30, 101)
@@ -405,3 +423,30 @@ class TestMatrixReader:
         assert _outcome(_read_matrix_csv, str(path)) == _outcome(
             oracle_read_matrix_csv, str(path)
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ids=st.lists(
+        st.one_of(st.sampled_from(["", "s,0", 'a"b', "#c", "\x00", "x\r\ny", " ", "\r"]),
+                  st.text(max_size=6)),
+        min_size=1, max_size=6, unique=True,
+    ),
+    classes=st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True),
+)
+def test_matrix_csv_round_trips_any_id(tmp_path_factory, ids, classes):
+    # the writer quotes as csv.writer does, and the reader gives back the
+    # ids, classes and value bits it was handed
+    path = tmp_path_factory.getbasetemp() / "round-trip.csv"
+    values = np.random.default_rng(len(ids)).normal(size=(len(ids), len(classes)))
+    write_matrix_csv(str(path), classes, ids, values)
+    rows = [[sid, *map(repr, row)] for sid, row in zip(ids, values.tolist())]
+    lines = []
+    for cells in [["sample_id", *classes], *rows]:
+        line = io.StringIO(newline="")
+        csv.writer(line).writerow(cells)  # the default dialect ends a row in \r\n
+        lines.append(line.getvalue()[:-2] + "\n")
+    assert path.read_bytes() == "".join(lines).encode("utf-8")
+    got_classes, got_ids, got = _read_matrix_csv(str(path), "predictions")
+    assert (got_classes, got_ids) == (tuple(classes), ids)
+    assert got.view(np.int64).tolist() == values.view(np.int64).tolist()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlcalib import metrics
 from mlcalib.core import EvalDataset, Manifest, ValidationError, confidences, inverse_sigmoid
 from mlcalib.metrics import (
     aggregate_multilabel,
@@ -20,10 +21,15 @@ from mlcalib.protocol import (
     split_first_minutes,
 )
 from mlcalib.report import Report, dumps_canonical, report_to_dict
-from mlcalib.scaling import FitConfig
+from mlcalib.scaling import T_MIN, FitConfig, apply_scaling
 from mlcalib.synth import LatentSpec, SynthConfig, generate
 
-from oracles import oracle_split_first_minutes
+from oracles import (
+    oracle_average_precision,
+    oracle_bin_sums,
+    oracle_bin_sums_scores,
+    oracle_split_first_minutes,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -536,3 +542,137 @@ class TestSplitSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             SplitSpec(kind="bootstrap")
+
+
+def _check_against_oracles(datasets, result, m_bins):
+    """Every row and curve of a per-class run_benchmark result against the
+    loop oracles, computed scope by scope from the datasets: a dataset_id
+    scope holds its rows in dataset order, "All" holds the dataset_id
+    scopes in sorted order, and a class's column concatenates its rows."""
+    held_out = result.split_summary["calib_dataset"] if result.split_summary else None
+    by_id = {}
+    for k, d in enumerate(datasets):
+        for ds_id in sorted(set(d.meta.dataset_id) - {held_out}):
+            rows = [i for i, name in enumerate(d.meta.dataset_id) if name == ds_id]
+            by_id.setdefault(ds_id, []).append((k, rows))
+    scopes = [(ds_id, by_id[ds_id]) for ds_id in sorted(by_id)]
+    if len(scopes) > 1:
+        scopes.insert(0, ("All", [part for _, parts in scopes for part in parts]))
+    confs = {"base": [confidences(d) for d in datasets]}
+    for label, (params, _) in result.params.items():
+        confs[label] = [apply_scaling(d.logits, params) for d in datasets]
+    want_order = [(scope, label) for scope, _ in scopes for label in confs]
+    assert [(r.scope, r.method) for r in result.rows] == want_order
+    assert [(c.scope, c.method) for c in result.curves] == want_order
+    for row, entry in zip(result.rows, result.curves):
+        parts = dict(scopes)[row.scope]
+        chunks = [
+            (datasets[k].classes, confs[row.method][k][rows], datasets[k].labels[rows])
+            for k, rows in parts
+        ]
+        assert row.n_samples == sum(len(rows) for _, rows in parts)
+        names = list(dict.fromkeys(n for classes, _, _ in chunks for n in classes))
+        assert [m.class_id for m in row.per_class] == names
+        aps = []
+        for got in row.per_class:
+            cols = [(c[:, cl.index(got.class_id)], y[:, cl.index(got.class_id)])
+                    for cl, c, y in chunks if got.class_id in cl]
+            conf = np.concatenate([c for c, _ in cols])
+            labels = np.concatenate([y for _, y in cols])
+            want, _ = oracle_bin_sums_scores(conf, labels, m_bins)
+            assert (got.scores.ocs, got.scores.ucs) == (want["ocs"], want["ucs"])
+            assert got.ap == oracle_average_precision(conf, labels)
+            assert got.n_pos == int(labels.sum())
+            if got.ap is not None:
+                aps.append(got.ap)
+        assert row.cmap == (float(np.mean(aps)) if aps else None)
+        # the pooled curve adds each chunk's row-major sums in chunk order
+        sums = [oracle_bin_sums(c.ravel(), y.ravel(), m_bins) for _, c, y in chunks]
+        for m, b in enumerate(entry.curve.bins):
+            count, conf_sum, pos_sum = (s[m] for s in sums[0])
+            for counts, conf_sums, pos_sums in sums[1:]:
+                count, conf_sum, pos_sum = (
+                    count + counts[m], conf_sum + conf_sums[m], pos_sum + pos_sums[m])
+            assert b.count == count
+            want = (conf_sum / count, pos_sum / count) if count else (None, None)
+            assert (b.conf, b.acc) == want
+
+
+@st.composite
+def _scoped_datasets(draw):
+    """One to three datasets whose rows interleave one to four dataset_ids
+    plus the held-out "cal", with class tuples that differ.  Confidences
+    are verbatim probabilities from a grid with ties, 0.0, 1.0 and bin
+    edges.  With ``separable`` the "cal" rows are labelled by the sign of
+    their logits, so the fit ends at T_MIN and maps most evaluation cells
+    to exactly 0 or 1, creating ties that Base does not have."""
+    ids = draw(st.lists(st.sampled_from("pqrs"), min_size=1, max_size=4, unique=True))
+    separable = draw(st.booleans())
+    grid = [0.0, 0.1, 0.2, 1 / 3, 0.4, 0.5, 2 / 3, 0.7, 0.8, 0.9, 1.0]
+    datasets = []
+    for k in range(draw(st.integers(1, 3))):
+        classes = tuple(draw(st.permutations("abcd"))[: draw(st.integers(1, 3))])
+        rows = draw(st.lists(st.sampled_from([*ids, "cal"]), min_size=1, max_size=12))
+        if k == 0:
+            rows += ids + ["cal", "cal"]  # every id has rows, and the fit both labels
+        n, c = len(rows), len(classes)
+        probs = np.array(draw(st.lists(st.sampled_from(grid), min_size=n * c, max_size=n * c)))
+        probs = probs.reshape(n, c)
+        labels = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n * c,
+                                        max_size=n * c))).reshape(n, c)
+        logits = inverse_sigmoid(probs)
+        cal = np.array(rows) == "cal"
+        if separable:
+            labels[cal] = (logits[cal] > 0).astype(float)
+        first = [rows.index(name) for name in set(rows)]
+        labels[first, 0] = 1.0  # a positive in every scope
+        if k == 0:
+            labels[-2:, 0], logits[-2:, 0], probs[-2:, 0] = (1.0, 0.0), (2.0, -2.0), (1.0, 0.0)
+        meta = Manifest(tuple(f"s{i}" for i in range(n)), tuple(rows),
+                        np.arange(n, dtype=float), np.ones(n))
+        datasets.append(EvalDataset(classes, logits, labels, meta, probs=probs))
+    return datasets
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    datasets=_scoped_datasets(),
+    m_bins=st.sampled_from([1, 2, 3, 5, 10]),
+    method=st.sampled_from(["ts", "ps"]),
+)
+def test_run_benchmark_matches_oracles_scope_by_scope(datasets, m_bins, method):
+    split = SplitSpec(kind="held-out-dataset", calib_dataset="cal")
+    result = run_benchmark(datasets, m_bins=m_bins, split=split, methods=[(method, "global")],
+                           include_per_class=True)
+    _check_against_oracles(datasets, result, m_bins)
+
+
+@pytest.mark.parametrize("separable, sorts", [(True, 4), (False, 2)])
+def test_fitted_order_reuse_and_fallback(monkeypatch, separable, sorts):
+    # held-out "cal" rows labelled by the sign of their logits make the fit
+    # end at T_MIN: evaluation logits above about 0.04 all map to 1.0, and
+    # those new ties sit in descending position in Base's order, so each
+    # fitted column is sorted again.  Otherwise Base's order is reused.
+    z = np.array([[0.5, -1.0], [2.0, 1.0], [1.0, 3.0], [-0.7, 0.2], [3.0, -2.0], [-3.0, 2.5],
+                  [1.5, -1.5], [-1.5, 1.5], [0.3, 0.6], [-0.3, -0.6]])
+    y = np.array([[1, 0], [1, 1], [0, 1], [0, 0], [1, 0], [0, 1], [1, 0], [0, 1],
+                  [0, 1], [1, 0]], dtype=float)
+    y[6:] = (z[6:] > 0) if separable else [[1, 0], [1, 0], [0, 1], [1, 1]]
+    rows = ("p", "q", "p", "q", "p", "q", "cal", "cal", "cal", "cal")
+    d = EvalDataset(("a", "b"), z, y, Manifest(tuple(f"s{i}" for i in range(10)), rows,
+                                               np.arange(10.0), np.ones(10)))
+    calls = []
+
+    def counted(scores):
+        calls.append(scores.shape)
+        return descending(scores)
+
+    descending = metrics._descending
+    monkeypatch.setattr(metrics, "_descending", counted)
+    result = run_benchmark(d, m_bins=5, split=SplitSpec("held-out-dataset", calib_dataset="cal"),
+                           methods=[("ts", "global")], include_per_class=True)
+    t = float(result.params["ts/global"][0].temperature)
+    assert (t == pytest.approx(T_MIN)) == separable
+    # one sort per class column of the pooled scope, plus each fallback
+    assert calls == [(6,)] * sorts
+    _check_against_oracles([d], result, 5)
