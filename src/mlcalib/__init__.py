@@ -48,6 +48,7 @@ from .report import (
     relative_improvement,
     render_reliability_svg,
 )
+from .report import VERSION as __version__
 from .scaling import (
     FitConfig,
     FitTrace,
@@ -60,13 +61,6 @@ from .scaling import (
     save_params,
 )
 from .synth import LatentSpec, SynthConfig, generate, latent_means, write_fixture
-
-try:
-    from importlib.metadata import version as _pkg_version
-
-    __version__ = _pkg_version("mlcalib")
-except Exception:  # pragma: no cover - not installed
-    __version__ = "0.0.0"
 
 __all__ = [
     "BenchmarkResult",

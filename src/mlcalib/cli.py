@@ -23,10 +23,12 @@ from .core import (
     NumericalError,
     ValidationError,
     load_dataset,
+    output_dir,
+    output_file,
     read_predictions,
     write_matrix_csv,
 )
-from .protocol import FIRST_MINUTES, HELD_OUT, SplitSpec, run_benchmark
+from .protocol import ALL_SCOPE, FIRST_MINUTES, HELD_OUT, SplitSpec, run_benchmark
 from .report import (
     Report,
     curve_from_dict,
@@ -36,7 +38,7 @@ from .report import (
     report_field,
     report_to_dict,
 )
-from .scaling import FitConfig, apply_scaling, load_params, save_params
+from .scaling import PER_CLASS, FitConfig, apply_scaling, load_params, save_params
 from .synth import LatentSpec, SynthConfig, write_fixture
 
 POOLED_ALIAS = ("pooled", "all")
@@ -154,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _echo(args: argparse.Namespace) -> dict:
-    pairs = sorted(vars(args).items())
-    return {key: value for key, value in pairs}
+    return dict(sorted(vars(args).items()))
 
 
 def _slug(text: str) -> str:
@@ -167,15 +168,6 @@ def _model_tag(args) -> str:
         return args.tag
     stem = os.path.basename(args.predictions)
     return stem.rsplit(".", 1)[0] if "." in stem else stem
-
-
-def _out_dir(path: str) -> str:
-    """Create the output directory ``path`` (and its parents) if needed."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ValidationError(f"cannot create output directory {path}: {exc}") from exc
-    return path
 
 
 def _write_svg(doc: dict, scope: str, out_dir: str) -> str:
@@ -206,8 +198,10 @@ def _write_svg(doc: dict, scope: str, out_dir: str) -> str:
         mcs_values=mcs_values,
         title=scope,
     )
-    path = os.path.join(out_dir, f"reliability_{_slug(scope)}.svg")
-    with open(path, "w", newline="") as fh:
+    # the name is UTF-8 on disk, as the contents are, whatever the locale
+    name = os.fsdecode(f"reliability_{_slug(scope)}.svg".encode("utf-8"))
+    path = os.path.join(out_dir, name)
+    with output_file(path, "SVG") as fh:
         fh.write(svg)
     return path
 
@@ -239,7 +233,7 @@ def _benchmark(args, split=None, methods=(), fit_cfg=None) -> int:
                     f"scopes {other!r} and {scope!r} would both be drawn to "
                     f"reliability_{_slug(scope)}.svg"
                 )
-    out_dir = _out_dir(args.out)
+    out_dir = output_dir(args.out)
     params_docs = {}
     for label, (params, trace) in result.params.items():
         params_docs[label] = save_params(params, trace, os.path.join(out_dir, "params.json"))
@@ -274,14 +268,13 @@ def cmd_fit(args) -> int:
 def cmd_apply(args) -> int:
     classes, ids, logits, _ = read_predictions(args.predictions, args.probabilities, args.eps)
     params = load_params(args.params)
-    if params.scope == "per-class":
-        if params.classes is not None and tuple(params.classes) != classes:
-            raise ValidationError(
-                "params classes do not match predictions classes "
-                f"({len(params.classes)} vs {len(classes)})"
-            )
+    if params.scope == PER_CLASS and tuple(params.classes) != classes:
+        raise ValidationError(
+            "params classes do not match predictions classes "
+            f"({len(params.classes)} vs {len(classes)})"
+        )
     conf = apply_scaling(logits, params)
-    write_matrix_csv(os.path.join(_out_dir(args.out), "calibrated.csv"), classes, ids, conf)
+    write_matrix_csv(os.path.join(output_dir(args.out), "calibrated.csv"), classes, ids, conf)
     return 0
 
 
@@ -311,7 +304,7 @@ def cmd_synth(args) -> int:
         clip_duration_s=args.clip_duration,
         latent=LatentSpec(means=means, stddev=args.stddev),
     )
-    paths = write_fixture(cfg, _out_dir(args.out))
+    paths = write_fixture(cfg, args.out)
     print("\n".join(f"wrote {paths[key]}" for key in ("predictions", "labels", "manifest", "truth")))
     return 0
 
@@ -324,12 +317,12 @@ def cmd_plot(args) -> int:
     scopes = list(dict.fromkeys(report_field(c, "scope", "curve") for c in curves_doc))
     wanted = args.scope
     if wanted.lower() in POOLED_ALIAS:
-        wanted = "All" if "All" in scopes else scopes[0]
+        wanted = ALL_SCOPE if ALL_SCOPE in scopes else scopes[0]
     if wanted not in scopes:
         raise ValidationError(
             f"scope {wanted!r} not in report (available: {', '.join(scopes)})"
         )
-    path = _write_svg(doc, wanted, _out_dir(args.out))
+    path = _write_svg(doc, wanted, output_dir(args.out))
     print(f"wrote {path}")
     return 0
 

@@ -1,17 +1,23 @@
-"""Domain types, file ingestion, and the logit/probability primitives.
+"""Domain types, file input and output, and the logit/probability primitives.
 
 Everything downstream (metrics, scaling, protocols) consumes the
 :class:`EvalDataset` built here: an aligned logit matrix, a binary label
 matrix, class names, and a columnar :class:`Manifest` with one row per
 sample.  All arithmetic is float64; input files are parsed as decimal text.
+
+Files are read and written as UTF-8 whatever the locale; every output
+goes through :func:`output_file` and :func:`output_dir`.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -236,13 +242,37 @@ def _read_matrix_csv(path: str, kind: str):
 # csv.writer's default dialect quotes a field that holds one of these
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
+# rows per values.tolist() call: bounds the Python floats alive during a write
+_CSV_BLOCK_ROWS = 1024
 
-def _csv_field(text: str) -> str:
+
+def csv_field(text: str) -> str:
     """``text`` as csv.writer's default dialect writes it: in quotes, each
     inner quote doubled, when it holds a comma, a quote or a line break."""
     if _NEEDS_QUOTES.search(text):
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+@contextmanager
+def output_file(path: str, kind: str):
+    """Open ``path``, a ``kind`` file, for writing text: UTF-8 whatever the
+    locale, with no newline translation.  An OSError from the open or from a
+    write is a ValidationError that names the file."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"cannot write {kind} file {path}: {exc}") from exc
+
+
+def output_dir(path: str) -> str:
+    """Create the output directory ``path`` (and its parents) if needed."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {path}: {exc}") from exc
+    return path
 
 
 def write_matrix_csv(path: str, classes, ids, values) -> None:
@@ -251,11 +281,13 @@ def write_matrix_csv(path: str, classes, ids, values) -> None:
     quoted as csv.writer quotes them, and each cell is the ``repr`` of its
     value (floats round-trip bit for bit, ints print bare)."""
     if _NEEDS_QUOTES.search("".join(map(str, ids))):  # one scan for the usual plain ids
-        ids = [_csv_field(str(sample_id)) for sample_id in ids]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(map(_csv_field, ("sample_id", *classes))) + "\n")
-        for sample_id, row in zip(ids, values.tolist()):
-            fh.write(f"{sample_id},{','.join(map(repr, row))}\n")
+        ids = [csv_field(str(sample_id)) for sample_id in ids]
+    with output_file(path, "CSV") as fh:
+        fh.write(",".join(map(csv_field, ("sample_id", *classes))) + "\n")
+        for start in range(0, len(ids), _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            for sample_id, row in zip(ids[start:stop], values[start:stop].tolist()):
+                fh.write(f"{sample_id},{','.join(map(repr, row))}\n")
 
 
 def _read_plain_csv(path: str):
@@ -406,6 +438,58 @@ def read_json(path: str, kind: str):
             f"{kind} file {path} nests deeper than the recursion limit "
             f"({sys.getrecursionlimit()})"
         ) from None
+
+
+def _append_json(obj, out: list, level: int, indent: int):
+    pad = " " * (indent * level)
+    pad_in = " " * (indent * (level + 1))
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not math.isfinite(x):
+            raise NumericalError(f"non-finite value in report: {x!r}")
+        out.append(format(x, ".17g"))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (key, val) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise ValidationError(f"JSON object keys must be strings, got {key!r}")
+            out.append(pad_in)
+            out.append(json.dumps(key))
+            out.append(": ")
+            _append_json(val, out, level + 1, indent)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not len(obj):
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, val in enumerate(obj):
+            out.append(pad_in)
+            _append_json(val, out, level + 1, indent)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(pad + "]")
+    else:
+        raise ValidationError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def dumps_canonical(obj, indent: int = 2) -> str:
+    """Deterministic JSON text: insertion-ordered keys, 17-significant-digit
+    floats (so float64 values survive a parse round trip bit-exactly)."""
+    out: list = []
+    _append_json(obj, out, 0, indent)
+    return "".join(out)
 
 
 def _read_manifest(path: str) -> Manifest:

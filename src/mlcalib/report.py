@@ -1,27 +1,24 @@
 """Result serialization (JSON/CSV) and reliability-diagram rendering (SVG).
 
-All emitters are pure functions of their inputs and byte-deterministic:
-JSON floats carry 17 significant digits (lossless float64 round trip), CSV
-floats are fixed at 4 decimals, and the SVG is assembled from format
-strings with no timestamps or environment-dependent content.
+All emitters are byte-deterministic: JSON is ``core.dumps_canonical``
+text (17 significant digits, a lossless float64 round trip), CSV floats
+have 4 decimals and cells quoted by ``core.csv_field``, and the SVG comes
+from format strings with no timestamps or environment-dependent content.
 """
 
 from __future__ import annotations
 
 import importlib.metadata
-import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import NumericalError, ValidationError, read_json
+from .core import ValidationError, csv_field, dumps_canonical, output_file, read_json
 from .metrics import BinStats, CalibrationScores, ReliabilityCurve, calibration_scores
 
 try:
-    _VERSION = importlib.metadata.version("mlcalib")
+    VERSION = importlib.metadata.version("mlcalib")
 except importlib.metadata.PackageNotFoundError:  # uninstalled source tree
-    _VERSION = "0.0.0"
+    VERSION = "0.0.0"
 
 SCHEMA_VERSION = 1
 NOT_APPLICABLE = "n/a (already perfect)"
@@ -95,7 +92,7 @@ class Report:
     params: dict
     split_summary: dict | None = None
     tool: str = "mlcalib"
-    version: str = _VERSION
+    version: str = VERSION
 
 
 def _scores_dict(s: CalibrationScores) -> dict:
@@ -188,58 +185,6 @@ def report_to_dict(report: Report) -> dict:
     }
 
 
-def _write_json(obj, out: list, level: int, indent: int):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise NumericalError(f"non-finite value in report: {x!r}")
-        out.append(format(x, ".17g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise ValidationError(f"JSON object keys must be strings, got {key!r}")
-            out.append(pad_in)
-            out.append(json.dumps(key))
-            out.append(": ")
-            _write_json(val, out, level + 1, indent)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not len(obj):
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, val in enumerate(obj):
-            out.append(pad_in)
-            _write_json(val, out, level + 1, indent)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        raise ValidationError(f"cannot serialize {type(obj).__name__} to JSON")
-
-
-def dumps_canonical(obj, indent: int = 2) -> str:
-    """Deterministic JSON text: insertion-ordered keys, 17-significant-digit
-    floats (so float64 values survive a parse round trip bit-exactly)."""
-    out: list = []
-    _write_json(obj, out, 0, indent)
-    return "".join(out)
-
-
 def _csv_float(x) -> str:
     if x is None:
         return "n/a"
@@ -275,22 +220,12 @@ def emit_report(report: Report, fmt: str, path: str):
     if fmt == "json":
         text = dumps_canonical(report_to_dict(report)) + "\n"
     elif fmt == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for row in report.rows:
-            cells = []
-            for cell in _csv_row(row):
-                if "," in cell or '"' in cell:
-                    cell = '"' + cell.replace('"', '""') + '"'
-                cells.append(cell)
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
+        rows = [CSV_COLUMNS, *map(_csv_row, report.rows)]
+        text = "".join(",".join(map(csv_field, row)) + "\n" for row in rows)
     else:
         raise ValidationError(f"unknown report format {fmt!r}")
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValidationError(f"cannot write report to {path}: {exc}") from exc
+    with output_file(path, "report") as fh:
+        fh.write(text)
 
 
 def load_report(path: str) -> dict:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericalError, ValidationError, read_json, sigmoid
+from .core import NumericalError, ValidationError, dumps_canonical, output_file, read_json, sigmoid
 
 TS = "ts"
 PS = "ps"
@@ -480,14 +480,11 @@ def fit(
 def save_params(params: ScalingParams, trace: FitTrace | None, path: str) -> dict:
     """Write a params JSON document and return it; floats carry 17
     significant digits so the round trip is bit-exact."""
-    from .report import dumps_canonical
-
     doc = params.to_json_dict()
     if trace is not None:
         doc["trace"] = trace.to_json_dict()
-    with open(path, "w", newline="") as fh:
-        fh.write(dumps_canonical(doc))
-        fh.write("\n")
+    with output_file(path, "params") as fh:
+        fh.write(dumps_canonical(doc) + "\n")
     return doc
 
 

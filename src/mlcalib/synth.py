@@ -10,11 +10,13 @@ generation is reproducible element-wise and order-independent.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EvalDataset, Manifest, ValidationError, sigmoid, write_matrix_csv
+from .core import (EvalDataset, Manifest, ValidationError, dumps_canonical, output_dir,
+                   output_file, sigmoid, write_matrix_csv)
 
 _STREAM_LOGITS = 0
 _STREAM_LABELS = 1
@@ -148,12 +150,8 @@ def write_fixture(cfg: SynthConfig, out_dir: str) -> dict:
     Creates predictions.csv (logits), labels.csv, manifest.json, and
     truth.json under out_dir; returns the path map.
     """
-    import os
-
-    from .report import dumps_canonical
-
     dataset, truth = generate(cfg)
-    os.makedirs(out_dir, exist_ok=True)
+    output_dir(out_dir)
     paths = {
         "predictions": os.path.join(out_dir, "predictions.csv"),
         "labels": os.path.join(out_dir, "labels.csv"),
@@ -170,10 +168,8 @@ def write_fixture(cfg: SynthConfig, out_dir: str) -> dict:
         "start_s": meta.start_s.tolist(),
         "duration_s": meta.duration_s.tolist(),
     }
-    with open(paths["manifest"], "w", newline="") as fh:
-        fh.write(dumps_canonical([dict(zip(columns, row)) for row in zip(*columns.values())]))
-        fh.write("\n")
-    with open(paths["truth"], "w", newline="") as fh:
-        fh.write(dumps_canonical(truth))
-        fh.write("\n")
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    for kind, doc in (("manifest", rows), ("truth", truth)):
+        with output_file(paths[kind], kind) as fh:
+            fh.write(dumps_canonical(doc) + "\n")
     return paths

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -555,6 +556,67 @@ class TestInputBoundaries:
         assert main(_argv(command, small, taken)) == 2
         assert f"error: cannot create output directory {taken}" in capsys.readouterr().err
         assert taken.read_text() == ""
+
+
+class TestOutputs:
+    """Every output goes through one writer: UTF-8, csv.writer quoting, and
+    exit 2 naming the path when the file cannot be written."""
+
+    @pytest.mark.parametrize(
+        "command, flags, name",
+        [
+            ("fit", (), "params.json"),
+            ("evaluate", (), "report.json"),
+            ("evaluate", ("--format", "csv"), "report.csv"),
+            ("evaluate", ("--svg",), "reliability_synth.svg"),
+            ("apply", (), "calibrated.csv"),
+            ("synth", (), "predictions.csv"),
+            ("synth", (), "manifest.json"),
+        ],
+        ids=["params", "report-json", "report-csv", "svg", "calibrated", "predictions",
+             "manifest"],
+    )
+    def test_output_that_is_a_directory_exits_2(self, tmp_path, capsys, small, command,
+                                                flags, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main([*_argv(command, small, out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert str(out / name) in err
+
+    def test_report_csv_reads_back_any_scope_name(self, tmp_path, small):
+        names = ["a\nb", "c\rd", "e,f", 'g"h']
+        with open(small["manifest"], encoding="utf-8") as fh:
+            rows = json.load(fh)
+        for i, row in enumerate(rows):
+            row["dataset_id"] = names[i * len(names) // len(rows)]
+        manifest = tmp_path / "names.json"
+        manifest.write_text(json.dumps(rows))
+        paths = dict(small, manifest=str(manifest))
+        assert main([*_argv("evaluate", paths, tmp_path / "ev"), "--format", "csv"]) == 0
+        with open(tmp_path / "ev" / "report.csv", encoding="utf-8", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert [len(cells) for cells in table] == [17] * 6
+        assert [cells[1] for cells in table[1:]] == ["All", *names]
+
+    def test_outputs_are_utf8_in_the_c_locale(self, tmp_path):
+        """A scope named Zürich under an ASCII locale: the report and the
+        diagram carry the same bytes, under the same name, as in-process."""
+        paths = _synth(tmp_path / "fx", n=60, c=2, extra=("--dataset-id", "Zürich"))
+        argv = ["evaluate", *_data_flags(paths), "--svg", "--format", "csv", "--out"]
+        assert main([*argv, str(tmp_path / "here")]) == 0
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src), LC_ALL="C",
+                   PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        done = subprocess.run([sys.executable, "-m", "mlcalib", *argv, str(tmp_path / "c")],
+                              env=env, capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        names = sorted(os.listdir(tmp_path / "here"))
+        assert names == ["reliability_Zürich.svg", "report.csv"]
+        assert sorted(os.listdir(tmp_path / "c")) == names
+        for name in names:
+            assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
 
 
 class TestImports:

@@ -11,6 +11,7 @@ from mlcalib.core import (
     EvalDataset,
     Manifest,
     ValidationError,
+    _CSV_BLOCK_ROWS,
     _read_matrix_csv,
     _read_plain_csv,
     confidences,
@@ -450,3 +451,19 @@ def test_matrix_csv_round_trips_any_id(tmp_path_factory, ids, classes):
     got_classes, got_ids, got = _read_matrix_csv(str(path), "predictions")
     assert (got_classes, got_ids) == (tuple(classes), ids)
     assert got.view(np.int64).tolist() == values.view(np.int64).tolist()
+
+
+def test_matrix_csv_spans_row_blocks(tmp_path):
+    # rows are formatted a block at a time; the bytes are those of one
+    # csv.writer row per id, across block edges and a partial last block
+    n = 2 * _CSV_BLOCK_ROWS + 3
+    ids = [f"s{i}" for i in range(n)]
+    values = np.random.default_rng(7).normal(size=(n, 2))
+    values[_CSV_BLOCK_ROWS - 1 : _CSV_BLOCK_ROWS + 1] = [[-0.0, np.inf], [5e-324, np.nan]]
+    path = tmp_path / "blocks.csv"
+    write_matrix_csv(str(path), ("a", "b"), ids, values)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["sample_id", "a", "b"])
+    writer.writerows([sid, *map(repr, row)] for sid, row in zip(ids, values.tolist()))
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
