@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from mlcalib.core import NumericalError, ValidationError, sigmoid
+from mlcalib.core import NumericalError, ValidationError, dumps_canonical, sigmoid
 from mlcalib.scaling import (
     T_MAX,
     T_MIN,
@@ -375,3 +377,37 @@ class TestStationarityAtDocumentedBudget:
             f"gradient norm {norm:.6f} after 1000 steps "
             f"(fitted T={float(params.temperature):.3f}, b={float(params.bias):.3f})"
         )
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def _fit_params_docs() -> bytes:
+    """The params documents, traces included, of the four fits (ts and ps,
+    global and per-class) on one 40 x 4 fixture.  Column 0 is ordinary,
+    column 1 holds no positive, column 2 is separable and column 3
+    anti-correlated.  Logits carry 2 decimals; ps/per-class records its
+    NLL history."""
+    r = np.random.default_rng(17)
+    n = 40
+    z = np.round(r.normal(scale=2.0, size=(n, 4)), 2)
+    y = (r.random((n, 4)) < 1.0 / (1.0 + np.exp(-(z / 2.0 + 0.3)))).astype(float)
+    y[:, 1] = 0.0
+    y[:, 2] = (z[:, 2] > 0.5).astype(float)
+    y[:, 3] = (r.random(n) < 1.0 / (1.0 + np.exp(2.0 * z[:, 3]))).astype(float)
+    docs = []
+    for method in ("ts", "ps"):
+        for scope in ("global", "per-class"):
+            cfg = FitConfig(record_history=(method, scope) == ("ps", "per-class"))
+            params, trace = fit(z, y, method=method, scope=scope, cfg=cfg,
+                                classes=("ordinary", "empty", "separable", "anti"),
+                                fitted_on=f"{method}/{scope}")
+            docs.append(dict(params.to_json_dict(), trace=trace.to_json_dict()))
+    return (dumps_canonical(docs) + "\n").encode()
+
+
+def test_fit_params_golden():
+    """Pins every fit's parameters and trace, bit for bit, over fallback,
+    separable and anti-correlated columns."""
+    want = open(os.path.join(GOLDEN, "fit_params.json"), "rb").read()
+    assert _fit_params_docs() == want
