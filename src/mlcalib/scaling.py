@@ -5,13 +5,16 @@ a bias, sigmoid(z / T + b).  Parameters are stored as tau = ln T, so
 T > 0 by construction.  The fit is damped Newton with Armijo backtracking
 on the inverse temperature a = 1/T and b, in which binary cross-entropy
 is convex (Platt 1999; Lin, Lin & Weng 2007); it stops on convergence,
-usually within ten iterations.  Everything is deterministic, there is no
-stochasticity anywhere.
+usually within ten iterations.  One kernel, ``_slopes``, gives each
+column's BCE gradient and Hessian in (a, b): the solver steps on it and
+:func:`gradients` is its chain rule into (tau, b).  Global parameters are
+0-d arrays and per-class ones vectors, so only the choice of columns to
+solve depends on the scope.  Everything is deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,24 +94,19 @@ class ScalingParams:
 
     @classmethod
     def identity(cls, method: str = TS, scope: str = GLOBAL, classes=None):
-        """T = 1, b = 0: leaves confidences unchanged."""
-        if scope == GLOBAL:
-            return cls(method, scope, np.float64(0.0), np.float64(0.0))
-        c = len(classes)
-        return cls(method, scope, np.zeros(c), np.zeros(c), classes=tuple(classes))
+        """T = 1, b = 0: leaves confidences unchanged.  Scalars without
+        ``classes``, one zero per class with them."""
+        zeros = np.zeros(() if classes is None else len(classes))
+        return cls(method, scope, zeros, zeros, classes=classes)
 
     def to_json_dict(self) -> dict:
         doc = {"method": self.method, "scope": self.scope}
         if self.classes is not None:
             doc["classes"] = list(self.classes)
-        if self.scope == GLOBAL:
-            doc["tau"] = float(self.tau)
-            doc["T"] = float(np.exp(self.tau))
-            doc["b"] = float(self.bias)
-        else:
-            doc["tau"] = [float(t) for t in self.tau]
-            doc["T"] = [float(t) for t in np.exp(self.tau)]
-            doc["b"] = [float(b) for b in self.bias]
+        # .tolist() of a 0-d array is a float, of a 1-d one a list of them
+        doc["tau"] = self.tau.tolist()
+        doc["T"] = np.exp(self.tau).tolist()
+        doc["b"] = self.bias.tolist()
         doc["fitted_on"] = self.fitted_on
         return doc
 
@@ -122,8 +120,8 @@ class ScalingParams:
         except KeyError as exc:
             raise ValidationError(f"params document missing key {exc}") from exc
         classes = tuple(doc["classes"]) if "classes" in doc else None
-        tau_arr = _json_numbers(tau, "tau", scope)
-        bias_arr = _json_numbers(bias, "b", scope)
+        tau_arr = _json_numbers(tau, "tau")
+        bias_arr = _json_numbers(bias, "b")
         outside = (tau_arr < _TAU_MIN) | (tau_arr > _TAU_MAX)
         if np.any(outside):
             raise ValidationError(
@@ -140,14 +138,14 @@ class ScalingParams:
         )
 
 
-def _json_numbers(value, name: str, scope: str) -> np.ndarray:
-    """A params document's ``name`` entry as float64: a JSON number for
-    global scope, else a list of them."""
-    items = value if scope != GLOBAL and isinstance(value, list) else [value]
+def _json_numbers(value, name: str) -> np.ndarray:
+    """A params document's ``name`` entry, a JSON number or a list of them,
+    as a 0-d or 1-d float64 array; ScalingParams checks it fits the scope."""
+    items = value if isinstance(value, list) else [value]
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
-        kind = "a number" if scope == GLOBAL else "a list of numbers"
-        raise ValidationError(f"params {name} must be {kind}, got {value!r}")
-    return np.float64(value) if scope == GLOBAL else np.asarray(value, dtype=np.float64)
+        raise ValidationError(f"params {name} must be a number or a list of numbers, "
+                              f"got {value!r}")
+    return np.asarray(value, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -212,6 +210,22 @@ def _check_dims(logits: np.ndarray, params: ScalingParams):
         )
 
 
+def _matched(logits, labels):
+    """Logits and labels as float64 matrices of one shape: the one check
+    of fit, bce_nll and gradients."""
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    if z.ndim != 2 or z.shape != y.shape:
+        raise ValidationError(f"shape mismatch: logits {z.shape}, labels {y.shape}")
+    return z, y
+
+
+def _columns(m: np.ndarray, scope: str) -> np.ndarray:
+    """The columns a fit solves, one per parameter: each class column for
+    per-class scope, the flattened matrix as one column for global scope."""
+    return m if scope == PER_CLASS else m.reshape(-1, 1)
+
+
 def apply_scaling(logits, params: ScalingParams) -> np.ndarray:
     """Rescale logits and map to probabilities: sigmoid(z / T + b).
 
@@ -232,10 +246,7 @@ def bce_nll(logits, labels, params: ScalingParams) -> float:
     Probabilities are clamped to [1e-12, 1 - 1e-12] inside the logs so
     saturated logits cannot produce infinities.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if z.shape != y.shape:
-        raise ValidationError(f"shape mismatch: logits {z.shape}, labels {y.shape}")
+    z, y = _matched(logits, labels)
     p = apply_scaling(z, params)
     p = np.clip(p, _LOG_CLAMP, 1.0 - _LOG_CLAMP)
     ll = y * np.log(p) + (1.0 - y) * np.log(1.0 - p)
@@ -243,27 +254,31 @@ def bce_nll(logits, labels, params: ScalingParams) -> float:
 
 
 def gradients(logits, labels, params: ScalingParams):
-    """Analytic gradients of bce_nll with respect to (tau, bias).
+    """Analytic gradients of bce_nll (unclamped) with respect to (tau, bias).
 
-    The objective is the mean over all N*C entries, so d/db is the mean
-    residual (p - y) for global scope and each column's residual sum over
-    N*C for per-class scope; d/dtau follows the chain rule through
-    T = exp(tau), with (p - y) * (-z / T) in place of the residual.  Shapes
-    match the parameter shapes (scalars global, C-vectors per class).
+    The chain rule of the solver's own slopes (``_slopes``): with
+    a = 1/T = exp(-tau) and n = N*C cells, d/dtau = -a * g_a / n and
+    d/db = g_b / n, over the flattened matrix for global scope and per
+    column for per-class scope.  Shapes match the parameter shapes (0-d
+    arrays global, C-vectors per class).
     """
-    z = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if z.shape != y.shape:
-        raise ValidationError(f"shape mismatch: logits {z.shape}, labels {y.shape}")
+    z, y = _matched(logits, labels)
     _check_dims(z, params)
-    t = np.exp(params.tau)
-    p = sigmoid(z / t + params.bias)
+    a = np.exp(-params.tau)
+    g_a, g_b = _slopes(_columns(z, params.scope), _columns(y, params.scope), a, params.bias)[:2]
+    shape = params.tau.shape
+    return (-a * g_a.reshape(shape) / z.size, g_b.reshape(shape) / z.size)
+
+
+def _slopes(z, y, a, b):
+    """Each column's BCE gradient and Hessian sums at the logits a*z + b:
+    (g_a, g_b, h_aa, h_ab, h_bb), the derivatives in (a, b)."""
+    p = sigmoid(a * z + b)
     resid = p - y
-    tau_term = resid * (-z / t)
-    if params.scope == GLOBAL:
-        return np.mean(tau_term), np.mean(resid)
-    denom = float(z.size)
-    return np.sum(tau_term, axis=0) / denom, np.sum(resid, axis=0) / denom
+    w = p * (1.0 - p)
+    wz = w * z
+    return (np.sum(resid * z, axis=0), np.sum(resid, axis=0),
+            np.sum(wz * z, axis=0), np.sum(wz, axis=0), np.sum(w, axis=0))
 
 
 def _column_losses(z, y, a, b):
@@ -320,15 +335,10 @@ def _newton(z, y, fit_bias, fit_cols, cap, history):
     iterations = 0
     while iterations < cap and np.any(active):
         iterations += 1
-        p = sigmoid(a * z + b)
-        resid = p - y
-        w = p * (1.0 - p)
-        g_a = np.sum(resid * z, axis=0)
-        h_aa = np.sum(w * z * z, axis=0) + ridge
+        g_a, g_b, h_aa, h_ab, h_bb = _slopes(z, y, a, b)
+        h_aa += ridge
         if fit_bias:
-            g_b = np.sum(resid, axis=0)
-            h_ab = np.sum(w * z, axis=0)
-            h_bb = np.sum(w, axis=0) + ridge
+            h_bb += ridge
             det = h_aa * h_bb - h_ab * h_ab
             d_a = (h_ab * g_b - h_bb * g_a) / det
             d_b = (h_ab * g_a - h_aa * g_b) / det
@@ -409,46 +419,31 @@ def fit(
     """
     if cfg is None:
         cfg = FitConfig()
-    if method not in (TS, PS):
-        raise ValidationError(f"method must be '{TS}' or '{PS}', got {method!r}")
-    if scope not in (GLOBAL, PER_CLASS):
-        raise ValidationError(f"scope must be '{GLOBAL}' or '{PER_CLASS}', got {scope!r}")
-    z = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if z.ndim != 2 or z.shape != y.shape:
-        raise ValidationError(f"shape mismatch: logits {z.shape}, labels {y.shape}")
+    z, y = _matched(logits, labels)
+    if scope != PER_CLASS:
+        classes = None
+    elif classes is None:
+        classes = tuple(f"class_{c}" for c in range(z.shape[1]))
+    elif len(classes) != z.shape[1]:
+        raise ValidationError(
+            f"dimension mismatch: {z.shape[1]} columns, {len(classes)} class names"
+        )
+    # the identity start; building it checks method and scope
+    start = replace(ScalingParams.identity(method, scope, classes), fitted_on=fitted_on)
     if z.size == 0:
         raise ValidationError("cannot fit on an empty calibration set")
     if not np.all(np.isfinite(z)):
         raise NumericalError("non-finite logit in the calibration set")
-    if scope == PER_CLASS:
-        if classes is None:
-            classes = tuple(f"class_{c}" for c in range(z.shape[1]))
-        if len(classes) != z.shape[1]:
-            raise ValidationError(
-                f"dimension mismatch: {z.shape[1]} columns, {len(classes)} class names"
-            )
-        classes = tuple(classes)
-        z_cols, y_cols = z, y
-    else:
-        classes = None
-        z_cols, y_cols = z.reshape(-1, 1), y.reshape(-1, 1)
+    z_cols, y_cols = _columns(z, scope), _columns(y, scope)
     n_pos = y_cols.sum(axis=0)
     fit_cols = (n_pos > 0) & (n_pos < y_cols.shape[0])
 
-    def as_params(tau_v, bias_v, carrier=PS):
-        if scope == GLOBAL:
-            tau_v, bias_v = np.float64(np.ravel(tau_v)[0]), np.float64(np.ravel(bias_v)[0])
-        return ScalingParams(
-            method=carrier,  # PS carries any bias; TS keeps it at 0 anyway
-            scope=scope,
-            tau=tau_v,
-            bias=bias_v,
-            classes=classes,
-            fitted_on=fitted_on,
-        )
+    def as_params(tau_v, bias_v):
+        # a ts fit never moves b off +0.0
+        shape = start.tau.shape
+        return replace(start, tau=np.reshape(tau_v, shape), bias=np.reshape(bias_v, shape))
 
-    nll_initial = bce_nll(z, y, ScalingParams.identity(PS, scope, classes))
+    nll_initial = bce_nll(z, y, start)
     history = None
     record = None
     if cfg.record_history:
@@ -462,7 +457,7 @@ def fit(
     )
     tau = -np.log(a) + 0.0  # +0.0 (not -0.0) for a = 1
     at_edge = (a <= _A_MIN) | (a >= _A_MAX)
-    params = as_params(tau, np.zeros_like(bias) if method == TS else bias, carrier=method)
+    params = as_params(tau, bias)
     nll_final = bce_nll(z, y, params)
     trace = FitTrace(
         steps=cfg.steps,
