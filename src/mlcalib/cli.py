@@ -3,9 +3,10 @@
 evaluate and fit share one body: load the file triple, run
 protocol.run_benchmark (fit adds its split and method), then write
 params.json for the fit, the report and, with --svg, one reliability
-diagram per scope.  The diagrams of --svg and of plot come from one
-writer that draws a scope from a report document, so plot on a saved
-report reproduces the --svg bytes.  apply writes calibrated.csv with
+diagram per scope, after checking that every one of them can be written.
+The diagrams of --svg and of plot come from one function that draws a
+scope from a report document, so plot on a saved report reproduces the
+--svg bytes.  apply writes calibrated.csv with
 core.write_matrix_csv, which also writes synth's fixture CSVs.
 
 Exit codes: 0 on success, 2 on input or validation errors, 3 on numerical
@@ -25,6 +26,7 @@ from .core import (
     load_dataset,
     output_dir,
     output_file,
+    output_paths,
     read_predictions,
     write_matrix_csv,
 )
@@ -170,20 +172,26 @@ def _model_tag(args) -> str:
     return stem.rsplit(".", 1)[0] if "." in stem else stem
 
 
-def _write_svg(doc: dict, scope: str, out_dir: str) -> str:
-    """Draw one scope's reliability diagram from a report document: every
+def _svg_name(scope: str) -> str:
+    # the name is UTF-8 on disk, as the contents are, whatever the locale
+    return os.fsdecode(f"reliability_{_slug(scope)}.svg".encode("utf-8"))
+
+
+def _svg(doc: dict, scope: str) -> str:
+    """One scope's reliability diagram drawn from a report document: every
     method's pooled curve overlaid, legend MCS values from the matching
-    rows.  Returns the path written."""
-    entries = [c for c in doc["curves"] if report_field(c, "scope", "curve") == scope]
-    methods = [report_field(entry, "method", "curve") for entry in entries]
+    rows."""
+    curves = report_field(doc, "curves", "document", "list")
+    entries = [c for c in curves if report_field(c, "scope", "curve", "string") == scope]
+    methods = [report_field(entry, "method", "curve", "string") for entry in entries]
     mcs_values = []
     for method in methods:
         row = next(
             (
                 r
-                for r in doc["rows"]
-                if report_field(r, "scope", "row") == scope
-                and report_field(r, "method", "row") == method
+                for r in report_field(doc, "rows", "document", "list")
+                if report_field(r, "scope", "row", "string") == scope
+                and report_field(r, "method", "row", "string") == method
             ),
             None,
         )
@@ -191,19 +199,13 @@ def _write_svg(doc: dict, scope: str, out_dir: str) -> str:
             raise ValidationError(
                 f"report row missing for scope {scope!r} method {method!r}"
             )
-        mcs_values.append(report_field(row, "mcs", "row"))
-    svg = render_reliability_svg(
+        mcs_values.append(report_field(row, "mcs", "row", "number"))
+    return render_reliability_svg(
         [curve_from_dict(entry) for entry in entries],
         labels=methods,
         mcs_values=mcs_values,
         title=scope,
     )
-    # the name is UTF-8 on disk, as the contents are, whatever the locale
-    name = os.fsdecode(f"reliability_{_slug(scope)}.svg".encode("utf-8"))
-    path = os.path.join(out_dir, name)
-    with output_file(path, "SVG") as fh:
-        fh.write(svg)
-    return path
 
 
 def _benchmark(args, split=None, methods=(), fit_cfg=None) -> int:
@@ -223,20 +225,22 @@ def _benchmark(args, split=None, methods=(), fit_cfg=None) -> int:
         include_per_class=args.per_class,
         model_tag=_model_tag(args),
     )
-    scopes = list(dict.fromkeys(c.scope for c in result.curves))
+    svgs = {}  # file name -> scope
     if args.svg:
-        drawn = {}
-        for scope in scopes:
-            other = drawn.setdefault(_slug(scope), scope)
+        for scope in dict.fromkeys(c.scope for c in result.curves):
+            other = svgs.setdefault(_svg_name(scope), scope)
             if other != scope:
                 raise ValidationError(
                     f"scopes {other!r} and {scope!r} would both be drawn to "
                     f"reliability_{_slug(scope)}.svg"
                 )
-    out_dir = output_dir(args.out)
+    files = {"params.json": "params"} if result.params else {}
+    files[f"report.{args.format}"] = "report"
+    files.update(dict.fromkeys(svgs, "SVG"))
+    paths = output_paths(args.out, files)
     params_docs = {}
     for label, (params, trace) in result.params.items():
-        params_docs[label] = save_params(params, trace, os.path.join(out_dir, "params.json"))
+        params_docs[label] = save_params(params, trace, paths["params.json"])
     report = Report(
         config=_echo(args),
         rows=result.rows,
@@ -244,11 +248,11 @@ def _benchmark(args, split=None, methods=(), fit_cfg=None) -> int:
         params=params_docs,
         split_summary=result.split_summary,
     )
-    emit_report(report, args.format, os.path.join(out_dir, f"report.{args.format}"))
-    if args.svg:
-        doc = report_to_dict(report)
-        for scope in scopes:
-            _write_svg(doc, scope, out_dir)
+    emit_report(report, args.format, paths[f"report.{args.format}"])
+    doc = report_to_dict(report) if svgs else None
+    for name, scope in svgs.items():
+        with output_file(paths[name], "SVG") as fh:
+            fh.write(_svg(doc, scope))
     return 0
 
 
@@ -311,10 +315,10 @@ def cmd_synth(args) -> int:
 
 def cmd_plot(args) -> int:
     doc = load_report(args.report)
-    curves_doc = doc.get("curves") or []
+    curves_doc = report_field(doc, "curves", "document", "list")
     if not curves_doc:
         raise ValidationError(f"report {args.report} carries no curves")
-    scopes = list(dict.fromkeys(report_field(c, "scope", "curve") for c in curves_doc))
+    scopes = list(dict.fromkeys(report_field(c, "scope", "curve", "string") for c in curves_doc))
     wanted = args.scope
     if wanted.lower() in POOLED_ALIAS:
         wanted = ALL_SCOPE if ALL_SCOPE in scopes else scopes[0]
@@ -322,7 +326,10 @@ def cmd_plot(args) -> int:
         raise ValidationError(
             f"scope {wanted!r} not in report (available: {', '.join(scopes)})"
         )
-    path = _write_svg(doc, wanted, output_dir(args.out))
+    svg = _svg(doc, wanted)
+    path = os.path.join(output_dir(args.out), _svg_name(wanted))
+    with output_file(path, "SVG") as fh:
+        fh.write(svg)
     print(f"wrote {path}")
     return 0
 

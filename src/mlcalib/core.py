@@ -6,7 +6,8 @@ matrix, class names, and a columnar :class:`Manifest` with one row per
 sample.  All arithmetic is float64; input files are parsed as decimal text.
 
 Files are read and written as UTF-8 whatever the locale; every output
-goes through :func:`output_file` and :func:`output_dir`.
+goes through :func:`output_file` and :func:`output_dir`, and a command
+that writes several checks them all first with :func:`output_paths`.
 """
 
 from __future__ import annotations
@@ -273,6 +274,28 @@ def output_dir(path: str) -> str:
     except OSError as exc:
         raise ValidationError(f"cannot create output directory {path}: {exc}") from exc
     return path
+
+
+def output_paths(out_dir: str, files: dict) -> dict:
+    """The path in ``out_dir``, created if needed, of each of a command's
+    output ``files`` (name -> kind).  Each is checked before the first
+    write: a directory, a file that cannot be written and a name too long
+    for the file system fail here, so a run that cannot write all its
+    outputs writes none."""
+    output_dir(out_dir)
+    paths = {}
+    for name, kind in files.items():
+        path = paths[name] = os.path.join(out_dir, name)
+        try:
+            os.stat(path)
+        except FileNotFoundError:
+            continue
+        except OSError as exc:
+            raise ValidationError(f"cannot write {kind} file {path}: {exc}") from exc
+        if os.path.isdir(path) or not os.access(path, os.W_OK):
+            why = "is a directory" if os.path.isdir(path) else "not writable"
+            raise ValidationError(f"cannot write {kind} file {path}: {why}")
+    return paths
 
 
 def write_matrix_csv(path: str, classes, ids, values) -> None:

@@ -9,6 +9,7 @@ from format strings with no timestamps or environment-dependent content.
 from __future__ import annotations
 
 import importlib.metadata
+import json
 import math
 from dataclasses import dataclass
 
@@ -142,7 +143,9 @@ def _row_dict(row: ReportRow) -> dict:
     return doc
 
 
-_BIN_FIELDS = ("index", "lower", "upper", "count", "conf", "acc")
+# each bin field and the JSON kind report_field reads it as
+_BIN_FIELDS = {"index": "count", "lower": "unit", "upper": "unit", "count": "count",
+               "conf": "unit", "acc": "unit"}
 
 
 def _curve_dict(entry: CurveEntry) -> dict:
@@ -154,23 +157,50 @@ def _curve_dict(entry: CurveEntry) -> dict:
     }
 
 
-def report_field(doc, key: str, where: str):
-    """``doc[key]`` of an entry read back from a report; a missing key is a
-    ValidationError naming it and the kind of entry (``where``)."""
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the JSON kinds of report_field: a description and a test of the value
+_KINDS = {
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "number": ("a finite number", lambda v: _number(v) and math.isfinite(v)),
+    "count": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "unit": ("a number in [0, 1]", lambda v: _number(v) and 0.0 <= v <= 1.0),
+    "null": ("null", lambda v: v is None),
+}
+
+
+def report_field(doc, key: str, where: str, kind: str):
+    """``doc[key]`` of an entry read back from a report, which must be of
+    the JSON ``kind`` (a key of ``_KINDS``).  A missing key or a value of
+    another kind is a ValidationError naming the key and the kind of entry
+    (``where``)."""
     if not isinstance(doc, dict) or key not in doc:
         raise ValidationError(f"report {where} lacks key {key!r}")
-    return doc[key]
+    value = doc[key]
+    name, test = _KINDS[kind]
+    if not test(value):
+        raise ValidationError(
+            f"report {where} key {key!r} must be {name}, got {json.dumps(value)}"
+        )
+    return value
 
 
 def curve_from_dict(doc: dict) -> ReliabilityCurve:
-    """Rebuild the curve of one ``curves`` entry of a report document."""
-    bins = tuple(
-        BinStats(*(report_field(b, key, "curve bin") for key in _BIN_FIELDS))
-        for b in report_field(doc, "bins", "curve")
-    )
-    return ReliabilityCurve(
-        bins=bins, n=report_field(doc, "n", "curve"), scope=report_field(doc, "scope", "curve")
-    )
+    """Rebuild the curve of one ``curves`` entry of a report document.  Each
+    field is checked as the writer writes it: an empty bin's conf and acc
+    are null."""
+    bins = []
+    for b in report_field(doc, "bins", "curve", "list"):
+        empty = report_field(b, "count", "curve bin", "count") == 0
+        bins.append(BinStats(*(
+            report_field(b, key, "curve bin", "null" if empty and key in ("conf", "acc") else kind)
+            for key, kind in _BIN_FIELDS.items()
+        )))
+    return ReliabilityCurve(bins=tuple(bins), n=report_field(doc, "n", "curve", "count"),
+                            scope=report_field(doc, "scope", "curve", "string"))
 
 
 def report_to_dict(report: Report) -> dict:

@@ -119,7 +119,11 @@ class ScalingParams:
             bias = doc["b"]
         except KeyError as exc:
             raise ValidationError(f"params document missing key {exc}") from exc
-        classes = tuple(doc["classes"]) if "classes" in doc else None
+        classes = doc.get("classes")
+        if "classes" in doc and not (
+            isinstance(classes, list) and all(isinstance(c, str) for c in classes)
+        ):
+            raise ValidationError(f"params classes must be a list of strings, got {classes!r}")
         tau_arr = _json_numbers(tau, "tau")
         bias_arr = _json_numbers(bias, "b")
         outside = (tau_arr < _TAU_MIN) | (tau_arr > _TAU_MAX)
@@ -145,7 +149,10 @@ def _json_numbers(value, name: str) -> np.ndarray:
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
         raise ValidationError(f"params {name} must be a number or a list of numbers, "
                               f"got {value!r}")
-    return np.asarray(value, dtype=np.float64)
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        raise ValidationError(f"params {name} holds an integer too large for a float") from None
 
 
 @dataclass(frozen=True)

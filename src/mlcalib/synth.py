@@ -10,13 +10,12 @@ generation is reproducible element-wise and order-independent.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EvalDataset, Manifest, ValidationError, dumps_canonical, output_dir,
-                   output_file, sigmoid, write_matrix_csv)
+from .core import (EvalDataset, Manifest, ValidationError, dumps_canonical, output_file,
+                   output_paths, sigmoid, write_matrix_csv)
 
 _STREAM_LOGITS = 0
 _STREAM_LABELS = 1
@@ -68,15 +67,20 @@ class SynthConfig:
     latent: LatentSpec = LatentSpec()
 
     def __post_init__(self):
+        # every setting is checked before anything is generated, by name
         if self.n < 1 or self.c < 1:
             raise ValidationError(f"N and C must be >= 1, got N={self.n}, C={self.c}")
-        true_t = np.asarray(self.true_t, dtype=np.float64)
-        if not np.all(np.isfinite(true_t) & (true_t > 0)):
-            raise ValidationError(f"true_T must be finite and > 0, got {self.true_t}")
-        if not np.all(np.isfinite(np.asarray(self.true_b, dtype=np.float64))):
-            raise ValidationError(f"true_b must be finite, got {self.true_b}")
-        if self.clip_duration_s <= 0:
-            raise ValidationError(f"clip_duration_s must be > 0, got {self.clip_duration_s}")
+        for name, value, positive in (
+            ("true_T", self.true_t, True),
+            ("true_b", self.true_b, False),
+            ("clip_duration_s", self.clip_duration_s, True),
+            ("latent stddev", self.latent.stddev, True),
+            ("latent means", () if self.latent.means is None else self.latent.means, False),
+        ):
+            arr = np.asarray(value, dtype=np.float64)
+            if not np.all(np.isfinite(arr) & (arr > 0 if positive else True)):
+                rule = "finite and > 0" if positive else "finite"
+                raise ValidationError(f"{name} must be {rule}, got {value}")
 
 
 def _per_class(value, c: int, name: str) -> np.ndarray:
@@ -108,8 +112,6 @@ def generate(cfg: SynthConfig):
 
     means = latent_means(cfg)
     stddev = _per_class(cfg.latent.stddev, cfg.c, "latent stddev")
-    if np.any(stddev <= 0):
-        raise ValidationError("latent stddev must be > 0")
     true_t = _per_class(cfg.true_t, cfg.c, "true_T")
     true_b = _per_class(cfg.true_b, cfg.c, "true_b")
 
@@ -151,13 +153,9 @@ def write_fixture(cfg: SynthConfig, out_dir: str) -> dict:
     truth.json under out_dir; returns the path map.
     """
     dataset, truth = generate(cfg)
-    output_dir(out_dir)
-    paths = {
-        "predictions": os.path.join(out_dir, "predictions.csv"),
-        "labels": os.path.join(out_dir, "labels.csv"),
-        "manifest": os.path.join(out_dir, "manifest.json"),
-        "truth": os.path.join(out_dir, "truth.json"),
-    }
+    files = {"predictions.csv": "CSV", "labels.csv": "CSV", "manifest.json": "manifest",
+             "truth.json": "truth"}
+    paths = {name.split(".")[0]: path for name, path in output_paths(out_dir, files).items()}
     meta = dataset.meta
     write_matrix_csv(paths["predictions"], dataset.classes, meta.sample_id, dataset.logits)
     # int cells print as 0 and 1, as labels files carry them

@@ -341,6 +341,42 @@ class TestPlotCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(key) in err
 
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ("document", "curves", {"scope": "synth"}),
+            ("document", "rows", 5),
+            ("curve", "bins", "none"),
+            ("curve bin", "count", "3"),
+            ("curve bin", "count", -1),
+            ("curve bin", "conf", "0.5"),
+            ("curve bin", "conf", 7.0),
+            ("curve bin", "acc", -0.5),
+            ("curve", "scope", ["synth"]),
+            ("curve", "n", "200"),
+            ("row", "mcs", "0.1"),
+            ("row", "mcs", float("nan")),
+        ],
+        ids=["curves-object", "rows-number", "bins-string", "count-string", "count-negative",
+             "conf-string", "conf-above-1", "acc-below-0", "scope-list", "n-string",
+             "mcs-string", "mcs-nan"],
+    )
+    def test_field_of_wrong_kind_exits_2(self, tmp_path, capsys, small, where, key, value):
+        with open(small["report"], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        entries = {"document": [doc], "curve": doc["curves"], "row": doc["rows"],
+                   "curve bin": [b for c in doc["curves"] for b in c["bins"] if b["count"]]}
+        for entry in entries[where]:
+            entry[key] = value
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        out = tmp_path / "plots"
+        assert main(["plot", "--report", str(broken), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: report {where} key {key!r} must be ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def small(tmp_path_factory):
@@ -433,8 +469,9 @@ class TestInputBoundaries:
         [("1.0", 0.0, "params tau must be a number"),
          (0.0, None, "params b must be a number"),
          (800.0, 0.0, "params tau must lie in"),
-         (-7.0, 0.0, "params tau must lie in")],
-        ids=["string-tau", "null-b", "tau-800", "tau-below-t-min"],
+         (-7.0, 0.0, "params tau must lie in"),
+         (10**400, 0.0, "params tau holds an integer too large for a float")],
+        ids=["string-tau", "null-b", "tau-800", "tau-below-t-min", "tau-huge-int"],
     )
     def test_apply_rejects_bad_params(self, tmp_path, capsys, small, tau, b, want):
         params = tmp_path / "params.json"
@@ -443,6 +480,20 @@ class TestInputBoundaries:
                      "--out", str(tmp_path / "ap")])
         assert code == 2
         assert want in capsys.readouterr().err
+        assert not (tmp_path / "ap").exists()
+
+    @pytest.mark.parametrize("classes", [5, None, "abc", ["a", 2, "c"]],
+                             ids=["number", "null", "string", "list-with-number"])
+    def test_apply_rejects_params_classes_other_than_strings(self, tmp_path, capsys, small,
+                                                             classes):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"method": "ps", "scope": "per-class", "classes": classes,
+                                      "tau": [0.0] * 3, "b": [0.0] * 3}))
+        code = main(["apply", "--predictions", small["predictions"], "--params", str(params),
+                     "--out", str(tmp_path / "ap")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: params classes must be a list of strings, got {classes!r}\n"
         assert not (tmp_path / "ap").exists()
 
     @pytest.mark.parametrize("edge", ["t-min", "t-max"])
@@ -468,6 +519,26 @@ class TestInputBoundaries:
         assert main(["synth", "--n", "10", "--classes", "2", flag, "--out", str(out)]) == 2
         name = "true_T" if "true-t" in flag else "true_b"
         assert f"error: {name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, want",
+        [("--clip-duration=inf", "clip_duration_s must be finite and > 0, got inf"),
+         ("--clip-duration=nan", "clip_duration_s must be finite and > 0, got nan"),
+         ("--clip-duration=0", "clip_duration_s must be finite and > 0, got 0.0"),
+         ("--stddev=nan", "latent stddev must be finite and > 0, got nan"),
+         ("--stddev=inf", "latent stddev must be finite and > 0, got inf"),
+         ("--stddev=-1", "latent stddev must be finite and > 0, got -1.0"),
+         ("--latent-means=nan,0", "latent means must be finite, got (nan, 0.0)"),
+         ("--latent-means=inf,0", "latent means must be finite, got (inf, 0.0)")],
+        ids=["duration-inf", "duration-nan", "duration-0", "stddev-nan", "stddev-inf",
+             "stddev-negative", "means-nan", "means-inf"],
+    )
+    @pytest.mark.filterwarnings("error")  # numpy warned on an infinite duration
+    def test_synth_flags_checked_before_generating(self, tmp_path, capsys, flag, want):
+        out = tmp_path / "fx"
+        assert main(["synth", "--n", "10", "--classes", "2", flag, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("probabilities", [False, True], ids=["logits", "probabilities"])
@@ -584,6 +655,34 @@ class TestOutputs:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
         assert str(out / name) in err
+
+    @pytest.mark.parametrize(
+        "command, flags, name",
+        [
+            ("fit", (), "report.json"),
+            ("evaluate", ("--svg",), "reliability_synth.svg"),
+            ("synth", (), "labels.csv"),
+            ("synth", (), "manifest.json"),
+            ("synth", (), "truth.json"),
+        ],
+        ids=["fit-report", "svg", "synth-labels", "synth-manifest", "synth-truth"],
+    )
+    def test_run_that_cannot_write_an_output_writes_none(self, tmp_path, capsys, small,
+                                                         command, flags, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main([*_argv(command, small, out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and str(out / name) in err
+        assert os.listdir(out) == [name]
+
+    def test_svg_name_too_long_writes_nothing(self, tmp_path, capsys, small):
+        paths = _two_datasets(tmp_path, small, "n" * 300, "south")
+        out = tmp_path / "out"
+        assert main([*_argv("evaluate", paths, out), "--svg"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write SVG file ") and "too long" in err
+        assert os.listdir(out) == []
 
     def test_report_csv_reads_back_any_scope_name(self, tmp_path, small):
         names = ["a\nb", "c\rd", "e,f", 'g"h']
