@@ -23,6 +23,7 @@ import sys
 from .core import (
     NumericalError,
     ValidationError,
+    json_field,
     load_dataset,
     output_dir,
     output_file,
@@ -37,7 +38,6 @@ from .report import (
     emit_report,
     load_report,
     render_reliability_svg,
-    report_field,
     report_to_dict,
 )
 from .scaling import PER_CLASS, FitConfig, apply_scaling, load_params, save_params
@@ -181,17 +181,17 @@ def _svg(doc: dict, scope: str) -> str:
     """One scope's reliability diagram drawn from a report document: every
     method's pooled curve overlaid, legend MCS values from the matching
     rows."""
-    curves = report_field(doc, "curves", "document", "list")
-    entries = [c for c in curves if report_field(c, "scope", "curve", "string") == scope]
-    methods = [report_field(entry, "method", "curve", "string") for entry in entries]
+    curves = json_field(doc, "curves", "report document", "list")
+    entries = [c for c in curves if json_field(c, "scope", "report curve", "string") == scope]
+    methods = [json_field(entry, "method", "report curve", "string") for entry in entries]
     mcs_values = []
     for method in methods:
         row = next(
             (
                 r
-                for r in report_field(doc, "rows", "document", "list")
-                if report_field(r, "scope", "row", "string") == scope
-                and report_field(r, "method", "row", "string") == method
+                for r in json_field(doc, "rows", "report document", "list")
+                if json_field(r, "scope", "report row", "string") == scope
+                and json_field(r, "method", "report row", "string") == method
             ),
             None,
         )
@@ -199,7 +199,7 @@ def _svg(doc: dict, scope: str) -> str:
             raise ValidationError(
                 f"report row missing for scope {scope!r} method {method!r}"
             )
-        mcs_values.append(report_field(row, "mcs", "row", "number"))
+        mcs_values.append(json_field(row, "mcs", "report row", "finite"))
     return render_reliability_svg(
         [curve_from_dict(entry) for entry in entries],
         labels=methods,
@@ -272,11 +272,13 @@ def cmd_fit(args) -> int:
 def cmd_apply(args) -> int:
     classes, ids, logits, _ = read_predictions(args.predictions, args.probabilities, args.eps)
     params = load_params(args.params)
-    if params.scope == PER_CLASS and tuple(params.classes) != classes:
-        raise ValidationError(
-            "params classes do not match predictions classes "
-            f"({len(params.classes)} vs {len(classes)})"
-        )
+    if params.scope == PER_CLASS and params.classes != classes:
+        if len(params.classes) != len(classes):
+            why = f"({len(params.classes)} vs {len(classes)})"
+        else:
+            j = next(j for j, (a, b) in enumerate(zip(params.classes, classes)) if a != b)
+            why = f"at position {j} ({params.classes[j]!r} vs {classes[j]!r})"
+        raise ValidationError(f"params classes do not match predictions classes {why}")
     conf = apply_scaling(logits, params)
     write_matrix_csv(os.path.join(output_dir(args.out), "calibrated.csv"), classes, ids, conf)
     return 0
@@ -315,10 +317,10 @@ def cmd_synth(args) -> int:
 
 def cmd_plot(args) -> int:
     doc = load_report(args.report)
-    curves_doc = report_field(doc, "curves", "document", "list")
-    if not curves_doc:
+    curves = json_field(doc, "curves", "report document", "list")
+    if not curves:
         raise ValidationError(f"report {args.report} carries no curves")
-    scopes = list(dict.fromkeys(report_field(c, "scope", "curve", "string") for c in curves_doc))
+    scopes = list(dict.fromkeys(json_field(c, "scope", "report curve", "string") for c in curves))
     wanted = args.scope
     if wanted.lower() in POOLED_ALIAS:
         wanted = ALL_SCOPE if ALL_SCOPE in scopes else scopes[0]

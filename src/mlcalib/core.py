@@ -8,6 +8,8 @@ sample.  All arithmetic is float64; input files are parsed as decimal text.
 Files are read and written as UTF-8 whatever the locale; every output
 goes through :func:`output_file` and :func:`output_dir`, and a command
 that writes several checks them all first with :func:`output_paths`.
+Every JSON field that the manifest, params and report loaders read is
+checked against one table of kinds, through :func:`json_field`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -71,7 +74,7 @@ def inverse_sigmoid(p, eps: float = 1e-7):
     if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
         bad = int(np.argmax((arr < 0.0) | (arr > 1.0) | ~np.isfinite(arr)))
         raise ValidationError(
-            f"probability outside [0, 1] at flat index {bad}: {arr.flat[bad]!r}"
+            f"probability outside [0, 1] at flat index {bad}: {float(arr.flat[bad])!r}"
         )
     clamped = np.clip(arr, eps, 1.0 - eps)
     out = np.log(clamped / (1.0 - clamped))
@@ -194,7 +197,7 @@ class EvalDataset:
         if np.any(bad):
             i, c = np.unravel_index(int(np.argmax(bad)), labels.shape)
             raise ValidationError(
-                f"non-binary label (row {i}, class {self.classes[c]}): {labels[i, c]!r}"
+                f"non-binary label (row {i}, class {self.classes[c]}): {float(labels[i, c])!r}"
             )
         probs = self.probs
         if probs is not None:
@@ -432,15 +435,40 @@ def _is_float(text: str) -> bool:
         return False
 
 
-# the JSON types of each manifest field: ids are strings or integers (read
-# as their decimal text), times are numbers; type() is exact, so true and
-# false, which are ints to isinstance, are refused
-_MANIFEST_FIELDS = {
-    "sample_id": ((str, int), "a string or an integer"),
-    "dataset_id": ((str, int), "a string or an integer"),
-    "start_s": ((int, float), "a number"),
-    "duration_s": ((int, float), "a number"),
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# every JSON kind a loader reads, as a description and a test of the value;
+# a bool is never a number, "number" takes NaN and infinities, and "finite"
+# refuses an integer too large for a float
+_KINDS = {
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "id": ("a string or an integer", lambda v: type(v) in (str, int)),
+    "number": ("a number", _number),
+    "finite": ("a finite number", lambda v: _number(v) and abs(v) <= sys.float_info.max),
+    "count": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "unit": ("a number in [0, 1]", lambda v: _number(v) and 0.0 <= v <= 1.0),
+    "null": ("null", lambda v: v is None),
+    "numbers": ("a number or a list of numbers",
+                lambda v: _number(v) or isinstance(v, list) and all(map(_number, v))),
+    "strings": ("a list of strings",
+                lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
 }
+
+
+def json_field(doc, key: str, where: str, kind: str):
+    """``doc[key]``, which must be of the JSON ``kind`` (a key of ``_KINDS``).
+    A missing key, a ``doc`` that is not an object and a value of another
+    kind are ValidationErrors that name ``where`` the entry sits and the key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValidationError(f"{where} missing key {key!r}")
+    value = doc[key]
+    name, test = _KINDS[kind]
+    if not test(value):
+        raise ValidationError(f"{where} key {key!r} must be {name}, got {json.dumps(value)}")
+    return value
 
 
 def read_json(path: str, kind: str):
@@ -515,30 +543,29 @@ def dumps_canonical(obj, indent: int = 2) -> str:
     return "".join(out)
 
 
+# each manifest field and its JSON kind; ids are read as their decimal text
+_MANIFEST_KINDS = dict(sample_id="id", dataset_id="id", start_s="number", duration_s="number")
+
+
 def _read_manifest(path: str) -> Manifest:
     doc = read_json(path, "manifest")
     if not isinstance(doc, list):
         raise ValidationError(f"manifest file {path} must be a JSON array")
-    for i, row in enumerate(doc):
-        if not isinstance(row, dict):
-            raise ValidationError(f"manifest file {path} row {i} is not an object")
-        missing = _MANIFEST_FIELDS.keys() - row.keys()
-        if missing:
-            raise ValidationError(
-                f"manifest file {path} row {i} missing {sorted(missing)}"
-            )
-        for name, (types, kind) in _MANIFEST_FIELDS.items():
-            if type(row[name]) not in types:
-                raise ValidationError(
-                    f"manifest file {path} row {i}: {name} must be {kind}, "
-                    f"got {json.dumps(row[name])}"
-                )
+    try:  # a field at a time; only a failure looks for the first bad row
+        valid = all(all(map(_KINDS[kind][1], map(itemgetter(name), doc)))
+                    for name, kind in _MANIFEST_KINDS.items())
+    except (KeyError, TypeError):  # a row lacks a key or is not an object
+        valid = False
+    if not valid:
+        for i, row in enumerate(doc):
+            for name, kind in _MANIFEST_KINDS.items():
+                json_field(row, name, f"manifest file {path} row {i}", kind)
     try:
         return Manifest(
-            sample_id=tuple(str(row["sample_id"]) for row in doc),
-            dataset_id=tuple(str(row["dataset_id"]) for row in doc),
-            start_s=[float(row["start_s"]) for row in doc],
-            duration_s=[float(row["duration_s"]) for row in doc],
+            sample_id=tuple(map(str, map(itemgetter("sample_id"), doc))),
+            dataset_id=tuple(map(str, map(itemgetter("dataset_id"), doc))),
+            start_s=list(map(float, map(itemgetter("start_s"), doc))),
+            duration_s=list(map(float, map(itemgetter("duration_s"), doc))),
         )
     except ValidationError as exc:
         raise ValidationError(f"manifest file {path} {exc}") from None
@@ -565,7 +592,7 @@ def read_predictions(path: str, inputs_are_probabilities: bool = False, eps: flo
         i, c = np.unravel_index(int(np.argmax(bad)), values.shape)
         where = f"(row {i}, class {classes[c]}) in {path}"
         if inputs_are_probabilities:
-            raise ValidationError(f"probability outside [0, 1] {where}: {values[i, c]!r}")
+            raise ValidationError(f"probability outside [0, 1] {where}: {float(values[i, c])!r}")
         raise ValidationError(f"non-finite value {where}")
     if inputs_are_probabilities:
         return classes, ids, inverse_sigmoid(values, eps), values

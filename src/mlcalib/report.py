@@ -4,16 +4,17 @@ All emitters are byte-deterministic: JSON is ``core.dumps_canonical``
 text (17 significant digits, a lossless float64 round trip), CSV floats
 have 4 decimals and cells quoted by ``core.csv_field``, and the SVG comes
 from format strings with no timestamps or environment-dependent content.
+A report read back for plotting has each field checked by
+``core.json_field``, as the writer writes it.
 """
 
 from __future__ import annotations
 
 import importlib.metadata
-import json
 import math
 from dataclasses import dataclass
 
-from .core import ValidationError, csv_field, dumps_canonical, output_file, read_json
+from .core import ValidationError, csv_field, dumps_canonical, json_field, output_file, read_json
 from .metrics import BinStats, CalibrationScores, ReliabilityCurve, calibration_scores
 
 try:
@@ -143,7 +144,7 @@ def _row_dict(row: ReportRow) -> dict:
     return doc
 
 
-# each bin field and the JSON kind report_field reads it as
+# each bin field and the JSON kind core.json_field reads it as
 _BIN_FIELDS = {"index": "count", "lower": "unit", "upper": "unit", "count": "count",
                "conf": "unit", "acc": "unit"}
 
@@ -157,50 +158,20 @@ def _curve_dict(entry: CurveEntry) -> dict:
     }
 
 
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# the JSON kinds of report_field: a description and a test of the value
-_KINDS = {
-    "list": ("a list", lambda v: isinstance(v, list)),
-    "string": ("a string", lambda v: isinstance(v, str)),
-    "number": ("a finite number", lambda v: _number(v) and math.isfinite(v)),
-    "count": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
-    "unit": ("a number in [0, 1]", lambda v: _number(v) and 0.0 <= v <= 1.0),
-    "null": ("null", lambda v: v is None),
-}
-
-
-def report_field(doc, key: str, where: str, kind: str):
-    """``doc[key]`` of an entry read back from a report, which must be of
-    the JSON ``kind`` (a key of ``_KINDS``).  A missing key or a value of
-    another kind is a ValidationError naming the key and the kind of entry
-    (``where``)."""
-    if not isinstance(doc, dict) or key not in doc:
-        raise ValidationError(f"report {where} lacks key {key!r}")
-    value = doc[key]
-    name, test = _KINDS[kind]
-    if not test(value):
-        raise ValidationError(
-            f"report {where} key {key!r} must be {name}, got {json.dumps(value)}"
-        )
-    return value
-
-
 def curve_from_dict(doc: dict) -> ReliabilityCurve:
     """Rebuild the curve of one ``curves`` entry of a report document.  Each
     field is checked as the writer writes it: an empty bin's conf and acc
     are null."""
     bins = []
-    for b in report_field(doc, "bins", "curve", "list"):
-        empty = report_field(b, "count", "curve bin", "count") == 0
+    for b in json_field(doc, "bins", "report curve", "list"):
+        empty = json_field(b, "count", "report curve bin", "count") == 0
         bins.append(BinStats(*(
-            report_field(b, key, "curve bin", "null" if empty and key in ("conf", "acc") else kind)
+            json_field(b, key, "report curve bin",
+                       "null" if empty and key in ("conf", "acc") else kind)
             for key, kind in _BIN_FIELDS.items()
         )))
-    return ReliabilityCurve(bins=tuple(bins), n=report_field(doc, "n", "curve", "count"),
-                            scope=report_field(doc, "scope", "curve", "string"))
+    return ReliabilityCurve(bins=tuple(bins), n=json_field(doc, "n", "report curve", "count"),
+                            scope=json_field(doc, "scope", "report curve", "string"))
 
 
 def report_to_dict(report: Report) -> dict:

@@ -9,16 +9,19 @@ usually within ten iterations.  One kernel, ``_slopes``, gives each
 column's BCE gradient and Hessian in (a, b): the solver steps on it and
 :func:`gradients` is its chain rule into (tau, b).  Global parameters are
 0-d arrays and per-class ones vectors, so only the choice of columns to
-solve depends on the scope.  Everything is deterministic.
+solve depends on the scope.  A params document's fields are read through
+``core.json_field``.  Everything is deterministic.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import NumericalError, ValidationError, dumps_canonical, output_file, read_json, sigmoid
+from .core import (NumericalError, ValidationError, dumps_canonical, json_field, output_file,
+                   read_json, sigmoid)
 
 TS = "ts"
 PS = "ps"
@@ -40,6 +43,7 @@ _NEWTON_TOL = 1e-10  # squared Newton decrement per row at which a column stops
 _NEWTON_RIDGE = 1e-12  # Hessian damping per row, keeps constant columns solvable
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the backtracking line search
 _MIN_STEP = 2.0**-40  # backtracking gives up below this fraction of its first step
+_T_RTOL = 1e-12  # how far a params document's T may stray from exp(tau)
 
 
 @dataclass(frozen=True)
@@ -112,47 +116,39 @@ class ScalingParams:
 
     @classmethod
     def from_json_dict(cls, doc: dict):
-        try:
-            method = doc["method"]
-            scope = doc["scope"]
-            tau = doc["tau"]
-            bias = doc["b"]
-        except KeyError as exc:
-            raise ValidationError(f"params document missing key {exc}") from exc
-        classes = doc.get("classes")
-        if "classes" in doc and not (
-            isinstance(classes, list) and all(isinstance(c, str) for c in classes)
-        ):
-            raise ValidationError(f"params classes must be a list of strings, got {classes!r}")
-        tau_arr = _json_numbers(tau, "tau")
-        bias_arr = _json_numbers(bias, "b")
-        outside = (tau_arr < _TAU_MIN) | (tau_arr > _TAU_MAX)
+        """The params read back from a document ``to_json_dict`` wrote.  Its
+        ``T``, when present, must be ``exp(tau)`` within a relative _T_RTOL."""
+        where = "params document"
+        arrays = {}
+        for key in ("tau", "b", "T") if "T" in doc else ("tau", "b"):
+            try:
+                arrays[key] = np.asarray(json_field(doc, key, where, "numbers"), dtype=np.float64)
+            except OverflowError:
+                raise ValidationError(
+                    f"params {key} holds an integer too large for a float") from None
+        tau = arrays["tau"]
+        outside = (tau < _TAU_MIN) | (tau > _TAU_MAX)
         if np.any(outside):
             raise ValidationError(
                 f"params tau must lie in [{_TAU_MIN!r}, {_TAU_MAX!r}] "
-                f"(T in [{T_MIN:g}, {T_MAX:g}]), got {float(tau_arr[outside][0])!r}"
+                f"(T in [{T_MIN:g}, {T_MAX:g}]), got {float(tau[outside][0])!r}"
             )
-        return cls(
-            method=method,
-            scope=scope,
-            tau=tau_arr,
-            bias=bias_arr,
-            classes=classes,
-            fitted_on=str(doc.get("fitted_on", "")),
+        params = cls(
+            method=json_field(doc, "method", where, "string"),
+            scope=json_field(doc, "scope", where, "string"),
+            tau=tau,
+            bias=arrays["b"],
+            classes=json_field(doc, "classes", where, "strings") if "classes" in doc else None,
+            fitted_on=json_field(doc, "fitted_on", where, "string") if "fitted_on" in doc else "",
         )
-
-
-def _json_numbers(value, name: str) -> np.ndarray:
-    """A params document's ``name`` entry, a JSON number or a list of them,
-    as a 0-d or 1-d float64 array; ScalingParams checks it fits the scope."""
-    items = value if isinstance(value, list) else [value]
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
-        raise ValidationError(f"params {name} must be a number or a list of numbers, "
-                              f"got {value!r}")
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except OverflowError:
-        raise ValidationError(f"params {name} holds an integer too large for a float") from None
+        temperature = params.temperature
+        if "T" in doc and not (arrays["T"].shape == tau.shape and np.all(
+                np.abs(arrays["T"] - temperature) <= _T_RTOL * temperature)):
+            raise ValidationError(
+                f"params T must equal exp(tau) within a relative {_T_RTOL:g}, got "
+                f"T = {json.dumps(doc['T'])} for tau = {json.dumps(doc['tau'])}"
+            )
+        return params
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,8 @@ class SynthConfig:
         # every setting is checked before anything is generated, by name
         if self.n < 1 or self.c < 1:
             raise ValidationError(f"N and C must be >= 1, got N={self.n}, C={self.c}")
+        if not 0 <= self.seed < 2**64:  # the generator keys on a uint64
+            raise ValidationError(f"seed must be in [0, 2**64), got {self.seed}")
         for name, value, positive in (
             ("true_T", self.true_t, True),
             ("true_b", self.true_b, False),

@@ -1,12 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlcalib.cli import main
 from mlcalib.core import _read_matrix_csv, sigmoid
@@ -249,11 +254,29 @@ class TestApplyCommand:
         assert code == 2
         assert "do not match" in capsys.readouterr().err
 
+    def test_per_class_order_mismatch_names_the_position(self, tmp_path, capsys):
+        paths = _synth(tmp_path / "fx", n=50, c=3)
+        params = ScalingParams(
+            method="ps", scope="per-class",
+            tau=np.zeros(3), bias=np.zeros(3),
+            classes=("class_001", "class_000", "class_002"),
+        )
+        save_params(params, None, str(tmp_path / "params.json"))
+        code = main(["apply", "--predictions", paths["predictions"],
+                     "--params", str(tmp_path / "params.json"),
+                     "--out", str(tmp_path / "ap")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: params classes do not match predictions classes at position 0 "
+            "('class_001' vs 'class_000')\n")
+        assert not (tmp_path / "ap").exists()
+
     @pytest.mark.parametrize(
         "cells, flags, want",
         [
-            ("0.25,0.5\ns1,0.75,1.5", ["--probabilities"], "probability outside [0, 1] (row 1, class b)"),
-            ("nan,0.5\ns1,0.75,1.5", [], "non-finite value (row 0, class a)"),
+            ("0.25,0.5\ns1,0.75,1.5", ["--probabilities"],
+             "probability outside [0, 1] (row 1, class b) in {pred}: 1.5"),
+            ("nan,0.5\ns1,0.75,1.5", [], "non-finite value (row 0, class a) in {pred}"),
         ],
         ids=["probability-out-of-range", "nan-logit"],
     )
@@ -266,7 +289,7 @@ class TestApplyCommand:
                      "--params", str(tmp_path / "params.json"),
                      "--out", str(tmp_path / "ap")])
         assert code == 2
-        assert want in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {want.format(pred=pred)}\n"
         assert not (tmp_path / "ap").exists()
 
 
@@ -356,10 +379,11 @@ class TestPlotCommand:
             ("curve", "n", "200"),
             ("row", "mcs", "0.1"),
             ("row", "mcs", float("nan")),
+            ("row", "mcs", 10**400),
         ],
         ids=["curves-object", "rows-number", "bins-string", "count-string", "count-negative",
              "conf-string", "conf-above-1", "acc-below-0", "scope-list", "n-string",
-             "mcs-string", "mcs-nan"],
+             "mcs-string", "mcs-nan", "mcs-int-too-large-for-a-float"],
     )
     def test_field_of_wrong_kind_exits_2(self, tmp_path, capsys, small, where, key, value):
         with open(small["report"], encoding="utf-8") as fh:
@@ -466,8 +490,8 @@ class TestInputBoundaries:
 
     @pytest.mark.parametrize(
         "tau, b, want",
-        [("1.0", 0.0, "params tau must be a number"),
-         (0.0, None, "params b must be a number"),
+        [("1.0", 0.0, "params document key 'tau' must be a number"),
+         (0.0, None, "params document key 'b' must be a number"),
          (800.0, 0.0, "params tau must lie in"),
          (-7.0, 0.0, "params tau must lie in"),
          (10**400, 0.0, "params tau holds an integer too large for a float")],
@@ -493,8 +517,55 @@ class TestInputBoundaries:
                      "--out", str(tmp_path / "ap")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err == f"error: params classes must be a list of strings, got {classes!r}\n"
+        assert err == ("error: params document key 'classes' must be a list of strings, "
+                       f"got {json.dumps(classes)}\n")
         assert not (tmp_path / "ap").exists()
+
+    @pytest.mark.parametrize(
+        "scope, t, want",
+        [("per-class", [5, 5, 5], "T = [5, 5, 5] for tau = [0.0, 0.0, 0.0]"),
+         ("per-class", 1.0, "T = 1.0 for tau = [0.0, 0.0, 0.0]"),
+         ("per-class", [1.0, 1.0], "T = [1.0, 1.0] for tau = [0.0, 0.0, 0.0]"),
+         ("global", [1.0], "T = [1.0] for tau = 0.0"),
+         ("global", 1.0 + 1e-11, "T = 1.00000000001 for tau = 0.0"),
+         ("global", float("nan"), "T = NaN for tau = 0.0")],
+        ids=["hand-edited", "scalar-for-vector", "too-short", "list-for-scalar",
+             "off-by-1e-11", "nan"],
+    )
+    def test_apply_rejects_t_that_disagrees_with_tau(self, tmp_path, capsys, small, scope, t,
+                                                     want):
+        doc = {"method": "ps", "scope": scope, "tau": 0.0, "T": t, "b": 0.0}
+        if scope == "per-class":
+            doc.update(classes=["class_000", "class_001", "class_002"], tau=[0.0] * 3,
+                       b=[0.0] * 3)
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(doc))
+        code = main(["apply", "--predictions", small["predictions"], "--params", str(params),
+                     "--out", str(tmp_path / "ap")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: params T must equal exp(tau) within a relative 1e-12, got {want}\n")
+        assert not (tmp_path / "ap").exists()
+
+    @pytest.mark.parametrize("t", [None, 1.0 + 1e-13], ids=["without-t", "t-within-1e-12"])
+    def test_apply_accepts_params_whose_t_is_absent_or_agrees(self, tmp_path, small, t):
+        doc = {"method": "ps", "scope": "global", "tau": 0.0, "b": 0.0}
+        if t is not None:
+            doc["T"] = t
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(doc))
+        assert main(["apply", "--predictions", small["predictions"], "--params", str(params),
+                     "--out", str(tmp_path / "ap")]) == 0
+
+    def test_apply_rejects_fitted_on_other_than_a_string(self, tmp_path, capsys, small):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"method": "ts", "scope": "global", "tau": 0.0, "b": 0,
+                                      "fitted_on": 5}))
+        code = main(["apply", "--predictions", small["predictions"], "--params", str(params),
+                     "--out", str(tmp_path / "ap")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: params document key 'fitted_on' must be a string, got 5\n")
 
     @pytest.mark.parametrize("edge", ["t-min", "t-max"])
     def test_clamped_fit_params_apply(self, tmp_path, small, edge):
@@ -530,9 +601,11 @@ class TestInputBoundaries:
          ("--stddev=inf", "latent stddev must be finite and > 0, got inf"),
          ("--stddev=-1", "latent stddev must be finite and > 0, got -1.0"),
          ("--latent-means=nan,0", "latent means must be finite, got (nan, 0.0)"),
-         ("--latent-means=inf,0", "latent means must be finite, got (inf, 0.0)")],
+         ("--latent-means=inf,0", "latent means must be finite, got (inf, 0.0)"),
+         ("--seed=-1", "seed must be in [0, 2**64), got -1"),
+         (f"--seed={2**64}", f"seed must be in [0, 2**64), got {2**64}")],
         ids=["duration-inf", "duration-nan", "duration-0", "stddev-nan", "stddev-inf",
-             "stddev-negative", "means-nan", "means-inf"],
+             "stddev-negative", "means-nan", "means-inf", "seed-negative", "seed-over-uint64"],
     )
     @pytest.mark.filterwarnings("error")  # numpy warned on an infinite duration
     def test_synth_flags_checked_before_generating(self, tmp_path, capsys, flag, want):
@@ -579,7 +652,7 @@ class TestInputBoundaries:
         assert main(_argv("evaluate", dict(small, manifest=str(manifest)), tmp_path / "out")) == 2
         err = capsys.readouterr().err
         kind = "a number" if field.endswith("_s") else "a string or an integer"
-        assert f"row 3: {field} must be {kind}, got {json.dumps(value)}" in err
+        assert f"row 3 key {field!r} must be {kind}, got {json.dumps(value)}" in err
         assert str(manifest) in err and not (tmp_path / "out").exists()
 
     def test_bins_above_maximum_exits_2(self, tmp_path, capsys, small):
@@ -735,3 +808,123 @@ class TestImports:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == ["[]", "(5, 2) True"]
+
+
+# values a fuzzed JSON field is set to; _DELETE removes the field instead
+_DELETE = "<delete>"
+_JSON_VALUES = (None, True, False, 0, -1, 2.5, 10**400, math.nan, math.inf, -math.inf, "",
+                "x", [], [1.0, "x"], {}, {"x": 1}, _DELETE)
+_CSV_CELLS = ("nan", "inf", "-inf", "", "x", "1e999", " 0.5 ")
+# out-of-range values of each command's flags, in the --flag=value form
+_FLAG_VALUES = {
+    "evaluate": {"--bins": ("0", "-1", "1001"), "--eps": ("0", "0.5", "-1", "nan", "inf"),
+                 "--target-fraction": ("-0.5", "0", "1.5", "nan", "inf")},
+    "fit": {"--steps": ("0", "-1"), "--first-minutes": ("-1", "0", "nan", "inf", "-inf"),
+            "--bins": ("0", "1001"), "--target-fraction": ("nan", "2")},
+    "apply": {"--eps": ("0", "0.5", "nan")},
+    "synth": {"--n": ("0", "-1"), "--classes": ("0", "-1"), "--seed": ("-1",),
+              "--clip-duration": ("0", "-1", "nan"), "--stddev": ("0", "nan", "inf"),
+              "--true-t": ("0", "-1", "nan", "inf"), "--true-b": ("nan", "inf"),
+              "--latent-means": ("nan", "1,2,3", "x")},
+    "plot": {"--scope": ("nope", "")},
+}
+
+
+def _json_paths(doc, depth):
+    """Every key path of at most ``depth`` steps into ``doc``; a list
+    contributes its first, fourth and last items."""
+    if depth == 0 or not isinstance(doc, (dict, list)):
+        return []
+    steps = list(doc) if isinstance(doc, dict) else sorted({0, 3, len(doc) - 1} & set(
+        range(len(doc))))
+    return [path for step in steps
+            for path in [(step,)] + [(step, *rest) for rest in _json_paths(doc[step], depth - 1)]]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(small, tmp_path_factory):
+    """The small fixture's CSVs and manifest, and the params and report of a
+    ps/per-class fit on it (a trace, class names, a split and per-class rows)."""
+    out = tmp_path_factory.mktemp("fitted")
+    assert main([*_argv("fit", small, out), "--method", "ps", "--scope", "per-class",
+                 "--per-class"]) == 0
+    return dict(small, params=str(out / "params.json"), report=str(out / "report.json"))
+
+
+class TestFuzzGate:
+    """Mutated inputs and out-of-range flags, run through main in-process:
+    each run ends in exit 0, 2 or 3, with one stderr line on a non-zero
+    exit, and no exception escapes."""
+
+    # the commands that read each input
+    READERS = {"predictions": ("evaluate", "fit", "apply"), "labels": ("evaluate", "fit"),
+               "manifest": ("evaluate", "fit"), "params": ("apply",), "report": ("plot",)}
+
+    @staticmethod
+    def _csv(data, draw):
+        lines = data.decode("utf-8").split("\n")  # header, rows, "" after the last newline
+        row = draw(st.integers(1, len(lines) - 2))
+        how = draw(st.sampled_from(("truncate", "swap", "cell", "crlf", "bom", "bytes")))
+        if how == "truncate":
+            lines[row] = lines[row].rsplit(",", 1)[0]
+        elif how == "swap":
+            other = draw(st.integers(1, len(lines) - 2))
+            (a, rest_a), (b, rest_b) = lines[row].split(",", 1), lines[other].split(",", 1)
+            lines[row], lines[other] = f"{b},{rest_a}", f"{a},{rest_b}"
+        elif how == "cell":
+            cells = lines[row].split(",")
+            cells[draw(st.integers(1, len(cells) - 1))] = draw(st.sampled_from(_CSV_CELLS))
+            lines[row] = ",".join(cells)
+        text = ("\r\n" if how == "crlf" else "\n").join(lines).encode("utf-8")
+        if how == "bom":
+            return b"\xef\xbb\xbf" + text
+        if how == "bytes":
+            at = draw(st.integers(0, len(text)))
+            return text[:at] + b"\xff" + text[at:]
+        return text
+
+    @staticmethod
+    def _json(data, draw):
+        doc = json.loads(data)
+        path = draw(st.sampled_from(_json_paths(doc, 3)))
+        value = draw(st.sampled_from(_JSON_VALUES))
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        if value == _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        return json.dumps(doc).encode("utf-8")
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=2000)
+    @given(st.data())
+    def test_every_run_exits_0_2_or_3_with_one_line(self, fuzz_inputs, data):
+        draw = data.draw
+        files = {name: open(path, "rb").read() for name, path in fuzz_inputs.items()}
+        flags = []
+        what = draw(st.sampled_from(("csv", "json", "flag")))
+        if what == "flag":
+            command = draw(st.sampled_from(sorted(_FLAG_VALUES)))
+            flag = draw(st.sampled_from(sorted(_FLAG_VALUES[command])))
+            flags.append(f"{flag}={draw(st.sampled_from(_FLAG_VALUES[command][flag]))}")
+        else:
+            name = draw(st.sampled_from(("predictions", "labels") if what == "csv"
+                                        else ("manifest", "params", "report")))
+            command = draw(st.sampled_from(self.READERS[name]))
+            files[name] = (self._csv if what == "csv" else self._json)(files[name], draw)
+        with tempfile.TemporaryDirectory() as root:
+            paths = {}
+            for name, content in files.items():
+                paths[name] = os.path.join(root, name)
+                with open(paths[name], "wb") as fh:
+                    fh.write(content)
+            argv = [*_argv(command, paths, os.path.join(root, "out")), *flags]
+            if command == "fit":
+                argv += ["--method", "ps", "--scope", "per-class", "--svg", "--per-class"]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2, 3)
+        if code:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

@@ -79,10 +79,13 @@ class TestSigmoid:
         assert hi == pytest.approx(np.log((1 - 1e-7) / 1e-7), abs=1e-8)
 
     def test_inverse_rejects_out_of_range(self):
-        with pytest.raises(ValidationError):
+        # the value prints as a plain float, not as a numpy repr
+        with pytest.raises(ValidationError, match=r"at flat index 0: 1\.5$"):
             inverse_sigmoid(1.5)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"at flat index 0: -0\.1$"):
             inverse_sigmoid(-0.1)
+        with pytest.raises(ValidationError, match=r"at flat index 1: 2\.0$"):
+            inverse_sigmoid(np.array([0.5, 2.0]))
 
     def test_inverse_rejects_bad_eps(self):
         with pytest.raises(ValidationError):
@@ -139,9 +142,13 @@ class TestEvalDataset:
             EvalDataset(("a",), np.zeros((2, 1)), np.zeros((2, 1)), _meta(3))
 
     def test_non_binary_label_names_position(self):
+        # the value prints as a plain float, not as a numpy repr
         y = np.array([[0.0, 0.5]])
-        with pytest.raises(ValidationError, match=r"row 0, class b"):
+        with pytest.raises(ValidationError, match=r"row 0, class b\): 0\.5$"):
             EvalDataset(("a", "b"), np.zeros((1, 2)), y, _meta(1))
+        y = np.array([[0.0, 1.0], [1.0, np.nan]])
+        with pytest.raises(ValidationError, match=r"row 1, class b\): nan$"):
+            EvalDataset(("a", "b"), np.zeros((2, 2)), y, _meta(2))
 
     def test_non_finite_logit_names_position(self):
         z = np.array([[0.0], [np.nan]])
@@ -278,7 +285,7 @@ class TestLoaders:
         )
         lab2 = tmp_path / "l2.csv"
         lab2.write_text("sample_id,a\ns0,0.5\n")
-        with pytest.raises(ValidationError, match=r"non-binary label \(row 0, class a\)"):
+        with pytest.raises(ValidationError, match=r"non-binary label \(row 0, class a\): 0\.5$"):
             load_dataset(pred, str(lab2), man)
 
     def test_manifest_integer_ids_read_as_text(self, tmp_path):

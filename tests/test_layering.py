@@ -94,3 +94,33 @@ def test_each_output_helper_writes_once():
     # keeps the write rule from passing on a walker that finds nothing
     found = sorted(func for func, node in _nodes(_parse(SRC / "core.py")) if _writes(node))
     assert found == ["output_dir", "output_file"]
+
+
+def _is_kind_test(node):
+    """True for isinstance(x, bool), bool alone or in a tuple, and for
+    type(x) compared with is, is not, in or not in: the tests of a JSON
+    value's kind."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if node.func.id == "isinstance" and len(node.args) == 2:
+            types = node.args[1]
+            types = types.elts if isinstance(types, ast.Tuple) else [types]
+            return any(isinstance(t, ast.Name) and t.id == "bool" for t in types)
+        return False
+    if not isinstance(node, ast.Compare):
+        return False
+    typed = any(isinstance(side, ast.Call) and isinstance(side.func, ast.Name)
+                and side.func.id == "type" for side in [node.left, *node.comparators])
+    return typed and any(isinstance(op, (ast.Is, ast.IsNot, ast.In, ast.NotIn))
+                         for op in node.ops)
+
+
+def test_json_kinds_are_tested_only_in_core(module):
+    """core._KINDS is the one table of JSON kinds; no other module grows its own."""
+    name, tree = module
+    tests = [f"{name}:{node.lineno}" for _, node in _nodes(tree) if _is_kind_test(node)]
+    assert name == "core.py" or tests == []
+
+
+def test_core_holds_the_kind_tests():
+    # keeps the kinds rule from passing on a walker that finds nothing
+    assert any(_is_kind_test(node) for _, node in _nodes(_parse(SRC / "core.py")))

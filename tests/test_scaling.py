@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -411,3 +412,12 @@ def test_fit_params_golden():
     separable and anti-correlated columns."""
     want = open(os.path.join(GOLDEN, "fit_params.json"), "rb").read()
     assert _fit_params_docs() == want
+
+
+def test_fit_params_golden_documents_load():
+    """Every document save_params writes loads back, its T included."""
+    with open(os.path.join(GOLDEN, "fit_params.json"), encoding="utf-8") as fh:
+        docs = json.load(fh)
+    for doc in docs:
+        loaded = ScalingParams.from_json_dict(doc).to_json_dict()
+        assert dumps_canonical(loaded) == dumps_canonical({k: doc[k] for k in loaded})
