@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from mlcalib import metrics
 from mlcalib.core import EvalDataset, Manifest, ValidationError, confidences, inverse_sigmoid
 from mlcalib.metrics import (
+    CalibrationScores,
     aggregate_multilabel,
     bin_class,
     calibration_scores,
@@ -20,7 +22,14 @@ from mlcalib.protocol import (
     run_benchmark,
     split_first_minutes,
 )
-from mlcalib.report import Report, dumps_canonical, report_to_dict
+from mlcalib.report import (
+    NOT_APPLICABLE,
+    Report,
+    ReportRow,
+    dumps_canonical,
+    emit_report,
+    report_to_dict,
+)
 from mlcalib.scaling import T_MIN, FitConfig, apply_scaling
 from mlcalib.synth import LatentSpec, SynthConfig, generate
 
@@ -321,6 +330,20 @@ class TestScopes:
         want = open(os.path.join(GOLDEN, "pipeline_fit_reports.json"), "rb").read()
         assert _fitted_reports() == want
 
+    def test_mixed_class_csv_golden(self, tmp_path):
+        # the --format csv rendering of the mixed-class run, plus a row whose
+        # frequent and rare cells are null and whose improvement is a marker
+        report = _mixed_class_run()
+        marker = ReportRow(
+            model="m", scope="s", method="ts/global", n_samples=6, cmap=None,
+            scores=CalibrationScores.from_components(0.1, 0.0, scope="s", weight=10.0),
+            rel_improvement_mcs=NOT_APPLICABLE,
+        )
+        path = str(tmp_path / "report.csv")
+        emit_report(dataclasses.replace(report, rows=(*report.rows, marker)), "csv", path)
+        want = open(os.path.join(GOLDEN, "report.csv"), "rb").read()
+        assert open(path, "rb").read() == want
+
 
 def _fitted_reports() -> bytes:
     """Two fitted reports with per-class tables and params documents.
@@ -381,6 +404,10 @@ def _fitted_reports() -> bytes:
 
 
 def _mixed_class_report() -> bytes:
+    return (dumps_canonical(report_to_dict(_mixed_class_run())) + "\n").encode()
+
+
+def _mixed_class_run() -> Report:
     """Evaluate-only report over three datasets with class tuples
     ("x","y"), ("p","x","r"), ("x","y"); the third interleaves its own scope
     C with rows of scope A.  Confidences are 2-decimal probabilities with
@@ -406,11 +433,10 @@ def _mixed_class_report() -> bytes:
         dataset(("x", "y"), ["C", "A", "C", "C", "A", "C", "A", "C"]),
     ]
     result = run_benchmark(datasets, m_bins=10, include_per_class=True, model_tag="golden")
-    report = Report(
+    return Report(
         config={"bins": 10}, rows=result.rows, curves=result.curves, params={},
         version="0.0.0-test",
     )
-    return (dumps_canonical(report_to_dict(report)) + "\n").encode()
 
 
 class TestHeldOutSplit:
