@@ -1,13 +1,15 @@
 """Command-line front end: evaluate, fit, apply, synth, plot.
 
-evaluate and fit share one body: load the file triple, run
-protocol.run_benchmark (fit adds its split and method), then write
-params.json for the fit, the report and, with --svg, one reliability
-diagram per scope, after checking that every one of them can be written.
-The diagrams of --svg and of plot come from one function that draws a
-scope from a report document, so plot on a saved report reproduces the
---svg bytes.  apply writes calibrated.csv with
-core.write_matrix_csv, which also writes synth's fixture CSVs.
+The front end parses flags, loads inputs and routes output paths; the
+report document is report's alone.  evaluate and fit share one body:
+check the flags, load the file triple, run protocol.run_benchmark (fit
+adds its split and method), then write params.json for the fit, the
+report and, with --svg, one reliability diagram per scope, after checking
+that every one of them can be written.  The diagrams of --svg and of plot
+are drawn from a report document, the one report.emit_report returns or
+the one plot reads, so plot on a saved report reproduces the --svg bytes.
+apply writes calibrated.csv with core.write_matrix_csv, which also writes
+synth's fixture CSVs.
 
 Exit codes: 0 on success, 2 on input or validation errors, 3 on numerical
 failures.  Every subcommand is deterministic given identical inputs and
@@ -23,27 +25,24 @@ import sys
 from .core import (
     NumericalError,
     ValidationError,
-    json_field,
     load_dataset,
-    output_dir,
     output_file,
     output_paths,
     read_predictions,
     write_matrix_csv,
 )
-from .protocol import ALL_SCOPE, FIRST_MINUTES, HELD_OUT, SplitSpec, run_benchmark
+from .metrics import check_bins
+from .protocol import FIRST_MINUTES, HELD_OUT, SplitSpec, check_target_fraction, run_benchmark
 from .report import (
     Report,
-    curve_from_dict,
     emit_report,
     load_report,
+    plot_scope,
     render_reliability_svg,
-    report_to_dict,
+    scope_curves,
 )
 from .scaling import PER_CLASS, FitConfig, apply_scaling, load_params, save_params
 from .synth import LatentSpec, SynthConfig, write_fixture
-
-POOLED_ALIAS = ("pooled", "all")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,8 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     plot_p.add_argument("--report", required=True, help="report JSON path")
     plot_p.add_argument(
         "--scope",
-        default="pooled",
-        help="scope to draw ('pooled' picks the All scope or the only one)",
+        default=None,
+        help="scope to draw (default: All or the only scope, as are 'pooled' and 'all' "
+        "where no scope has that name)",
     )
     plot_p.add_argument("--out", default=".")
 
@@ -177,41 +177,12 @@ def _svg_name(scope: str) -> str:
     return os.fsdecode(f"reliability_{_slug(scope)}.svg".encode("utf-8"))
 
 
-def _svg(doc: dict, scope: str) -> str:
-    """One scope's reliability diagram drawn from a report document: every
-    method's pooled curve overlaid, legend MCS values from the matching
-    rows."""
-    curves = json_field(doc, "curves", "report document", "list")
-    entries = [c for c in curves if json_field(c, "scope", "report curve", "string") == scope]
-    methods = [json_field(entry, "method", "report curve", "string") for entry in entries]
-    mcs_values = []
-    for method in methods:
-        row = next(
-            (
-                r
-                for r in json_field(doc, "rows", "report document", "list")
-                if json_field(r, "scope", "report row", "string") == scope
-                and json_field(r, "method", "report row", "string") == method
-            ),
-            None,
-        )
-        if row is None:
-            raise ValidationError(
-                f"report row missing for scope {scope!r} method {method!r}"
-            )
-        mcs_values.append(json_field(row, "mcs", "report row", "finite"))
-    return render_reliability_svg(
-        [curve_from_dict(entry) for entry in entries],
-        labels=methods,
-        mcs_values=mcs_values,
-        title=scope,
-    )
-
-
 def _benchmark(args, split=None, methods=(), fit_cfg=None) -> int:
     """The body of evaluate and fit: load the triple, run the benchmark,
-    write params.json for each fit, the report and, with --svg, one
+    write params.json for the fit, the report and, with --svg, one
     diagram per scope."""
+    check_bins(args.bins)
+    check_target_fraction(args.target_fraction)
     dataset = load_dataset(
         args.predictions, args.labels, args.manifest, args.probabilities, args.eps
     )
@@ -239,7 +210,8 @@ def _benchmark(args, split=None, methods=(), fit_cfg=None) -> int:
     files.update(dict.fromkeys(svgs, "SVG"))
     paths = output_paths(args.out, files)
     params_docs = {}
-    for label, (params, trace) in result.params.items():
+    if result.params:
+        [(label, (params, trace))] = result.params.items()
         params_docs[label] = save_params(params, trace, paths["params.json"])
     report = Report(
         config=_echo(args),
@@ -248,11 +220,10 @@ def _benchmark(args, split=None, methods=(), fit_cfg=None) -> int:
         params=params_docs,
         split_summary=result.split_summary,
     )
-    emit_report(report, args.format, paths[f"report.{args.format}"])
-    doc = report_to_dict(report) if svgs else None
+    doc = emit_report(report, args.format, paths[f"report.{args.format}"])
     for name, scope in svgs.items():
         with output_file(paths[name], "SVG") as fh:
-            fh.write(_svg(doc, scope))
+            fh.write(render_reliability_svg(*scope_curves(doc, scope), title=scope))
     return 0
 
 
@@ -280,7 +251,8 @@ def cmd_apply(args) -> int:
             why = f"at position {j} ({params.classes[j]!r} vs {classes[j]!r})"
         raise ValidationError(f"params classes do not match predictions classes {why}")
     conf = apply_scaling(logits, params)
-    write_matrix_csv(os.path.join(output_dir(args.out), "calibrated.csv"), classes, ids, conf)
+    path = output_paths(args.out, {"calibrated.csv": "CSV"})["calibrated.csv"]
+    write_matrix_csv(path, classes, ids, conf)
     return 0
 
 
@@ -317,19 +289,10 @@ def cmd_synth(args) -> int:
 
 def cmd_plot(args) -> int:
     doc = load_report(args.report)
-    curves = json_field(doc, "curves", "report document", "list")
-    if not curves:
-        raise ValidationError(f"report {args.report} carries no curves")
-    scopes = list(dict.fromkeys(json_field(c, "scope", "report curve", "string") for c in curves))
-    wanted = args.scope
-    if wanted.lower() in POOLED_ALIAS:
-        wanted = ALL_SCOPE if ALL_SCOPE in scopes else scopes[0]
-    if wanted not in scopes:
-        raise ValidationError(
-            f"scope {wanted!r} not in report (available: {', '.join(scopes)})"
-        )
-    svg = _svg(doc, wanted)
-    path = os.path.join(output_dir(args.out), _svg_name(wanted))
+    scope = plot_scope(doc, args.scope, args.report)
+    svg = render_reliability_svg(*scope_curves(doc, scope), title=scope)
+    name = _svg_name(scope)
+    path = output_paths(args.out, {name: "SVG"})[name]
     with output_file(path, "SVG") as fh:
         fh.write(svg)
     print(f"wrote {path}")

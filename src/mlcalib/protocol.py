@@ -34,14 +34,13 @@ import numpy as np
 
 from .core import EvalDataset, ValidationError, confidences
 from .metrics import aggregate_multilabel, check_bins, score_scopes
-from .report import NOT_APPLICABLE, CurveEntry, ReportRow, relative_improvement
+from .report import ALL_SCOPE, NOT_APPLICABLE, CurveEntry, ReportRow, relative_improvement
 from .scaling import PER_CLASS, FitConfig, apply_scaling, fit
 
 FIRST_MINUTES = "first-minutes"
 HELD_OUT = "held-out-dataset"
 
 BASE = "base"
-ALL_SCOPE = "All"
 
 
 @dataclass(frozen=True)
@@ -108,6 +107,12 @@ def split_first_minutes(d: EvalDataset, minutes: float):
     return np.sort(order[cal]), np.sort(order[~cal])
 
 
+def check_target_fraction(target_fraction: float) -> None:
+    """Reject a frequent-subset mass fraction outside (0, 1)."""
+    if not 0.0 < target_fraction < 1.0:
+        raise ValidationError(f"target_fraction must be in (0, 1), got {target_fraction}")
+
+
 def frequent_rare_split(counts: dict, target_fraction: float = 0.5) -> SubsetAssignment:
     """Partition classes into frequent and rare by positive-count mass.
 
@@ -116,8 +121,7 @@ def frequent_rare_split(counts: dict, target_fraction: float = 0.5) -> SubsetAss
     the total positive mass.  Classes without positives are excluded from
     both sides; rare may come out empty and is reported as such.
     """
-    if not 0.0 < target_fraction < 1.0:
-        raise ValidationError(f"target_fraction must be in (0, 1), got {target_fraction}")
+    check_target_fraction(target_fraction)
     items = [(name, int(cnt)) for name, cnt in counts.items() if int(cnt) > 0]
     total = sum(cnt for _, cnt in items)
     if total <= 0:
@@ -287,6 +291,7 @@ def run_benchmark(
     if not datasets:
         raise ValidationError("no datasets given")
     check_bins(m_bins)
+    check_target_fraction(target_fraction)
     if split is None and methods:
         raise ValidationError("fitting requires a calibration split")
     calib_sel, eval_sel = zip(*_split_rows(datasets, split))

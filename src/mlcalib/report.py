@@ -1,11 +1,15 @@
-"""Result serialization (JSON/CSV) and reliability-diagram rendering (SVG).
+"""The report document: the one module that builds, writes, reads and
+draws it.
 
-All emitters are byte-deterministic: JSON is ``core.dumps_canonical``
-text (17 significant digits, a lossless float64 round trip), CSV floats
-have 4 decimals and cells quoted by ``core.csv_field``, and the SVG comes
-from format strings with no timestamps or environment-dependent content.
-A report read back for plotting has each field checked by
-``core.json_field``, as the writer writes it.
+:func:`emit_report` builds a run's document once, writes it as JSON or
+CSV and returns it; :func:`plot_scope` and :func:`scope_curves` read a
+scope's diagram back from a document, for --svg and for plot alike.
+Every output is byte-deterministic: JSON is ``core.dumps_canonical`` text
+(17 significant digits, a lossless float64 round trip), a CSV cell comes
+from a row document through ``CSV_COLUMNS`` and is quoted by
+``core.csv_field``, and the SVG comes from format strings with no
+timestamps or environment-dependent content.  Each field read back is
+checked by ``core.json_field``, as the writer writes it.
 """
 
 from __future__ import annotations
@@ -25,25 +29,33 @@ except importlib.metadata.PackageNotFoundError:  # uninstalled source tree
 SCHEMA_VERSION = 1
 NOT_APPLICABLE = "n/a (already perfect)"
 
-CSV_COLUMNS = (
-    "model",
-    "scope",
-    "method",
-    "n_samples",
-    "cmap",
-    "ece",
-    "mcs",
-    "ocs",
-    "ucs",
-    "weight",
-    "frequent_k",
-    "frequent_mass_fraction",
-    "frequent_ece",
-    "frequent_mcs",
-    "rare_ece",
-    "rare_mcs",
-    "mcs_rel_improvement_pct",
-)
+ALL_SCOPE = "All"
+# the --scope values of plot that mean the All scope, or the only scope,
+# where no scope has that name
+POOLED_ALIASES = ("pooled", "all")
+
+# each CSV column and the path of its cell in a row document
+CSV_COLUMNS = {
+    "model": ("model",),
+    "scope": ("scope",),
+    "method": ("method",),
+    "n_samples": ("n_samples",),
+    "cmap": ("cmap",),
+    "ece": ("ece",),
+    "mcs": ("mcs",),
+    "ocs": ("ocs",),
+    "ucs": ("ucs",),
+    "weight": ("weight",),
+    "frequent_k": ("frequent", "k"),
+    "frequent_mass_fraction": ("frequent", "mass_fraction"),
+    "frequent_ece": ("frequent", "ece"),
+    "frequent_mcs": ("frequent", "mcs"),
+    "rare_ece": ("rare", "ece"),
+    "rare_mcs": ("rare", "mcs"),
+    "mcs_rel_improvement_pct": ("mcs_rel_improvement_pct",),
+}
+# the columns printed as integers; every other number has 4 decimals
+_CSV_COUNTS = ("n_samples", "frequent_k")
 
 
 def relative_improvement(base_mcs: float, new_mcs: float) -> float:
@@ -97,51 +109,37 @@ class Report:
     version: str = VERSION
 
 
-def _scores_dict(s: CalibrationScores) -> dict:
-    return {"ece": s.ece, "mcs": s.mcs, "ocs": s.ocs, "ucs": s.ucs, "weight": s.weight}
+def _scores_dict(s: CalibrationScores, keys=("ece", "mcs", "ocs", "ucs", "weight")) -> dict:
+    return {key: getattr(s, key) for key in keys}
 
 
 def _row_dict(row: ReportRow) -> dict:
-    doc = {
+    return {
         "model": row.model,
         "scope": row.scope,
         "method": row.method,
         "n_samples": row.n_samples,
         "cmap": row.cmap,
-    }
-    doc.update(_scores_dict(row.scores))
-    if row.frequent_scores is not None:
-        doc["frequent"] = {
+        **_scores_dict(row.scores),
+        "frequent": None if row.frequent_scores is None else {
             "k": row.frequent_k,
             "mass_fraction": row.frequent_mass_fraction,
             "classes": list(row.frequent_classes),
-        }
-        doc["frequent"].update(_scores_dict(row.frequent_scores))
-    else:
-        doc["frequent"] = None
-    if row.rare_scores is not None:
-        doc["rare"] = {"classes": list(row.rare_classes)}
-        doc["rare"].update(_scores_dict(row.rare_scores))
-    else:
-        doc["rare"] = None
-    if row.per_class is not None:
-        doc["per_class"] = [
-            {
-                "class": m.class_id,
-                "ap": m.ap,
-                "n_pos": m.n_pos,
-                "ece": m.scores.ece,
-                "mcs": m.scores.mcs,
-                "ocs": m.scores.ocs,
-                "ucs": m.scores.ucs,
-            }
+            **_scores_dict(row.frequent_scores),
+        },
+        "rare": None if row.rare_scores is None else {
+            "classes": list(row.rare_classes),
+            **_scores_dict(row.rare_scores),
+        },
+        # a class's scores carry no weight: its n_pos is the weight
+        "per_class": None if row.per_class is None else [
+            {"class": m.class_id, "ap": m.ap, "n_pos": m.n_pos,
+             **_scores_dict(m.scores, ("ece", "mcs", "ocs", "ucs"))}
             for m in row.per_class
-        ]
-    else:
-        doc["per_class"] = None
-    doc["mcs_rel_improvement_pct"] = row.rel_improvement_mcs
-    doc["params_ref"] = row.params_ref
-    return doc
+        ],
+        "mcs_rel_improvement_pct": row.rel_improvement_mcs,
+        "params_ref": row.params_ref,
+    }
 
 
 # each bin field and the JSON kind core.json_field reads it as
@@ -186,47 +184,32 @@ def report_to_dict(report: Report) -> dict:
     }
 
 
-def _csv_float(x) -> str:
-    if x is None:
+def _csv_cell(row: dict, column: str) -> str:
+    value = row
+    for key in CSV_COLUMNS[column]:
+        value = None if value is None else value[key]
+    if value is None:
         return "n/a"
-    if isinstance(x, str):
-        return x
-    return format(float(x), ".4f")
+    if isinstance(value, str) or column in _CSV_COUNTS:
+        return str(value)
+    return format(float(value), ".4f")
 
 
-def _csv_row(row: ReportRow) -> list:
-    return [
-        row.model,
-        row.scope,
-        row.method,
-        str(row.n_samples),
-        _csv_float(row.cmap),
-        _csv_float(row.scores.ece),
-        _csv_float(row.scores.mcs),
-        _csv_float(row.scores.ocs),
-        _csv_float(row.scores.ucs),
-        _csv_float(row.scores.weight),
-        "n/a" if row.frequent_k is None else str(row.frequent_k),
-        _csv_float(row.frequent_mass_fraction),
-        _csv_float(None if row.frequent_scores is None else row.frequent_scores.ece),
-        _csv_float(None if row.frequent_scores is None else row.frequent_scores.mcs),
-        _csv_float(None if row.rare_scores is None else row.rare_scores.ece),
-        _csv_float(None if row.rare_scores is None else row.rare_scores.mcs),
-        _csv_float(row.rel_improvement_mcs),
-    ]
-
-
-def emit_report(report: Report, fmt: str, path: str):
-    """Write the report as schema-versioned JSON or flat CSV."""
+def emit_report(report: Report, fmt: str, path: str) -> dict:
+    """Write the report as schema-versioned JSON or as flat CSV, one line
+    per row, and return its document, which both are made from."""
+    doc = report_to_dict(report)
     if fmt == "json":
-        text = dumps_canonical(report_to_dict(report)) + "\n"
+        text = dumps_canonical(doc) + "\n"
     elif fmt == "csv":
-        rows = [CSV_COLUMNS, *map(_csv_row, report.rows)]
-        text = "".join(",".join(map(csv_field, row)) + "\n" for row in rows)
+        lines = [CSV_COLUMNS, *([_csv_cell(row, column) for column in CSV_COLUMNS]
+                                for row in doc["rows"])]
+        text = "".join(",".join(map(csv_field, line)) + "\n" for line in lines)
     else:
         raise ValidationError(f"unknown report format {fmt!r}")
     with output_file(path, "report") as fh:
         fh.write(text)
+    return doc
 
 
 def load_report(path: str) -> dict:
@@ -234,6 +217,40 @@ def load_report(path: str) -> dict:
     if not isinstance(doc, dict) or "rows" not in doc:
         raise ValidationError(f"report file {path} is not a report document")
     return doc
+
+
+def plot_scope(doc: dict, wanted: str | None, path: str) -> str:
+    """The scope of the report document ``doc``, read from ``path``, that
+    ``plot --scope wanted`` draws.  A scope's own name always wins; a
+    POOLED_ALIASES value in any case, or None, picks the All scope or,
+    without one, the first."""
+    curves = json_field(doc, "curves", "report document", "list")
+    if not curves:
+        raise ValidationError(f"report {path} carries no curves")
+    scopes = list(dict.fromkeys(json_field(c, "scope", "report curve", "string") for c in curves))
+    if wanted in scopes:
+        return wanted
+    if wanted is None or wanted.lower() in POOLED_ALIASES:
+        return ALL_SCOPE if ALL_SCOPE in scopes else scopes[0]
+    raise ValidationError(f"scope {wanted!r} not in report (available: {', '.join(scopes)})")
+
+
+def scope_curves(doc: dict, scope: str):
+    """One scope's diagram from a report document, as the curves, labels
+    and MCS values :func:`render_reliability_svg` takes: every method's
+    pooled curve, and the MCS of the matching rows."""
+    curves = json_field(doc, "curves", "report document", "list")
+    entries = [c for c in curves if json_field(c, "scope", "report curve", "string") == scope]
+    methods = [json_field(entry, "method", "report curve", "string") for entry in entries]
+    rows = json_field(doc, "rows", "report document", "list")
+    mcs_values = []
+    for method in methods:
+        row = next((r for r in rows if json_field(r, "scope", "report row", "string") == scope
+                    and json_field(r, "method", "report row", "string") == method), None)
+        if row is None:
+            raise ValidationError(f"report row missing for scope {scope!r} method {method!r}")
+        mcs_values.append(json_field(row, "mcs", "report row", "finite"))
+    return [curve_from_dict(entry) for entry in entries], methods, mcs_values
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

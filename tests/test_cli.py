@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlcalib import report
 from mlcalib.cli import main
 from mlcalib.core import _read_matrix_csv, sigmoid
 from mlcalib.metrics import MAX_BINS
@@ -201,6 +202,33 @@ class TestFitCommand:
         assert err == f"error: steps must be >= 1, got {steps}\n"
         assert not (out / "params.json").exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "fit"])
+    @pytest.mark.parametrize(
+        "flag, want",
+        [("--bins=0", "M must be in [1, 1000], got 0"),
+         ("--target-fraction=1.5", "target_fraction must be in (0, 1), got 1.5")],
+        ids=["bins", "target-fraction"],
+    )
+    def test_bad_flag_is_named_before_any_input_is_read(self, tmp_path, capsys, small,
+                                                        command, flag, want):
+        paths = dict(small, predictions=str(tmp_path / "missing.csv"))
+        assert main([*_argv(command, paths, tmp_path / "out"), flag]) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+
+    def test_svg_run_builds_the_report_document_once(self, tmp_path, small, monkeypatch):
+        original = report.report_to_dict
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "mlcalib" and getattr(module, "report_to_dict", None) is original:
+                monkeypatch.setattr(module, "report_to_dict", counted)
+        assert main([*_argv("fit", small, tmp_path / "out"), "--svg"]) == 0
+        assert len(calls) == 1
+
     def test_split_flags_are_exclusive(self, tmp_path):
         paths = _synth(tmp_path / "fx")
         with pytest.raises(SystemExit) as exc:
@@ -333,6 +361,38 @@ class TestPlotCommand:
         direct = next(ev.glob("reliability_*.svg")).read_bytes()
         replot = next(out.glob("reliability_*.svg")).read_bytes()
         assert direct == replot
+
+    def test_each_scope_name_reproduces_its_svg(self, tmp_path, small):
+        # a site named "all" is drawn by its name, not taken for the All scope
+        paths = _two_datasets(tmp_path, small, "all", "B")
+        ev = tmp_path / "ev"
+        assert main([*_argv("evaluate", paths, ev), "--svg"]) == 0
+        svgs = sorted(name for name in os.listdir(ev) if name.endswith(".svg"))
+        assert svgs == ["reliability_All.svg", "reliability_B.svg", "reliability_all.svg"]
+        drawn = []
+        for scope in ("All", "B", "all"):
+            out = tmp_path / f"plot_{scope}"
+            assert main(["plot", "--report", str(ev / "report.json"), "--scope", scope,
+                         "--out", str(out)]) == 0
+            [name] = os.listdir(out)
+            assert (out / name).read_bytes() == (ev / name).read_bytes()
+            drawn.append(name)
+        assert sorted(drawn) == svgs
+
+    @pytest.mark.parametrize(
+        "flags, drawn",
+        [((), "All"), (("--scope", "pooled"), "pooled"), (("--scope", "ALL"), "All"),
+         (("--scope", "Pooled"), "All")],
+        ids=["default", "exact-name", "all-alias", "pooled-alias"],
+    )
+    def test_aliases_yield_to_scope_names(self, tmp_path, small, flags, drawn):
+        paths = _two_datasets(tmp_path, small, "pooled", "B")
+        ev = tmp_path / "ev"
+        assert main(_argv("evaluate", paths, ev)) == 0
+        out = tmp_path / "plots"
+        assert main(["plot", "--report", str(ev / "report.json"), *flags,
+                     "--out", str(out)]) == 0
+        assert os.listdir(out) == [f"reliability_{drawn}.svg"]
 
     def test_unknown_scope_exits_2(self, tmp_path, capsys):
         paths = _synth(tmp_path / "fx")

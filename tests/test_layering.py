@@ -124,3 +124,29 @@ def test_json_kinds_are_tested_only_in_core(module):
 def test_core_holds_the_kind_tests():
     # keeps the kinds rule from passing on a walker that finds nothing
     assert any(_is_kind_test(node) for _, node in _nodes(_parse(SRC / "core.py")))
+
+
+# the modules that know a JSON document's fields; the others work on what
+# these return
+JSON_READERS = ("core.py", "report.py", "scaling.py")
+
+
+def _uses_json_field(node):
+    """True for an import of json_field and for a call of it."""
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "json_field" for alias in node.names)
+    func = node.func if isinstance(node, ast.Call) else None
+    return ((isinstance(func, ast.Name) and func.id == "json_field")
+            or (isinstance(func, ast.Attribute) and func.attr == "json_field"))
+
+
+def test_only_the_document_owners_read_json_fields(module):
+    name, tree = module
+    uses = [f"{name}:{node.lineno}" for _, node in _nodes(tree) if _uses_json_field(node)]
+    assert name in JSON_READERS or uses == []
+
+
+def test_each_document_owner_reads_json_fields():
+    # keeps the reader rule from passing on a walker that finds nothing
+    for name in JSON_READERS:
+        assert any(_uses_json_field(node) for _, node in _nodes(_parse(SRC / name))), name
