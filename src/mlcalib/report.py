@@ -131,10 +131,14 @@ def _row_dict(row: ReportRow) -> dict:
             "classes": list(row.rare_classes),
             **_scores_dict(row.rare_scores),
         },
-        # a class's scores carry no weight: its n_pos is the weight
+        # a class's weight is its n_pos, which the entry already holds
         "per_class": None if row.per_class is None else [
-            {"class": m.class_id, "ap": m.ap, "n_pos": m.n_pos,
-             **_scores_dict(m.scores, ("ece", "mcs", "ocs", "ucs"))}
+            {
+                "class": m.class_id,
+                "ap": m.ap,
+                "n_pos": m.n_pos,
+                **_scores_dict(m.scores, ("ece", "mcs", "ocs", "ucs")),
+            }
             for m in row.per_class
         ],
         "mcs_rel_improvement_pct": row.rel_improvement_mcs,

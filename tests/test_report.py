@@ -18,9 +18,11 @@ from mlcalib.report import (
     dumps_canonical,
     emit_report,
     load_report,
+    plot_scope,
     relative_improvement,
     render_reliability_svg,
     report_to_dict,
+    scope_curves,
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -178,6 +180,26 @@ class TestEmitReport:
         want = open(os.path.join(GOLDEN, "report.json"), "rb").read()
         got = (dumps_canonical(report_to_dict(_fixed_report())) + "\n").encode()
         assert got == want
+
+
+class TestReadBack:
+    def test_document_draws_the_golden_diagram(self, tmp_path):
+        doc = emit_report(_fixed_report(), "json", str(tmp_path / "report.json"))
+        assert doc == load_report(str(tmp_path / "report.json"))
+        svg = render_reliability_svg(*scope_curves(doc, "All"), title="All")
+        assert svg == open(os.path.join(GOLDEN, "reliability.svg"), "r", newline="").read()
+
+    def test_row_missing_for_a_curve(self):
+        doc = report_to_dict(_fixed_report())
+        doc["rows"] = doc["rows"][:1]
+        with pytest.raises(ValidationError,
+                           match="report row missing for scope 'All' method 'ts/global'"):
+            scope_curves(doc, "All")
+
+    def test_report_without_curves(self):
+        doc = dict(report_to_dict(_fixed_report()), curves=[])
+        with pytest.raises(ValidationError, match="report r.json carries no curves"):
+            plot_scope(doc, None, "r.json")
 
 
 class TestSvg:
