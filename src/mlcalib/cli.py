@@ -178,9 +178,9 @@ def _svg_name(scope: str) -> str:
 
 
 def _benchmark(args, split=None, methods=(), fit_cfg=None) -> int:
-    """The body of evaluate and fit: load the triple, run the benchmark,
-    write params.json for the fit, the report and, with --svg, one
-    diagram per scope."""
+    """The body of evaluate and fit: check the report flags, load the
+    triple, run the benchmark, write params.json for the fit, the report
+    and, with --svg, one diagram per scope."""
     check_bins(args.bins)
     check_target_fraction(args.target_fraction)
     dataset = load_dataset(

@@ -223,8 +223,10 @@ class TestFitCommand:
             calls.append(args)
             return original(*args, **kwargs)
 
+        # every module of the package that holds the function calls it by that name
         for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "mlcalib" and getattr(module, "report_to_dict", None) is original:
+            if (name.split(".")[0] == "mlcalib"
+                    and getattr(module, "report_to_dict", None) is original):
                 monkeypatch.setattr(module, "report_to_dict", counted)
         assert main([*_argv("fit", small, tmp_path / "out"), "--svg"]) == 0
         assert len(calls) == 1
