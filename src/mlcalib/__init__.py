@@ -47,8 +47,8 @@ from .report import (
     load_report,
     relative_improvement,
     render_reliability_svg,
+    tool_version,
 )
-from .report import VERSION as __version__
 from .scaling import (
     FitConfig,
     FitTrace,
@@ -112,3 +112,9 @@ __all__ = [
     "split_first_minutes",
     "write_fixture",
 ]
+
+
+def __getattr__(name):
+    if name == "__version__":  # looked up on first use, not at import
+        return tool_version()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -251,6 +251,7 @@ def cmd_apply(args) -> int:
             why = f"at position {j} ({params.classes[j]!r} vs {classes[j]!r})"
         raise ValidationError(f"params classes do not match predictions classes {why}")
     conf = apply_scaling(logits, params)
+    del logits  # freed before the write, whose parts start as copies of this process
     path = output_paths(args.out, {"calibrated.csv": "CSV"})["calibrated.csv"]
     write_matrix_csv(path, classes, ids, conf)
     return 0
@@ -282,7 +283,12 @@ def cmd_synth(args) -> int:
         clip_duration_s=args.clip_duration,
         latent=LatentSpec(means=means, stddev=args.stddev),
     )
-    paths = write_fixture(cfg, args.out)
+    try:
+        paths = write_fixture(cfg, args.out)
+    except MemoryError:  # numpy cannot allocate the N x C matrices
+        raise ValidationError(
+            f"--n {args.n} x --classes {args.classes} cells do not fit in memory"
+        ) from None
     print("\n".join(f"wrote {paths[key]}" for key in ("predictions", "labels", "manifest", "truth")))
     return 0
 

@@ -10,6 +10,13 @@ goes through :func:`output_file` and :func:`output_dir`, and a command
 that writes several checks them all first with :func:`output_paths`.
 Every JSON field that the manifest, params and report loaders read is
 checked against one table of kinds, through :func:`json_field`.
+
+The text of a matrix CSV is formatted (:func:`write_matrix_csv`) and
+parsed (:func:`_read_plain_csv`) in contiguous row parts, one per CPU the
+process may run on, above a floor of work per part.  :func:`_in_parts`
+runs the first part in the caller and each other part in a forked child,
+the only processes the package starts; the bytes written and the values
+read do not depend on how many parts there are.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import json
 import math
 import os
 import re
+import signal
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -237,8 +245,8 @@ def _read_matrix_csv(path: str, kind: str):
     """Read a `sample_id,<class...>` CSV into (classes, ids, float matrix).
 
     Cells follow ``csv.reader`` and Python ``float()``.  A plain file is
-    parsed in one C pass (:func:`_read_plain_csv`); every other file, and
-    every error message, comes from :func:`_read_csv_cells`.
+    parsed by ``np.loadtxt`` (:func:`_read_plain_csv`); every other file,
+    and every error message, comes from :func:`_read_csv_cells`.
     """
     return _read_plain_csv(path) or _read_csv_cells(path, kind)
 
@@ -248,6 +256,130 @@ _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 # rows per values.tolist() call: bounds the Python floats alive during a write
 _CSV_BLOCK_ROWS = 1024
+
+# bytes of a CSV file read, checked and parsed at a time
+_READ_BYTES = 1 << 18
+
+# A matrix CSV is formatted or parsed in contiguous row parts, one per CPU
+# this process may run on and at most _MAX_PARTS.  A part formats at least
+# _PART_CELLS cells or reads at least _PART_BYTES bytes, so that a small
+# file is one part, done in the caller.
+_MAX_PARTS = 8
+_PART_CELLS = 100_000
+_PART_BYTES = 2 << 20
+
+
+def _part_count(work: int, floor: int) -> int:
+    """How many parts ``work`` cells or bytes are split into, each of at
+    least ``floor``: one where ``os.fork`` or ``os.sched_getaffinity`` is
+    missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), _MAX_PARTS, work // floor))
+
+
+def _in_parts(task, spans, take) -> bool:
+    """Call ``take(task(span))`` for each of ``spans`` in order.
+
+    The first span's task runs here, and every other span's task at the
+    same time in a forked child, which sends the buffers the task returns
+    through a pipe; ``take`` then gets bytearrays holding their bytes.  A
+    span whose child fails, is killed, sends a short payload or cannot be
+    started is done here with ``task``, so the parts ``take`` gets do not
+    depend on how the work was split.  A task that returns None stops the
+    run, and False is returned.  Every child has been reaped when this
+    returns or raises.
+    """
+    children = []  # (read end of its pipe, pid) of each child not yet reaped
+    try:
+        for span in spans[1:]:
+            ends = ()
+            try:
+                ends = fd, write_fd = os.pipe()
+                pid = os.fork()
+            except OSError:  # no pipe or process to spare: the later spans are done here
+                for end in ends:
+                    os.close(end)
+                break
+            if pid == 0:  # the child: send the part and leave, whatever happens
+                code = 1
+                try:
+                    for other in (fd, *(other for other, _ in children)):
+                        os.close(other)
+                    _send(write_fd, task(span))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children.append((fd, pid))
+        part = task(spans[0])
+        for span in spans[1:]:
+            if part is None:
+                return False
+            take(part)
+            del part  # freed before the next part is read
+            part = False
+            if children:  # the children hold the first spans after spans[0]
+                fd, pid = children[0]
+                part = _receive(fd)
+                children.pop(0)
+                os.close(fd)
+                if os.waitpid(pid, 0)[1] != 0:
+                    part = False
+            if part is False:
+                part = task(span)
+        if part is None:
+            return False
+        take(part)
+        return True
+    finally:
+        for fd, pid in children:
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _send(fd: int, buffers) -> None:
+    """Write ``buffers`` to the pipe ``fd``: their count and byte lengths,
+    8 bytes each, then their bytes.  None writes nothing."""
+    if buffers is None:
+        return
+    views = [memoryview(buf).cast("B") for buf in buffers]
+    head = b"".join(n.to_bytes(8, "little") for n in (len(views), *map(len, views)))
+    for view in (memoryview(head), *views):
+        while view:
+            view = view[os.write(fd, view):]
+
+
+def _receive(fd: int):
+    """The buffers a child sent through ``fd`` (see :func:`_send`) as
+    bytearrays, None if it sent nothing, or False if its payload stops
+    short."""
+    count = bytearray(8)
+    got = os.readv(fd, [count])
+    if got == 0:
+        return None
+    if not _fill(fd, memoryview(count)[got:]):
+        return False
+    sizes = bytearray(8 * int.from_bytes(count, "little"))
+    if not _fill(fd, sizes):
+        return False
+    buffers = [bytearray(int.from_bytes(sizes[i : i + 8], "little"))
+               for i in range(0, len(sizes), 8)]
+    if not all(_fill(fd, buf) for buf in buffers) or os.read(fd, 1):
+        return False
+    return buffers
+
+
+def _fill(fd: int, buf) -> bool:
+    """Read ``fd`` into all of ``buf``; False if the pipe ends first."""
+    view = memoryview(buf)
+    while view:
+        got = os.readv(fd, [view])
+        if got == 0:
+            return False
+        view = view[got:]
+    return True
 
 
 def csv_field(text: str) -> str:
@@ -305,74 +437,173 @@ def write_matrix_csv(path: str, classes, ids, values) -> None:
     """Write a `sample_id,<class...>` CSV, one row per id, that
     :func:`_read_matrix_csv` reads back exactly: ids and class names are
     quoted as csv.writer quotes them, and each cell is the ``repr`` of its
-    value (floats round-trip bit for bit, ints print bare)."""
+    value (floats round-trip bit for bit, ints print bare).  The rows are
+    formatted in parts (see :func:`_in_parts`) and written in order."""
     if _NEEDS_QUOTES.search("".join(map(str, ids))):  # one scan for the usual plain ids
         ids = [csv_field(str(sample_id)) for sample_id in ids]
+    n = len(ids)
+    parts = max(1, min(_part_count(values.size, _PART_CELLS), n))
+    bounds = [n * k // parts for k in range(parts + 1)]
     with output_file(path, "CSV") as fh:
         fh.write(",".join(map(csv_field, ("sample_id", *classes))) + "\n")
-        for start in range(0, len(ids), _CSV_BLOCK_ROWS):
-            stop = start + _CSV_BLOCK_ROWS
-            for sample_id, row in zip(ids[start:stop], values[start:stop].tolist()):
-                fh.write(f"{sample_id},{','.join(map(repr, row))}\n")
+        fh.flush()  # the rows go to the byte stream under it
+        _in_parts(lambda span: _csv_rows(ids, values, *span), list(zip(bounds, bounds[1:])),
+                  fh.buffer.writelines)
+
+
+def _csv_rows(ids, values, start: int, stop: int) -> list:
+    """The UTF-8 text of rows ``start:stop`` of a matrix CSV, one bytes
+    object per _CSV_BLOCK_ROWS rows."""
+    blocks = []
+    for i in range(start, stop, _CSV_BLOCK_ROWS):
+        end = min(i + _CSV_BLOCK_ROWS, stop)
+        rows = zip(ids[i:end], values[i:end].tolist())
+        blocks.append("".join(f"{sample_id},{','.join(map(repr, row))}\n"
+                              for sample_id, row in rows).encode("utf-8"))
+    return blocks
 
 
 def _read_plain_csv(path: str):
     """The C-parser read of :func:`_read_matrix_csv`, or None to decline.
 
     It reads only files on which ``np.loadtxt`` must agree with
-    ``csv.reader`` + ``float()``: a valid header, no quote character, no
-    ``\\r``, no line over the csv field size limit, and exactly one comma
-    per class on every data line (so no blank line).  Cells then split at
-    the same commas, and both parsers strip the same whitespace and hand
-    the rest to ``PyOS_string_to_double``.  A cell that only ``float()``
-    takes (``1_0``, non-ASCII digits) makes loadtxt raise and the caller
-    falls back.
+    ``csv.reader`` + ``float()``: a valid header, UTF-8 text, no quote
+    character, no ``\\r``, no line over the csv field size limit, and
+    exactly one comma per class on every data line (so no blank line).
+    Cells then split at the same commas, and both parsers strip the same
+    whitespace and hand the rest to ``PyOS_string_to_double``.  A cell that
+    only ``float()`` takes (``1_0``, non-ASCII digits) makes loadtxt raise
+    and the caller falls back.
+
+    The header is read here.  The body is cut at line ends into parts
+    (see :func:`_in_parts`); each part reads, checks and parses its own
+    bytes, and its values go into their rows of the one result matrix.
     """
     limit = csv.field_size_limit()
     try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
+        fd = os.open(path, os.O_RDONLY)
     except OSError:
         return None
-    with fh:
+    try:
+        start = _line_end(fd, 0, limit) + 1
+        if start == 0:
+            return None
         try:
-            header = fh.readline()
-            if '"' in header or "\r" in header or len(header) > limit:
-                return None
-            names = header.rstrip("\n").split(",")
-            classes = tuple(names[1:])
-            if names[0] != "sample_id" or not classes or len(set(classes)) != len(classes):
-                return None
-            ids = []
-            for line in fh:
-                if (
-                    line.count(",") != len(classes)
-                    or '"' in line
-                    or "\r" in line
-                    or len(line) > limit
-                ):
-                    return None
-                ids.append(line[: line.index(",")])
+            header = os.pread(fd, start - 1, 0).decode("utf-8-sig")
         except UnicodeDecodeError:
             return None
-    if not ids:
+        names = header.split(",")
+        classes = tuple(names[1:])
+        if ('"' in header or "\r" in header or names[0] != "sample_id" or not classes
+                or len(set(classes)) != len(classes)):
+            return None
+        size = os.fstat(fd).st_size
+        if size <= start:
+            return None
+        spans = _line_spans(fd, start, size, _part_count(size - start, _PART_BYTES), limit)
+        values = np.empty((spans[-1][3], len(classes)))
+        ids = []
+
+        def take(part):
+            ids_text, rows = part
+            done = len(ids)
+            ids.extend(ids_text.decode("utf-8").split("\n"))
+            # a no-op for a part parsed here, which wrote its rows in place
+            values[done : len(ids)] = np.frombuffer(rows).reshape(-1, len(classes))
+
+        def task(span):
+            return _plain_rows(fd, len(classes), limit, values, *span)
+
+        if not _in_parts(task, spans, take):
+            return None
+        return classes, ids, values
+    except OSError:
         return None
-    try:
-        values = np.loadtxt(
-            path,
-            delimiter=",",
-            comments=None,
-            quotechar=None,
-            usecols=range(1, len(classes) + 1),
-            dtype=np.float64,
-            ndmin=2,
-            skiprows=1,
-            encoding="utf-8-sig",
-        )
-    except ValueError:
+    finally:
+        os.close(fd)
+
+
+def _line_end(fd: int, pos: int, limit: int) -> int:
+    """The offset of the first ``\\n`` at or after ``pos`` in the file
+    ``fd``, or -1 if there is none in the next ``limit`` bytes."""
+    stop = pos + limit
+    while pos < stop:
+        chunk = os.pread(fd, min(_READ_BYTES, stop - pos), pos)
+        if not chunk:
+            return -1
+        if (at := chunk.find(b"\n")) >= 0:
+            return pos + at
+        pos += len(chunk)
+    return -1
+
+
+def _line_spans(fd: int, start: int, size: int, parts: int, limit: int) -> list:
+    """Bytes ``start:size`` of the file ``fd`` cut at line ends into at most
+    ``parts`` spans of (first byte, end byte, first row, end row)."""
+    bounds = [start]
+    for k in range(1, parts):
+        at = _line_end(fd, max(start + (size - start) * k // parts, bounds[-1]), limit)
+        if not 0 <= at < size - 1:
+            break
+        bounds.append(at + 1)
+    bounds.append(size)
+    spans, rows = [], 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        lines = 0
+        for pos in range(lo, hi, _READ_BYTES):
+            chunk = os.pread(fd, min(_READ_BYTES, hi - pos), pos)
+            lines += _count_bytes(chunk, b"\n")
+        if not chunk.endswith(b"\n"):  # a last line with no line end
+            lines += 1
+        spans.append((lo, hi, rows, rows + lines))
+        rows += lines
+    return spans
+
+
+def _count_bytes(data: bytes, byte: bytes) -> int:
+    """How many times ``byte`` occurs in ``data``: a vector count, several
+    times faster than ``data.count(byte)``."""
+    return int(np.count_nonzero(np.frombuffer(data, np.uint8) == ord(byte)))
+
+
+def _plain_rows(fd: int, n_classes: int, limit: int, values, lo: int, hi: int, row: int,
+                stop: int):
+    """Read, check and parse the lines in bytes ``lo:hi`` of the file ``fd``
+    into rows ``row:stop`` of ``values``: the ids, as UTF-8 text joined by
+    ``\\n``, and those rows, or None if a line is not plain (see
+    :func:`_read_plain_csv`)."""
+    first, ids = row, []  # the ids of each chunk, as one str
+    while lo < hi:
+        chunk = os.pread(fd, min(_READ_BYTES, hi - lo), lo)
+        if lo + len(chunk) < hi:  # up to the last whole line
+            chunk = chunk[: chunk.rfind(b"\n") + 1]
+        if not chunk:  # a line longer than _READ_BYTES, or the file shrank
+            return None
+        lo += len(chunk)
+        try:
+            text = chunk.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        lines = text.split("\n")
+        if text.endswith("\n"):
+            lines.pop()
+        n = len(lines)
+        if ('"' in text or "\r" in text or _count_bytes(chunk, b",") != n * n_classes
+                or max(map(len, lines)) >= limit or row + n > stop):
+            return None
+        try:
+            block = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
+                               usecols=range(1, n_classes + 1), dtype=np.float64, ndmin=2)
+        except ValueError:
+            return None
+        if block.shape[0] != n:  # loadtxt skipped a blank line
+            return None
+        values[row : row + n] = block
+        ids.append("\n".join([line.partition(",")[0] for line in lines]))
+        row += n
+    if row != stop:
         return None
-    if values.shape[0] != len(ids):
-        return None
-    return classes, ids, values
+    return ["\n".join(ids).encode("utf-8"), values[first:stop]]
 
 
 def _read_csv_cells(path: str, kind: str):

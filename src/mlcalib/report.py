@@ -14,17 +14,26 @@ checked by ``core.json_field``, as the writer writes it.
 
 from __future__ import annotations
 
-import importlib.metadata
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import ValidationError, csv_field, dumps_canonical, json_field, output_file, read_json
 from .metrics import BinStats, CalibrationScores, ReliabilityCurve, calibration_scores
 
-try:
-    VERSION = importlib.metadata.version("mlcalib")
-except importlib.metadata.PackageNotFoundError:  # uninstalled source tree
-    VERSION = "0.0.0"
+
+@functools.cache
+def tool_version() -> str:
+    """The installed mlcalib version, or 0.0.0 in an uninstalled source
+    tree.  It is looked up when first asked for, not when the package is
+    imported, so only a command that builds a report pays for it."""
+    import importlib.metadata
+
+    try:
+        return importlib.metadata.version("mlcalib")
+    except importlib.metadata.PackageNotFoundError:
+        return "0.0.0"
+
 
 SCHEMA_VERSION = 1
 NOT_APPLICABLE = "n/a (already perfect)"
@@ -106,7 +115,7 @@ class Report:
     params: dict
     split_summary: dict | None = None
     tool: str = "mlcalib"
-    version: str = VERSION
+    version: str = field(default_factory=tool_version)
 
 
 def _scores_dict(s: CalibrationScores, keys=("ece", "mcs", "ocs", "ucs", "weight")) -> dict:

@@ -10,6 +10,7 @@ generation is reproducible element-wise and order-independent.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,9 @@ class SynthConfig:
         # every setting is checked before anything is generated, by name
         if self.n < 1 or self.c < 1:
             raise ValidationError(f"N and C must be >= 1, got N={self.n}, C={self.c}")
+        # past this, numpy refuses the N x C arrays with a ValueError, not a MemoryError
+        if self.n * self.c > np.iinfo(np.intp).max // 16:
+            raise ValidationError(f"N x C is over the largest array, got N={self.n}, C={self.c}")
         if not 0 <= self.seed < 2**64:  # the generator keys on a uint64
             raise ValidationError(f"seed must be in [0, 2**64), got {self.seed}")
         for name, value, positive in (
@@ -83,6 +87,12 @@ class SynthConfig:
             if not np.all(np.isfinite(arr) & (arr > 0 if positive else True)):
                 rule = "finite and > 0" if positive else "finite"
                 raise ValidationError(f"{name} must be {rule}, got {value}")
+        # the last clip starts at (N - 1) x clip_duration_s, compared exactly
+        if self.n - 1 > sys.float_info.max / self.clip_duration_s:
+            raise ValidationError(
+                f"clip_duration_s is too large for N={self.n}: the last start, "
+                f"{self.n - 1} x {self.clip_duration_s}, is not finite"
+            )
 
 
 def _per_class(value, c: int, name: str) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlcalib import report
+from mlcalib import report, synth
 from mlcalib.cli import main
 from mlcalib.core import _read_matrix_csv, sigmoid
 from mlcalib.metrics import MAX_BINS
@@ -665,15 +665,34 @@ class TestInputBoundaries:
          ("--latent-means=nan,0", "latent means must be finite, got (nan, 0.0)"),
          ("--latent-means=inf,0", "latent means must be finite, got (inf, 0.0)"),
          ("--seed=-1", "seed must be in [0, 2**64), got -1"),
-         (f"--seed={2**64}", f"seed must be in [0, 2**64), got {2**64}")],
+         (f"--seed={2**64}", f"seed must be in [0, 2**64), got {2**64}"),
+         ("--clip-duration=1e308",
+          "clip_duration_s is too large for N=10: the last start, 9 x 1e+308, is not finite"),
+         (f"--n={10**20}", f"N x C is over the largest array, got N={10**20}, C=2")],
         ids=["duration-inf", "duration-nan", "duration-0", "stddev-nan", "stddev-inf",
-             "stddev-negative", "means-nan", "means-inf", "seed-negative", "seed-over-uint64"],
+             "stddev-negative", "means-nan", "means-inf", "seed-negative", "seed-over-uint64",
+             "last-start-overflows", "cells-over-array"],
     )
     @pytest.mark.filterwarnings("error")  # numpy warned on an infinite duration
     def test_synth_flags_checked_before_generating(self, tmp_path, capsys, flag, want):
         out = tmp_path / "fx"
         assert main(["synth", "--n", "10", "--classes", "2", flag, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {want}\n"
+        assert not out.exists()
+
+    def test_synth_out_of_memory_names_n_and_classes(self, tmp_path, capsys, monkeypatch):
+        uniforms = synth._uniforms
+
+        def no_room(seed, stream, count):  # as numpy fails on an N x C too large
+            if count > 1000:
+                raise MemoryError
+            return uniforms(seed, stream, count)
+
+        monkeypatch.setattr(synth, "_uniforms", no_room)
+        out = tmp_path / "fx"
+        assert main(["synth", "--n", "100000000000", "--classes", "3", "--out", str(out)]) == 2
+        err = "error: --n 100000000000 x --classes 3 cells do not fit in memory\n"
+        assert capsys.readouterr().err == err
         assert not out.exists()
 
     @pytest.mark.parametrize("probabilities", [False, True], ids=["logits", "probabilities"])
@@ -870,6 +889,23 @@ class TestImports:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == ["[]", "(5, 2) True"]
+
+
+    def test_version_is_looked_up_only_for_a_report(self):
+        """Importing the CLI does not load importlib.metadata; the package
+        version and a report's version are the same lookup."""
+        code = (
+            "import sys, mlcalib.cli\n"
+            "print('importlib.metadata' in sys.modules)\n"
+            "import mlcalib\n"
+            "print(mlcalib.__version__ == mlcalib.Report({}, (), (), {}).version)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["False", "True"]
 
 
 # values a fuzzed JSON field is set to; _DELETE removes the field instead

@@ -1,17 +1,24 @@
 import csv
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlcalib import core
 from mlcalib.core import (
     EvalDataset,
     Manifest,
     ValidationError,
     _CSV_BLOCK_ROWS,
+    _MAX_PARTS,
     _read_matrix_csv,
     _read_plain_csv,
     confidences,
@@ -21,6 +28,8 @@ from mlcalib.core import (
     sigmoid,
     write_matrix_csv,
 )
+
+from mlcalib.synth import SynthConfig, write_fixture
 
 from conftest import simple_meta, write_triple
 from oracles import oracle_read_matrix_csv
@@ -403,12 +412,40 @@ def _matrix_csv_text(draw):
     return text
 
 
+# part counts a matrix CSV is read or written in: one, two, and the cap
+_PARTS = (1, 2, _MAX_PARTS)
+
+
+@contextmanager
+def _split_into(parts):
+    """Cut every matrix CSV read or write into up to ``parts`` parts,
+    however small, as on a host with ``parts`` CPUs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_PART_CELLS", 1)
+        mp.setattr(core, "_PART_BYTES", 1)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+        yield
+
+
+@pytest.fixture(params=_PARTS, ids=lambda parts: f"{parts}-parts")
+def parts(request):
+    with _split_into(request.param):
+        yield request.param
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
 class TestMatrixReader:
     """The C-parser path of ``_read_matrix_csv`` against the csv.reader +
-    float() reference: same classes, ids and value bits, or the same error."""
+    float() reference: same classes, ids and value bits, or the same error,
+    whatever the number of parts the file is read in."""
 
     @pytest.mark.parametrize("name", sorted(_READER_CASES))
-    def test_case_agrees_with_reference(self, tmp_path, name):
+    def test_case_agrees_with_reference(self, tmp_path, name, parts):
         data, fast = _READER_CASES[name]
         path = tmp_path / "m.csv"
         path.write_bytes(data)
@@ -423,14 +460,16 @@ class TestMatrixReader:
         with pytest.raises(ValidationError, match="row 1: 0 cells"):
             _read_matrix_csv(str(path), "predictions")
 
+    @pytest.mark.parametrize("parts", _PARTS)
     @settings(max_examples=300, deadline=None)
     @given(text=_matrix_csv_text())
-    def test_fuzz_agrees_with_reference(self, tmp_path_factory, text):
+    def test_fuzz_agrees_with_reference(self, tmp_path_factory, parts, text):
         path = tmp_path_factory.getbasetemp() / "reader-fuzz.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert _outcome(_read_matrix_csv, str(path)) == _outcome(
-            oracle_read_matrix_csv, str(path)
-        )
+        with _split_into(parts):
+            assert _outcome(_read_matrix_csv, str(path)) == _outcome(
+                oracle_read_matrix_csv, str(path)
+            )
 
 
 @settings(max_examples=200, deadline=None)
@@ -442,12 +481,14 @@ class TestMatrixReader:
     ),
     classes=st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True),
 )
-def test_matrix_csv_round_trips_any_id(tmp_path_factory, ids, classes):
+@pytest.mark.parametrize("parts", _PARTS)
+def test_matrix_csv_round_trips_any_id(tmp_path_factory, parts, ids, classes):
     # the writer quotes as csv.writer does, and the reader gives back the
-    # ids, classes and value bits it was handed
+    # ids, classes and value bits it was handed, in any number of parts
     path = tmp_path_factory.getbasetemp() / "round-trip.csv"
     values = np.random.default_rng(len(ids)).normal(size=(len(ids), len(classes)))
-    write_matrix_csv(str(path), classes, ids, values)
+    with _split_into(parts):
+        write_matrix_csv(str(path), classes, ids, values)
     rows = [[sid, *map(repr, row)] for sid, row in zip(ids, values.tolist())]
     lines = []
     for cells in [["sample_id", *classes], *rows]:
@@ -455,12 +496,13 @@ def test_matrix_csv_round_trips_any_id(tmp_path_factory, ids, classes):
         csv.writer(line).writerow(cells)  # the default dialect ends a row in \r\n
         lines.append(line.getvalue()[:-2] + "\n")
     assert path.read_bytes() == "".join(lines).encode("utf-8")
-    got_classes, got_ids, got = _read_matrix_csv(str(path), "predictions")
+    with _split_into(parts):
+        got_classes, got_ids, got = _read_matrix_csv(str(path), "predictions")
     assert (got_classes, got_ids) == (tuple(classes), ids)
     assert got.view(np.int64).tolist() == values.view(np.int64).tolist()
 
 
-def test_matrix_csv_spans_row_blocks(tmp_path):
+def test_matrix_csv_spans_row_blocks(tmp_path, parts):
     # rows are formatted a block at a time; the bytes are those of one
     # csv.writer row per id, across block edges and a partial last block
     n = 2 * _CSV_BLOCK_ROWS + 3
@@ -474,3 +516,136 @@ def test_matrix_csv_spans_row_blocks(tmp_path):
     writer.writerow(["sample_id", "a", "b"])
     writer.writerows([sid, *map(repr, row)] for sid, row in zip(ids, values.tolist()))
     assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+
+def _matrix_file(path, n, bad_row=None, bad_line=None):
+    """A plain n x 2 matrix CSV; row ``bad_row`` reads ``bad_line`` instead."""
+    lines = ["sample_id,a,b"] + [f"s{i},{i}.5,-{i}" for i in range(n)]
+    if bad_row is not None:
+        lines[1 + bad_row] = bad_line
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+class TestParts:
+    """Matrix CSVs are formatted and parsed in row parts, one per CPU; the
+    bytes, values and errors do not depend on how many."""
+
+    @pytest.mark.parametrize("line, want", [
+        ("s99,1.5,x", "non-numeric value (row 99, class b)"),
+        ("s99,1.5", "row 99: 2 cells, expected 3"),
+    ], ids=["bad-cell", "ragged-row"])
+    def test_fault_in_last_part_names_its_global_row(self, tmp_path, parts, line, want):
+        path = _matrix_file(tmp_path / "m.csv", 100, bad_row=99, bad_line=line)
+        assert _read_plain_csv(path) is None
+        with pytest.raises(ValidationError) as got:
+            _read_matrix_csv(path, "predictions")
+        assert want in str(got.value)
+        assert str(got.value) == _outcome(oracle_read_matrix_csv, path)[2]
+
+    def test_parts_follow_the_cpus_up_to_the_cap(self, tmp_path, monkeypatch):
+        counts = []
+        in_parts = core._in_parts
+
+        def counted(task, spans, take):
+            counts.append(len(spans))
+            return in_parts(task, spans, take)
+
+        monkeypatch.setattr(core, "_in_parts", counted)
+        path = str(tmp_path / "m.csv")
+        for cpus in (1, 2, 64):
+            with _split_into(cpus):
+                write_matrix_csv(path, "ab", [f"s{i}" for i in range(100)], np.ones((100, 2)))
+                _read_matrix_csv(path, "predictions")
+        assert counts == [1, 1, 2, 2, _MAX_PARTS, _MAX_PARTS]
+
+    def test_small_files_are_one_part(self):
+        assert core._part_count(core._PART_BYTES - 1, core._PART_BYTES) == 1
+        assert core._part_count(core._PART_CELLS - 1, core._PART_CELLS) == 1
+
+    @pytest.mark.parametrize("fault", ["raises", "killed", "no-fork"])
+    def test_failed_child_is_redone_here(self, tmp_path, monkeypatch, fault):
+        """A child that raises, is killed or cannot be started has its part
+        formatted or parsed in this process: the same bytes and values, and
+        no child is left behind."""
+        n = 3 * _CSV_BLOCK_ROWS
+        ids = [f"s{i}" for i in range(n)]
+        values = np.random.default_rng(3).normal(size=(n, 3))
+        write_matrix_csv(str(tmp_path / "one.csv"), "abc", ids, values)
+        want = _read_matrix_csv(str(tmp_path / "one.csv"), "predictions")
+        parent = os.getpid()
+
+        def failing(task):
+            def run(*args):
+                if os.getpid() != parent:
+                    if fault == "killed":
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    raise RuntimeError("child fails")
+                return task(*args)
+            return run
+
+        if fault == "no-fork":  # the first fork works, every later one fails
+            fork, forks = os.fork, []
+
+            def fork_once():
+                forks.append(None)
+                if len(forks) > 1:
+                    raise BlockingIOError(11, "Resource temporarily unavailable")
+                return fork()
+
+            monkeypatch.setattr(os, "fork", fork_once)
+        else:
+            monkeypatch.setattr(core, "_csv_rows", failing(core._csv_rows))
+            monkeypatch.setattr(core, "_plain_rows", failing(core._plain_rows))
+        with _split_into(_MAX_PARTS):
+            write_matrix_csv(str(tmp_path / "parts.csv"), "abc", ids, values)
+            assert _no_child_left()
+            classes, got_ids, got = _read_matrix_csv(str(tmp_path / "parts.csv"), "predictions")
+            assert _no_child_left()
+        assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        assert (classes, got_ids) == want[:2]
+        assert got.tobytes() == want[2].tobytes()
+
+    def test_declining_part_stops_and_reaps_the_others(self, tmp_path):
+        path = _matrix_file(tmp_path / "m.csv", 400, bad_row=0, bad_line='"s0",1,2')
+        with _split_into(_MAX_PARTS):
+            assert _read_plain_csv(path) is None
+            assert _no_child_left()
+
+    def test_parent_part_that_raises_reaps_every_child(self, tmp_path, monkeypatch):
+        n = 2000
+        ids = [f"s{i}" for i in range(n)]
+        values = np.zeros((n, 2))
+        parent = os.getpid()
+        rows = core._csv_rows
+
+        def fail_here(*args):
+            if os.getpid() == parent:
+                raise MemoryError
+            return rows(*args)
+
+        monkeypatch.setattr(core, "_csv_rows", fail_here)
+        with _split_into(_MAX_PARTS), pytest.raises(MemoryError):
+            write_matrix_csv(str(tmp_path / "m.csv"), "ab", ids, values)
+        assert _no_child_left()
+
+    def test_synth_above_the_floor_prints_once(self, tmp_path):
+        """A synth run large enough to split its CSVs, as one subprocess:
+        every line it prints appears once, and the files are those written
+        in one part."""
+        n, c = 2 * core._PART_CELLS // 10 + 1, 10
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = tmp_path / "fx"
+        done = subprocess.run(
+            [sys.executable, "-m", "mlcalib", "synth", "--n", str(n), "--classes", str(c),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        names = ("predictions.csv", "labels.csv", "manifest.json", "truth.json")
+        assert done.stdout.splitlines() == [f"wrote {out / name}" for name in names]
+        assert done.stderr == ""
+        with _split_into(1):
+            write_fixture(SynthConfig(n=n, c=c), str(tmp_path / "one"))
+        for name in names:
+            assert (out / name).read_bytes() == (tmp_path / "one" / name).read_bytes()

@@ -1,8 +1,8 @@
 """Layering rules of the package, read from the AST of src/mlcalib/*.py.
 
 Imports between modules sit at module level and name only public
-attributes, and files reach the disk only through core's output helpers,
-with an explicit encoding.
+attributes, files reach the disk only through core's output helpers,
+with an explicit encoding, and only core's parts helper starts processes.
 """
 
 import ast
@@ -94,6 +94,34 @@ def test_each_output_helper_writes_once():
     # keeps the write rule from passing on a walker that finds nothing
     found = sorted(func for func, node in _nodes(_parse(SRC / "core.py")) if _writes(node))
     assert found == ["output_dir", "output_file"]
+
+
+# the one function that may fork: its children send their bytes back
+# through pipes with os.write, which the write rule above leaves alone
+FORKERS = {("core.py", "_in_parts")}
+FORK_CALLS = {"fork", "_exit", "pipe"}
+
+
+def _forks(node):
+    """True for os.fork, os._exit and os.pipe, and for an import of them."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(a.name in FORK_CALLS for a in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr in FORK_CALLS
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
+def test_only_the_parts_helper_forks(module):
+    name, tree = module
+    forks = [f"{name}:{node.lineno} in {func}" for func, node in _nodes(tree)
+             if _forks(node) and (name, func) not in FORKERS]
+    assert forks == []
+
+
+def test_the_parts_helper_forks():
+    # keeps the fork rule from passing on a walker that finds nothing
+    found = {node.attr for func, node in _nodes(_parse(SRC / "core.py"))
+             if _forks(node) and func == "_in_parts"}
+    assert found == FORK_CALLS
 
 
 def _is_kind_test(node):
