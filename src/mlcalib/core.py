@@ -366,7 +366,7 @@ def _receive(fd: int):
         return False
     buffers = [bytearray(int.from_bytes(sizes[i : i + 8], "little"))
                for i in range(0, len(sizes), 8)]
-    if not all(_fill(fd, buf) for buf in buffers) or os.read(fd, 1):
+    if not all(_fill(fd, buf) for buf in buffers):
         return False
     return buffers
 

@@ -412,8 +412,9 @@ def _matrix_csv_text(draw):
     return text
 
 
-# part counts a matrix CSV is read or written in: one, two, and the cap
-_PARTS = (1, 2, _MAX_PARTS)
+# part counts above one that the *_in_parts tests read and write matrix
+# CSVs in; the tests they repeat read and write their small files in one
+_SPLITS = (2, _MAX_PARTS)
 
 
 @contextmanager
@@ -427,7 +428,7 @@ def _split_into(parts):
         yield
 
 
-@pytest.fixture(params=_PARTS, ids=lambda parts: f"{parts}-parts")
+@pytest.fixture(params=_SPLITS, ids=lambda parts: f"{parts}-parts")
 def parts(request):
     with _split_into(request.param):
         yield request.param
@@ -439,20 +440,26 @@ def _no_child_left():
     return True
 
 
+def _agrees_with_reference(path):
+    assert _outcome(_read_matrix_csv, str(path)) == _outcome(oracle_read_matrix_csv, str(path))
+
+
 class TestMatrixReader:
     """The C-parser path of ``_read_matrix_csv`` against the csv.reader +
     float() reference: same classes, ids and value bits, or the same error,
     whatever the number of parts the file is read in."""
 
     @pytest.mark.parametrize("name", sorted(_READER_CASES))
-    def test_case_agrees_with_reference(self, tmp_path, name, parts):
+    def test_case_agrees_with_reference(self, tmp_path, name):
         data, fast = _READER_CASES[name]
         path = tmp_path / "m.csv"
         path.write_bytes(data)
-        assert _outcome(_read_matrix_csv, str(path)) == _outcome(
-            oracle_read_matrix_csv, str(path)
-        )
+        _agrees_with_reference(path)
         assert (_read_plain_csv(str(path)) is not None) == fast
+
+    @pytest.mark.parametrize("name", sorted(_READER_CASES))
+    def test_case_agrees_in_parts(self, tmp_path, name, parts):
+        self.test_case_agrees_with_reference(tmp_path, name)
 
     def test_trailing_blank_line_names_the_empty_row(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -460,35 +467,36 @@ class TestMatrixReader:
         with pytest.raises(ValidationError, match="row 1: 0 cells"):
             _read_matrix_csv(str(path), "predictions")
 
-    @pytest.mark.parametrize("parts", _PARTS)
     @settings(max_examples=300, deadline=None)
     @given(text=_matrix_csv_text())
-    def test_fuzz_agrees_with_reference(self, tmp_path_factory, parts, text):
+    def test_fuzz_agrees_with_reference(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "reader-fuzz.csv"
+        path.write_bytes(text.encode("utf-8"))
+        _agrees_with_reference(path)
+
+    @pytest.mark.parametrize("parts", _SPLITS)
+    @settings(max_examples=300, deadline=None)
+    @given(text=_matrix_csv_text())
+    def test_fuzz_agrees_in_parts(self, tmp_path_factory, parts, text):
         path = tmp_path_factory.getbasetemp() / "reader-fuzz.csv"
         path.write_bytes(text.encode("utf-8"))
         with _split_into(parts):
-            assert _outcome(_read_matrix_csv, str(path)) == _outcome(
-                oracle_read_matrix_csv, str(path)
-            )
+            _agrees_with_reference(path)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    ids=st.lists(
-        st.one_of(st.sampled_from(["", "s,0", 'a"b', "#c", "\x00", "x\r\ny", " ", "\r"]),
-                  st.text(max_size=6)),
-        min_size=1, max_size=6, unique=True,
-    ),
-    classes=st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True),
+_ANY_IDS = st.lists(
+    st.one_of(st.sampled_from(["", "s,0", 'a"b', "#c", "\x00", "x\r\ny", " ", "\r"]),
+              st.text(max_size=6)),
+    min_size=1, max_size=6, unique=True,
 )
-@pytest.mark.parametrize("parts", _PARTS)
-def test_matrix_csv_round_trips_any_id(tmp_path_factory, parts, ids, classes):
+_ANY_CLASSES = st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True)
+
+
+def _round_trip(path, ids, classes):
     # the writer quotes as csv.writer does, and the reader gives back the
-    # ids, classes and value bits it was handed, in any number of parts
-    path = tmp_path_factory.getbasetemp() / "round-trip.csv"
+    # ids, classes and value bits it was handed
     values = np.random.default_rng(len(ids)).normal(size=(len(ids), len(classes)))
-    with _split_into(parts):
-        write_matrix_csv(str(path), classes, ids, values)
+    write_matrix_csv(str(path), classes, ids, values)
     rows = [[sid, *map(repr, row)] for sid, row in zip(ids, values.tolist())]
     lines = []
     for cells in [["sample_id", *classes], *rows]:
@@ -496,13 +504,26 @@ def test_matrix_csv_round_trips_any_id(tmp_path_factory, parts, ids, classes):
         csv.writer(line).writerow(cells)  # the default dialect ends a row in \r\n
         lines.append(line.getvalue()[:-2] + "\n")
     assert path.read_bytes() == "".join(lines).encode("utf-8")
-    with _split_into(parts):
-        got_classes, got_ids, got = _read_matrix_csv(str(path), "predictions")
+    got_classes, got_ids, got = _read_matrix_csv(str(path), "predictions")
     assert (got_classes, got_ids) == (tuple(classes), ids)
     assert got.view(np.int64).tolist() == values.view(np.int64).tolist()
 
 
-def test_matrix_csv_spans_row_blocks(tmp_path, parts):
+@settings(max_examples=200, deadline=None)
+@given(ids=_ANY_IDS, classes=_ANY_CLASSES)
+def test_matrix_csv_round_trips_any_id(tmp_path_factory, ids, classes):
+    _round_trip(tmp_path_factory.getbasetemp() / "round-trip.csv", ids, classes)
+
+
+@pytest.mark.parametrize("parts", _SPLITS)
+@settings(max_examples=200, deadline=None)
+@given(ids=_ANY_IDS, classes=_ANY_CLASSES)
+def test_matrix_csv_round_trips_any_id_in_parts(tmp_path_factory, parts, ids, classes):
+    with _split_into(parts):
+        _round_trip(tmp_path_factory.getbasetemp() / "round-trip.csv", ids, classes)
+
+
+def test_matrix_csv_spans_row_blocks(tmp_path):
     # rows are formatted a block at a time; the bytes are those of one
     # csv.writer row per id, across block edges and a partial last block
     n = 2 * _CSV_BLOCK_ROWS + 3
@@ -516,6 +537,10 @@ def test_matrix_csv_spans_row_blocks(tmp_path, parts):
     writer.writerow(["sample_id", "a", "b"])
     writer.writerows([sid, *map(repr, row)] for sid, row in zip(ids, values.tolist()))
     assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+
+def test_matrix_csv_spans_row_blocks_in_parts(tmp_path, parts):
+    test_matrix_csv_spans_row_blocks(tmp_path)
 
 
 def _matrix_file(path, n, bad_row=None, bad_line=None):
