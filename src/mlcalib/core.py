@@ -312,25 +312,21 @@ def _in_parts(task, spans, take) -> bool:
                     os._exit(code)
             os.close(write_fd)
             children.append((fd, pid))
-        part = task(spans[0])
-        for span in spans[1:]:
-            if part is None:
-                return False
-            take(part)
-            del part  # freed before the next part is read
+        for k, span in enumerate(spans):
             part = False
-            if children:  # the children hold the first spans after spans[0]
+            if k and children:  # the children hold the first spans after spans[0]
                 fd, pid = children[0]
                 part = _receive(fd)
                 children.pop(0)
                 os.close(fd)
                 if os.waitpid(pid, 0)[1] != 0:
                     part = False
-            if part is False:
+            if part is False:  # spans[0], or a span no child did
                 part = task(span)
-        if part is None:
-            return False
-        take(part)
+            if part is None:
+                return False
+            take(part)
+            del part  # freed before the next part is read
         return True
     finally:
         for fd, pid in children:
@@ -481,7 +477,7 @@ def _read_plain_csv(path: str):
     """
     limit = csv.field_size_limit()
     try:
-        fd = os.open(path, os.O_RDONLY)
+        fd = _open_bytes(path)
     except OSError:
         return None
     try:
@@ -489,7 +485,7 @@ def _read_plain_csv(path: str):
         if start == 0:
             return None
         try:
-            header = os.pread(fd, start - 1, 0).decode("utf-8-sig")
+            header = _read_at(fd, 0, start - 1).decode("utf-8-sig")
         except UnicodeDecodeError:
             return None
         names = header.split(",")
@@ -512,7 +508,7 @@ def _read_plain_csv(path: str):
             values[done : len(ids)] = np.frombuffer(rows).reshape(-1, len(classes))
 
         def task(span):
-            return _plain_rows(fd, len(classes), limit, values, *span)
+            return _plain_rows(path, len(classes), limit, values, *span)
 
         if not _in_parts(task, spans, take):
             return None
@@ -523,12 +519,25 @@ def _read_plain_csv(path: str):
         os.close(fd)
 
 
+def _open_bytes(path: str) -> int:
+    """A file descriptor that reads ``path`` as bytes, whatever the platform."""
+    return os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+
+
+def _read_at(fd: int, pos: int, size: int) -> bytes:
+    """Up to ``size`` bytes of the file ``fd`` from offset ``pos``.  Each
+    part reads through its own descriptor, whose offset no other process
+    moves."""
+    os.lseek(fd, pos, os.SEEK_SET)
+    return os.read(fd, size)
+
+
 def _line_end(fd: int, pos: int, limit: int) -> int:
     """The offset of the first ``\\n`` at or after ``pos`` in the file
     ``fd``, or -1 if there is none in the next ``limit`` bytes."""
     stop = pos + limit
     while pos < stop:
-        chunk = os.pread(fd, min(_READ_BYTES, stop - pos), pos)
+        chunk = _read_at(fd, pos, min(_READ_BYTES, stop - pos))
         if not chunk:
             return -1
         if (at := chunk.find(b"\n")) >= 0:
@@ -551,7 +560,7 @@ def _line_spans(fd: int, start: int, size: int, parts: int, limit: int) -> list:
     for lo, hi in zip(bounds, bounds[1:]):
         lines = 0
         for pos in range(lo, hi, _READ_BYTES):
-            chunk = os.pread(fd, min(_READ_BYTES, hi - pos), pos)
+            chunk = _read_at(fd, pos, min(_READ_BYTES, hi - pos))
             lines += _count_bytes(chunk, b"\n")
         if not chunk.endswith(b"\n"):  # a last line with no line end
             lines += 1
@@ -566,44 +575,51 @@ def _count_bytes(data: bytes, byte: bytes) -> int:
     return int(np.count_nonzero(np.frombuffer(data, np.uint8) == ord(byte)))
 
 
-def _plain_rows(fd: int, n_classes: int, limit: int, values, lo: int, hi: int, row: int,
+def _plain_rows(path: str, n_classes: int, limit: int, values, lo: int, hi: int, row: int,
                 stop: int):
-    """Read, check and parse the lines in bytes ``lo:hi`` of the file ``fd``
-    into rows ``row:stop`` of ``values``: the ids, as UTF-8 text joined by
+    """Read, check and parse the lines in bytes ``lo:hi`` of ``path`` into
+    rows ``row:stop`` of ``values``: the ids, as UTF-8 text joined by
     ``\\n``, and those rows, or None if a line is not plain (see
     :func:`_read_plain_csv`)."""
-    first, ids = row, []  # the ids of each chunk, as one str
-    while lo < hi:
-        chunk = os.pread(fd, min(_READ_BYTES, hi - lo), lo)
-        if lo + len(chunk) < hi:  # up to the last whole line
-            chunk = chunk[: chunk.rfind(b"\n") + 1]
-        if not chunk:  # a line longer than _READ_BYTES, or the file shrank
+    fd = _open_bytes(path)
+    try:
+        first, ids = row, []  # the ids of each chunk, as one str
+        while lo < hi:
+            chunk = _read_at(fd, lo, min(_READ_BYTES, hi - lo))
+            if lo + len(chunk) < hi:  # up to the last whole line
+                chunk = chunk[: chunk.rfind(b"\n") + 1]
+            if not chunk:  # a line longer than _READ_BYTES, or the file shrank
+                return None
+            lo += len(chunk)
+            try:
+                text = chunk.decode("utf-8")
+            except UnicodeDecodeError:
+                return None
+            lines = text.split("\n")
+            if text.endswith("\n"):
+                lines.pop()
+            n = len(lines)
+            if ('"' in text or "\r" in text or _count_bytes(chunk, b",") != n * n_classes
+                    or max(map(len, lines)) >= limit or row + n > stop):
+                return None
+            try:
+                block = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
+                                   usecols=range(1, n_classes + 1), dtype=np.float64, ndmin=2)
+            except ValueError:
+                return None
+            # loadtxt skips a blank line and takes at least C + 1 fields from
+            # each other one: n rows from n lines holding n x C commas mean
+            # exactly one comma per class on every line
+            if block.shape[0] != n:
+                return None
+            values[row : row + n] = block
+            ids.append("\n".join([line.partition(",")[0] for line in lines]))
+            row += n
+        if row != stop:
             return None
-        lo += len(chunk)
-        try:
-            text = chunk.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-        lines = text.split("\n")
-        if text.endswith("\n"):
-            lines.pop()
-        n = len(lines)
-        if ('"' in text or "\r" in text or _count_bytes(chunk, b",") != n * n_classes
-                or max(map(len, lines)) >= limit or row + n > stop):
-            return None
-        try:
-            block = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
-                               usecols=range(1, n_classes + 1), dtype=np.float64, ndmin=2)
-        except ValueError:
-            return None
-        if block.shape[0] != n:  # loadtxt skipped a blank line
-            return None
-        values[row : row + n] = block
-        ids.append("\n".join([line.partition(",")[0] for line in lines]))
-        row += n
-    if row != stop:
-        return None
-    return ["\n".join(ids).encode("utf-8"), values[first:stop]]
+        return ["\n".join(ids).encode("utf-8"), values[first:stop]]
+    finally:
+        os.close(fd)
 
 
 def _read_csv_cells(path: str, kind: str):

@@ -87,7 +87,7 @@ class SynthConfig:
             if not np.all(np.isfinite(arr) & (arr > 0 if positive else True)):
                 rule = "finite and > 0" if positive else "finite"
                 raise ValidationError(f"{name} must be {rule}, got {value}")
-        # the last clip starts at (N - 1) x clip_duration_s, compared exactly
+        # the last clip starts at (N - 1) x clip_duration_s, which must stay finite
         if self.n - 1 > sys.float_info.max / self.clip_duration_s:
             raise ValidationError(
                 f"clip_duration_s is too large for N={self.n}: the last start, "
