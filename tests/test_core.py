@@ -584,9 +584,12 @@ class TestParts:
                 _read_matrix_csv(path, "predictions")
         assert counts == [1, 1, 2, 2, _MAX_PARTS, _MAX_PARTS]
 
-    def test_small_files_are_one_part(self):
-        assert core._part_count(core._PART_BYTES - 1, core._PART_BYTES) == 1
+    def test_small_files_are_one_part(self, monkeypatch):
+        # a 1-2 MB labels file reads more slowly when split, whatever the CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert core._part_count(2_200_000, core._PART_BYTES) == 1
         assert core._part_count(core._PART_CELLS - 1, core._PART_CELLS) == 1
+        assert core._part_count(2 * core._PART_CELLS, core._PART_CELLS) == 2
 
     @pytest.mark.parametrize("fault", ["raises", "killed", "no-fork"])
     def test_failed_child_is_redone_here(self, tmp_path, monkeypatch, fault):
