@@ -434,10 +434,9 @@ def parts(request):
         yield request.param
 
 
-def _no_child_left():
+def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    return True
 
 
 def _agrees_with_reference(path):
@@ -627,9 +626,9 @@ class TestParts:
             monkeypatch.setattr(core, "_plain_rows", failing(core._plain_rows))
         with _split_into(_MAX_PARTS):
             write_matrix_csv(str(tmp_path / "parts.csv"), "abc", ids, values)
-            assert _no_child_left()
+            _assert_no_child_left()
             classes, got_ids, got = _read_matrix_csv(str(tmp_path / "parts.csv"), "predictions")
-            assert _no_child_left()
+            _assert_no_child_left()
         assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
         assert (classes, got_ids) == want[:2]
         assert got.tobytes() == want[2].tobytes()
@@ -638,7 +637,7 @@ class TestParts:
         path = _matrix_file(tmp_path / "m.csv", 400, bad_row=0, bad_line='"s0",1,2')
         with _split_into(_MAX_PARTS):
             assert _read_plain_csv(path) is None
-            assert _no_child_left()
+            _assert_no_child_left()
 
     def test_parent_part_that_raises_reaps_every_child(self, tmp_path, monkeypatch):
         n = 2000
@@ -655,7 +654,7 @@ class TestParts:
         monkeypatch.setattr(core, "_csv_rows", fail_here)
         with _split_into(_MAX_PARTS), pytest.raises(MemoryError):
             write_matrix_csv(str(tmp_path / "m.csv"), "ab", ids, values)
-        assert _no_child_left()
+        _assert_no_child_left()
 
     def test_synth_above_the_floor_prints_once(self, tmp_path):
         """A synth run large enough to split its CSVs, as one subprocess:
