@@ -80,7 +80,8 @@ print("=== parameter files round trip bit-exactly ===")
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "params.json")
     save_params(params, trace, path)
-    head = open(path).read().splitlines()
+    with open(path, encoding="utf-8") as fh:
+        head = fh.read().splitlines()
     print("\n".join(head[:7]))  # the trace and its nll_history follow
     print("  ...")
     reloaded = load_params(path)

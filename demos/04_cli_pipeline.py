@@ -43,7 +43,8 @@ run(["apply", "--predictions", os.path.join(FX, "predictions.csv"),
 run(["plot", "--report", os.path.join(FIT, "report.json"), "--out", PL])
 
 print()
-doc = json.load(open(os.path.join(FIT, "report.json")))
+with open(os.path.join(FIT, "report.json"), encoding="utf-8") as fh:
+    doc = json.load(fh)
 params = doc["params"]["ps/global"]
 print(f"fitted T = {params['T']:.3f}, b = {params['b']:+.3f} "
       "(generator used T* = 2.0, b* = +0.5)")

@@ -15,8 +15,12 @@ The text of a matrix CSV is formatted (:func:`write_matrix_csv`) and
 parsed (:func:`_read_plain_csv`) in contiguous row parts, one per CPU the
 process may run on, above a floor of work per part.  :func:`_in_parts`
 runs the first part in the caller and each other part in a forked child,
-the only processes the package starts; the bytes written and the values
-read do not depend on how many parts there are.
+the only processes the package starts.  A child's exit status says
+whether its part is done, declined or failed (and then redone in the
+caller).  Parsed rows land in place in one matrix shared with the
+children, and a part's text, its formatted rows or its parsed ids, comes
+back raw through a pipe.  The bytes written and the values read do not
+depend on how many parts there are.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import mmap
 import os
 import re
 import signal
@@ -43,22 +48,31 @@ class NumericalError(RuntimeError):
     """A numerical routine degenerated (non-finite value where none is allowed)."""
 
 
+# cells of sigmoid's output computed at a time: its temporaries are one
+# block long, not the size of the matrix
+_SIGMOID_CELLS = 1 << 16
+
+
 def sigmoid(z):
     """Map logits to probabilities, numerically stable on both tails.
 
-    Accepts scalars or arrays; returns the same shape.  sigmoid(0) is
-    exactly 0.5 and the function is strictly increasing.
+    Accepts scalars or arrays; returns the same shape, in C order.
+    sigmoid(0) is exactly 0.5 and the function is strictly increasing.
     """
     arr = np.asarray(z, dtype=np.float64)
+    out = np.empty(arr.shape)
     # e = exp(-|z|) never overflows: 1 / (1 + e) for z >= 0, e / (1 + e)
     # below, computed in place in the output.  min(z, -z) is -|z| except
     # that it returns a NaN as it is, where -np.abs would set its sign bit.
-    out = np.negative(arr, out=np.empty_like(arr))
-    np.minimum(arr, out, out=out)
-    np.exp(out, out=out)
-    denom = out + 1.0
-    np.copyto(out, 1.0, where=arr >= 0)
-    out /= denom
+    cells, flat = arr.reshape(-1), out.reshape(-1)
+    for i in range(0, flat.size, _SIGMOID_CELLS):
+        x, y = cells[i : i + _SIGMOID_CELLS], flat[i : i + _SIGMOID_CELLS]
+        np.negative(x, out=y)
+        np.minimum(x, y, out=y)
+        np.exp(y, out=y)
+        denom = y + 1.0
+        np.copyto(y, 1.0, where=x >= 0)
+        y /= denom
     if out.ndim == 0:
         return float(out)
     return out
@@ -268,6 +282,9 @@ _MAX_PARTS = 8
 _PART_CELLS = 100_000
 _PART_BYTES = 2 << 20
 
+# the exit status of a forked part whose task declines its span
+_DECLINED = 3
+
 
 def _part_count(work: int, floor: int) -> int:
     """How many parts ``work`` cells or bytes are split into, each of at
@@ -279,16 +296,18 @@ def _part_count(work: int, floor: int) -> int:
 
 
 def _in_parts(task, spans, take) -> bool:
-    """Call ``take(task(span))`` for each of ``spans`` in order.
+    """Call ``take(task(span))`` for each of ``spans`` in order, where a
+    task returns a list of bytes-like buffers, or None to decline its span.
 
     The first span's task runs here, and every other span's task at the
-    same time in a forked child, which sends the buffers the task returns
-    through a pipe; ``take`` then gets bytearrays holding their bytes.  A
-    span whose child fails, is killed, sends a short payload or cannot be
-    started is done here with ``task``, so the parts ``take`` gets do not
-    depend on how the work was split.  A task that returns None stops the
-    run, and False is returned.  Every child has been reaped when this
-    returns or raises.
+    same time in a forked child.  A child writes its buffers to a pipe,
+    back to back, and exits 0, or exits _DECLINED if its task declines;
+    ``take`` then gets the bytes read from the pipe, as a list of bytes
+    objects that may split them elsewhere.  A span whose child exits
+    otherwise, is killed or cannot be started is done here with ``task``,
+    so the bytes ``take`` gets do not depend on how the work was split.  A
+    declined span stops the run, and False is returned.  Every child has
+    been reaped when this returns or raises.
     """
     children = []  # (read end of its pipe, pid) of each child not yet reaped
     try:
@@ -301,30 +320,36 @@ def _in_parts(task, spans, take) -> bool:
                 for end in ends:
                     os.close(end)
                 break
-            if pid == 0:  # the child: send the part and leave, whatever happens
+            if pid == 0:  # the child: write the part and leave, whatever happens
                 code = 1
                 try:
                     for other in (fd, *(other for other, _ in children)):
                         os.close(other)
-                    _send(write_fd, task(span))
-                    code = 0
+                    part = task(span)
+                    for view in map(memoryview, part or ()):
+                        while view:
+                            view = view[os.write(write_fd, view):]
+                    code = _DECLINED if part is None else 0
                 finally:
                     os._exit(code)
             os.close(write_fd)
             children.append((fd, pid))
         for k, span in enumerate(spans):
-            part = False
+            code = None  # spans[0], and a span no child did, are done here
             if k and children:  # the children hold the first spans after spans[0]
                 fd, pid = children[0]
-                part = _receive(fd)
+                part = []
+                while chunk := os.read(fd, _READ_BYTES):
+                    part.append(chunk)
                 children.pop(0)
                 os.close(fd)
-                if os.waitpid(pid, 0)[1] != 0:
-                    part = False
-            if part is False:  # spans[0], or a span no child did
-                part = task(span)
-            if part is None:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code == _DECLINED:
                 return False
+            if code != 0:
+                part = task(span)
+                if part is None:
+                    return False
             take(part)
             del part  # freed before the next part is read
         return True
@@ -333,49 +358,6 @@ def _in_parts(task, spans, take) -> bool:
             os.close(fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-
-def _send(fd: int, buffers) -> None:
-    """Write ``buffers`` to the pipe ``fd``: their count and byte lengths,
-    8 bytes each, then their bytes.  None writes nothing."""
-    if buffers is None:
-        return
-    views = [memoryview(buf).cast("B") for buf in buffers]
-    head = b"".join(n.to_bytes(8, "little") for n in (len(views), *map(len, views)))
-    for view in (memoryview(head), *views):
-        while view:
-            view = view[os.write(fd, view):]
-
-
-def _receive(fd: int):
-    """The buffers a child sent through ``fd`` (see :func:`_send`) as
-    bytearrays, None if it sent nothing, or False if its payload stops
-    short."""
-    count = bytearray(8)
-    got = os.readv(fd, [count])
-    if got == 0:
-        return None
-    if not _fill(fd, memoryview(count)[got:]):
-        return False
-    sizes = bytearray(8 * int.from_bytes(count, "little"))
-    if not _fill(fd, sizes):
-        return False
-    buffers = [bytearray(int.from_bytes(sizes[i : i + 8], "little"))
-               for i in range(0, len(sizes), 8)]
-    if not all(_fill(fd, buf) for buf in buffers):
-        return False
-    return buffers
-
-
-def _fill(fd: int, buf) -> bool:
-    """Read ``fd`` into all of ``buf``; False if the pipe ends first."""
-    view = memoryview(buf)
-    while view:
-        got = os.readv(fd, [view])
-        if got == 0:
-            return False
-        view = view[got:]
-    return True
 
 
 def csv_field(text: str) -> str:
@@ -473,7 +455,9 @@ def _read_plain_csv(path: str):
 
     The header is read here.  The body is cut at line ends into parts
     (see :func:`_in_parts`); each part reads, checks and parses its own
-    bytes, and its values go into their rows of the one result matrix.
+    bytes straight into its rows of the one result matrix, which sits in
+    an anonymous shared map, so a forked part hands back only its ids.
+    A span redone here after its child failed overwrites the same rows.
     """
     limit = csv.field_size_limit()
     try:
@@ -497,15 +481,12 @@ def _read_plain_csv(path: str):
         if size <= start:
             return None
         spans = _line_spans(fd, start, size, _part_count(size - start, _PART_BYTES), limit)
-        values = np.empty((spans[-1][3], len(classes)))
+        shape = (spans[-1][3], len(classes))
+        values = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1])).reshape(shape)
         ids = []
 
         def take(part):
-            ids_text, rows = part
-            done = len(ids)
-            ids.extend(ids_text.decode("utf-8").split("\n"))
-            # a no-op for a part parsed here, which wrote its rows in place
-            values[done : len(ids)] = np.frombuffer(rows).reshape(-1, len(classes))
+            ids.extend(b"".join(part).decode("utf-8").split("\n"))
 
         def task(span):
             return _plain_rows(path, len(classes), limit, values, *span)
@@ -578,12 +559,12 @@ def _count_bytes(data: bytes, byte: bytes) -> int:
 def _plain_rows(path: str, n_classes: int, limit: int, values, lo: int, hi: int, row: int,
                 stop: int):
     """Read, check and parse the lines in bytes ``lo:hi`` of ``path`` into
-    rows ``row:stop`` of ``values``: the ids, as UTF-8 text joined by
-    ``\\n``, and those rows, or None if a line is not plain (see
+    rows ``row:stop`` of ``values``: the ids, as one buffer of UTF-8 text
+    joined by ``\\n``, or None if a line is not plain (see
     :func:`_read_plain_csv`)."""
     fd = _open_bytes(path)
     try:
-        first, ids = row, []  # the ids of each chunk, as one str
+        ids = []  # the ids of each chunk, as one str
         while lo < hi:
             chunk = _read_at(fd, lo, min(_READ_BYTES, hi - lo))
             if lo + len(chunk) < hi:  # up to the last whole line
@@ -617,7 +598,7 @@ def _plain_rows(path: str, n_classes: int, limit: int, values, lo: int, hi: int,
             row += n
         if row != stop:
             return None
-        return ["\n".join(ids).encode("utf-8"), values[first:stop]]
+        return ["\n".join(ids).encode("utf-8")]
     finally:
         os.close(fd)
 

@@ -239,8 +239,9 @@ def apply_scaling(logits, params: ScalingParams) -> np.ndarray:
     if z.ndim != 2:
         raise ValidationError(f"logits must be 2-d, got shape {z.shape}")
     _check_dims(z, params)
-    t = np.exp(params.tau)
-    return sigmoid(z / t + params.bias)
+    s = z / np.exp(params.tau)
+    s += params.bias  # in place: the scaled logits are one matrix
+    return sigmoid(s)
 
 
 def bce_nll(logits, labels, params: ScalingParams) -> float:

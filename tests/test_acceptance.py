@@ -9,6 +9,7 @@ the measured recovery and |MCS| reduction.
 """
 
 import os
+import pathlib
 from time import perf_counter
 
 import numpy as np
@@ -329,7 +330,7 @@ def test_criterion_10_pipeline_is_byte_deterministic(tmp_path):
         for root, _, names in os.walk(tmp_path):
             for name in names:
                 path = os.path.join(root, name)
-                files[os.path.relpath(path, tmp_path)] = open(path, "rb").read()
+                files[os.path.relpath(path, tmp_path)] = pathlib.Path(path).read_bytes()
         return files
 
     run_all()

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -54,12 +55,12 @@ class TestSynthCommand:
             assert os.path.exists(path)
         out = capsys.readouterr().out
         assert out.count("wrote ") == 4
-        truth = json.load(open(paths["truth"]))
+        truth = json.loads(pathlib.Path(paths["truth"]).read_text())
         assert truth["n"] == 2000 and truth["true_T"] == [1.0, 1.0, 1.0]
 
     def test_vector_t_and_b(self, tmp_path):
         paths = _synth(tmp_path, c=3, true_t="1.0,2.0,0.5", true_b="0.1,0.0,-0.1")
-        truth = json.load(open(paths["truth"]))
+        truth = json.loads(pathlib.Path(paths["truth"]).read_text())
         assert truth["true_T"] == [1.0, 2.0, 0.5]
         assert truth["true_b"] == [0.1, 0.0, -0.1]
 
@@ -491,7 +492,7 @@ def _argv(command, paths, out):
 def _two_datasets(tmp_path, paths, first, second):
     """``paths`` with a manifest whose first 100 rows belong to dataset
     ``first`` and whose other rows belong to ``second``."""
-    rows = json.load(open(paths["manifest"]))
+    rows = json.loads(pathlib.Path(paths["manifest"]).read_text())
     for i, row in enumerate(rows):
         row["dataset_id"] = first if i < 100 else second
     manifest = tmp_path / "two.json"
@@ -709,7 +710,7 @@ class TestInputBoundaries:
     @pytest.mark.parametrize("field, value", [("start_s", "nan"), ("start_s", "inf"),
                                               ("duration_s", "nan"), ("duration_s", "inf")])
     def test_non_finite_manifest_time_exits_2(self, tmp_path, capsys, small, field, value):
-        rows = json.load(open(small["manifest"]))
+        rows = json.loads(pathlib.Path(small["manifest"]).read_text())
         rows[3][field] = float(value)
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(rows))
@@ -726,7 +727,7 @@ class TestInputBoundaries:
     )
     def test_manifest_field_of_wrong_json_type_exits_2(self, tmp_path, capsys, small, field,
                                                        value):
-        rows = json.load(open(small["manifest"]))
+        rows = json.loads(pathlib.Path(small["manifest"]).read_text())
         rows[3][field] = value
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(rows))
@@ -765,7 +766,7 @@ class TestInputBoundaries:
 
     def test_scope_without_positives_is_named(self, tmp_path, capsys, small):
         paths = _two_datasets(tmp_path, small, "north", "south")
-        lines = open(small["labels"]).read().splitlines()
+        lines = pathlib.Path(small["labels"]).read_text().splitlines()
         # every label of the second half, the south rows, set to 0
         south = [line.split(",")[0] + ",0,0,0" for line in lines[101:]]
         (tmp_path / "labels.csv").write_text("\n".join(lines[:101] + south) + "\n")
@@ -999,7 +1000,7 @@ class TestFuzzGate:
     @given(st.data())
     def test_every_run_exits_0_2_or_3_with_one_line(self, fuzz_inputs, data):
         draw = data.draw
-        files = {name: open(path, "rb").read() for name, path in fuzz_inputs.items()}
+        files = {name: pathlib.Path(path).read_bytes() for name, path in fuzz_inputs.items()}
         flags = []
         what = draw(st.sampled_from(("csv", "json", "flag")))
         if what == "flag":

@@ -352,6 +352,7 @@ _READER_CASES = {
     "whitespace-around-cells": (b"sample_id,a,b\ns0,\t2.5 , 1.5\x0b\n", True),
     "hash-in-id": (b"sample_id,a\n#s0,1\ns1,2\n", True),
     "no-final-newline": (b"sample_id,a\ns0,1\ns1,2", True),
+    "empty-id-in-last-row": (b"sample_id,a\ns0,1\n,2\n", True),
     "quoted-id": (b'sample_id,a\n"s0",1\n', False),
     "quoted-id-with-comma": (b'sample_id,a\n"s,0",1\n', False),
     "quoted-cell": (b'sample_id,a\ns0,"1.5"\n', False),
@@ -437,6 +438,19 @@ def parts(request):
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def _same_descriptors():
+    """Assert that the block leaves the same file descriptors open as it
+    found, where ``/proc/self/fd`` lists them: a pipe end is a bare
+    integer, which no ResourceWarning reports."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = set(os.listdir("/proc/self/fd"))
+    yield
+    assert set(os.listdir("/proc/self/fd")) == before
 
 
 def _agrees_with_reference(path):
@@ -624,7 +638,7 @@ class TestParts:
         else:
             monkeypatch.setattr(core, "_csv_rows", failing(core._csv_rows))
             monkeypatch.setattr(core, "_plain_rows", failing(core._plain_rows))
-        with _split_into(_MAX_PARTS):
+        with _split_into(_MAX_PARTS), _same_descriptors():
             write_matrix_csv(str(tmp_path / "parts.csv"), "abc", ids, values)
             _assert_no_child_left()
             classes, got_ids, got = _read_matrix_csv(str(tmp_path / "parts.csv"), "predictions")
@@ -635,7 +649,7 @@ class TestParts:
 
     def test_declining_part_stops_and_reaps_the_others(self, tmp_path):
         path = _matrix_file(tmp_path / "m.csv", 400, bad_row=0, bad_line='"s0",1,2')
-        with _split_into(_MAX_PARTS):
+        with _split_into(_MAX_PARTS), _same_descriptors():
             assert _read_plain_csv(path) is None
             _assert_no_child_left()
 
@@ -652,7 +666,7 @@ class TestParts:
             return rows(*args)
 
         monkeypatch.setattr(core, "_csv_rows", fail_here)
-        with _split_into(_MAX_PARTS), pytest.raises(MemoryError):
+        with _split_into(_MAX_PARTS), _same_descriptors(), pytest.raises(MemoryError):
             write_matrix_csv(str(tmp_path / "m.csv"), "ab", ids, values)
         _assert_no_child_left()
 

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -323,11 +324,11 @@ class TestScopes:
     def test_mixed_class_pipeline_golden(self):
         # pins the bytes of every scope, the All scope's pooled curve
         # included, when the datasets' class tuples overlap but differ
-        want = open(os.path.join(GOLDEN, "pipeline_report.json"), "rb").read()
+        want = pathlib.Path(GOLDEN, "pipeline_report.json").read_bytes()
         assert _mixed_class_report() == want
         # fitted runs: the calibration blocks flatten (held-out, classes
         # differ) or stack (first-minutes, classes shared)
-        want = open(os.path.join(GOLDEN, "pipeline_fit_reports.json"), "rb").read()
+        want = pathlib.Path(GOLDEN, "pipeline_fit_reports.json").read_bytes()
         assert _fitted_reports() == want
 
     def test_mixed_class_csv_golden(self, tmp_path):
@@ -341,8 +342,8 @@ class TestScopes:
         )
         path = str(tmp_path / "report.csv")
         emit_report(dataclasses.replace(report, rows=(*report.rows, marker)), "csv", path)
-        want = open(os.path.join(GOLDEN, "report.csv"), "rb").read()
-        assert open(path, "rb").read() == want
+        want = pathlib.Path(GOLDEN, "report.csv").read_bytes()
+        assert pathlib.Path(path).read_bytes() == want
 
 
 def _fitted_reports() -> bytes:

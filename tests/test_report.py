@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -141,7 +142,7 @@ class TestEmitReport:
         report = _fixed_report()
         path = str(tmp_path / "report.csv")
         emit_report(report, "csv", path)
-        lines = open(path, newline="").read().splitlines()
+        lines = pathlib.Path(path).read_bytes().decode("utf-8").splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         cells = lines[1].split(",")
         row = dict(zip(CSV_COLUMNS, cells))
@@ -161,7 +162,7 @@ class TestEmitReport:
         report = Report(config={}, rows=(row,), curves=(), params={}, version="0.0.0-test")
         path = str(tmp_path / "r.csv")
         emit_report(report, "csv", path)
-        assert NOT_APPLICABLE in open(path, newline="").read()
+        assert NOT_APPLICABLE in pathlib.Path(path).read_bytes().decode("utf-8")
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -177,7 +178,7 @@ class TestEmitReport:
                 assert got == want
 
     def test_golden_json_bytes(self):
-        want = open(os.path.join(GOLDEN, "report.json"), "rb").read()
+        want = pathlib.Path(GOLDEN, "report.json").read_bytes()
         got = (dumps_canonical(report_to_dict(_fixed_report())) + "\n").encode()
         assert got == want
 
@@ -187,7 +188,7 @@ class TestReadBack:
         doc = emit_report(_fixed_report(), "json", str(tmp_path / "report.json"))
         assert doc == load_report(str(tmp_path / "report.json"))
         svg = render_reliability_svg(*scope_curves(doc, "All"), title="All")
-        assert svg == open(os.path.join(GOLDEN, "reliability.svg"), "r", newline="").read()
+        assert svg == pathlib.Path(GOLDEN, "reliability.svg").read_bytes().decode("utf-8")
 
     def test_row_missing_for_a_curve(self):
         doc = report_to_dict(_fixed_report())
@@ -209,7 +210,7 @@ class TestSvg:
             [base, scaled], labels=["base", "ts/global"],
             mcs_values=[0.09, 0.01], title="All",
         )
-        want = open(os.path.join(GOLDEN, "reliability.svg"), "r", newline="").read()
+        want = pathlib.Path(GOLDEN, "reliability.svg").read_bytes().decode("utf-8")
         assert svg == want
 
     def test_structure(self):

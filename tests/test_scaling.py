@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -410,7 +411,7 @@ def _fit_params_docs() -> bytes:
 def test_fit_params_golden():
     """Pins every fit's parameters and trace, bit for bit, over fallback,
     separable and anti-correlated columns."""
-    want = open(os.path.join(GOLDEN, "fit_params.json"), "rb").read()
+    want = pathlib.Path(GOLDEN, "fit_params.json").read_bytes()
     assert _fit_params_docs() == want
 
 

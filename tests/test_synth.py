@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -123,7 +125,7 @@ class TestFixtureFiles:
 
         cfg = SynthConfig(n=10, c=2, true_t=(2.0, 0.5), true_b=-1.0, seed=4)
         paths = write_fixture(cfg, str(tmp_path / "fix"))
-        truth = json.load(open(paths["truth"]))
+        truth = json.loads(pathlib.Path(paths["truth"]).read_text())
         assert truth["true_T"] == [2.0, 0.5]
         assert truth["true_b"] == [-1.0, -1.0]
         assert truth["seed"] == 4
@@ -134,4 +136,4 @@ class TestFixtureFiles:
         p1 = write_fixture(cfg, str(tmp_path / "a"))
         p2 = write_fixture(cfg, str(tmp_path / "b"))
         for key in ("predictions", "labels", "manifest", "truth"):
-            assert open(p1[key], "rb").read() == open(p2[key], "rb").read()
+            assert pathlib.Path(p1[key]).read_bytes() == pathlib.Path(p2[key]).read_bytes()
