@@ -48,9 +48,23 @@ class NumericalError(RuntimeError):
     """A numerical routine degenerated (non-finite value where none is allowed)."""
 
 
-# cells of sigmoid's output computed at a time: its temporaries are one
-# block long, not the size of the matrix
-_SIGMOID_CELLS = 1 << 16
+# cells of sigmoid's and inverse_sigmoid's output computed at a time:
+# their temporaries are one block long, not the size of the matrix
+_BLOCK_CELLS = 1 << 16
+
+
+def _by_blocks(arr: np.ndarray, step):
+    """A new float64 array of ``arr``'s shape, in C order, filled by
+    ``step(x, y)`` block by block: ``x`` is a block of ``arr``'s flat
+    C-order cells and ``y`` the same block of the output.  A 0-d result is
+    returned as a float."""
+    out = np.empty(arr.shape)
+    cells, flat = arr.reshape(-1), out.reshape(-1)
+    for i in range(0, flat.size, _BLOCK_CELLS):
+        step(cells[i : i + _BLOCK_CELLS], flat[i : i + _BLOCK_CELLS])
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def sigmoid(z):
@@ -59,23 +73,18 @@ def sigmoid(z):
     Accepts scalars or arrays; returns the same shape, in C order.
     sigmoid(0) is exactly 0.5 and the function is strictly increasing.
     """
-    arr = np.asarray(z, dtype=np.float64)
-    out = np.empty(arr.shape)
     # e = exp(-|z|) never overflows: 1 / (1 + e) for z >= 0, e / (1 + e)
     # below, computed in place in the output.  min(z, -z) is -|z| except
     # that it returns a NaN as it is, where -np.abs would set its sign bit.
-    cells, flat = arr.reshape(-1), out.reshape(-1)
-    for i in range(0, flat.size, _SIGMOID_CELLS):
-        x, y = cells[i : i + _SIGMOID_CELLS], flat[i : i + _SIGMOID_CELLS]
+    def step(x, y):
         np.negative(x, out=y)
         np.minimum(x, y, out=y)
         np.exp(y, out=y)
         denom = y + 1.0
         np.copyto(y, 1.0, where=x >= 0)
         y /= denom
-    if out.ndim == 0:
-        return float(out)
-    return out
+
+    return _by_blocks(np.asarray(z, dtype=np.float64), step)
 
 
 def _check_eps(eps: float):
@@ -89,20 +98,25 @@ def inverse_sigmoid(p, eps: float = 1e-7):
     Values are clamped to [eps, 1-eps] before the log-odds transform, so
     exact 0/1 probabilities (common in exported model outputs) map to large
     finite logits instead of infinities.  Exact inverse of :func:`sigmoid`
-    on (eps, 1-eps).
+    on (eps, 1-eps).  Returns the same shape, in C order.
     """
     _check_eps(eps)
     arr = np.asarray(p, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
-        bad = int(np.argmax((arr < 0.0) | (arr > 1.0) | ~np.isfinite(arr)))
+    inside = (arr >= 0.0) & (arr <= 1.0)  # False for NaN
+    if not inside.all():
+        bad = int(np.argmin(inside))
         raise ValidationError(
             f"probability outside [0, 1] at flat index {bad}: {float(arr.flat[bad])!r}"
         )
-    clamped = np.clip(arr, eps, 1.0 - eps)
-    out = np.log(clamped / (1.0 - clamped))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    del inside
+
+    def step(x, y):  # log(c / (1 - c)) of the clamped c, in place
+        np.clip(x, eps, 1.0 - eps, out=y)
+        denom = 1.0 - y
+        y /= denom
+        np.log(y, out=y)
+
+    return _by_blocks(arr, step)
 
 
 def _frozen(values) -> np.ndarray:
@@ -699,17 +713,30 @@ def json_field(doc, key: str, where: str, kind: str):
     return value
 
 
+# a \ud800-\udfff escape: JSON decodes it to a lone surrogate, which no
+# UTF-8 output can hold, unless it is one half of a surrogate pair
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def read_json(path: str, kind: str):
     """The JSON document in ``path``, a ``kind`` file (manifest, params,
     report).  Each way a file can fail to load is a ValidationError that
-    names the file: it cannot be read, it is not UTF-8 or not JSON, it holds
-    an integer over Python's 4300-digit limit, or it nests deeper than the
-    interpreter's recursion limit."""
+    names the file: it cannot be read, it is not UTF-8 or not JSON, it
+    escapes a lone surrogate, it holds an integer over Python's 4300-digit
+    limit, or it nests deeper than the interpreter's recursion limit."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
+        doc = json.loads(text)
+        if _SURROGATE_ESCAPE.search(text):  # a pair encodes, a lone half raises
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        return doc
     except OSError as exc:
         raise ValidationError(f"cannot read {kind} file {path}: {exc}") from exc
+    except UnicodeEncodeError as exc:
+        lone = exc.object[exc.start : exc.end]
+        raise ValidationError(f"{kind} file {path} escapes a lone surrogate {lone!r}, "
+                              "which is not text") from None
     except ValueError as exc:  # bad JSON or UTF-8, or an int over 4300 digits
         raise ValidationError(f"{kind} file {path} is not valid JSON: {exc}") from exc
     except RecursionError:

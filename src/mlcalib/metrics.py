@@ -30,13 +30,12 @@ and adds the chunk totals in chunk order.  The order is fixed, so results
 are bit-reproducible and equal the loop-based oracles.  OCS and UCS are
 accumulated bin by bin, vectorized across classes.
 
-AP (``_scope_aps``) ranks each class column once per method, over all
-chunks, with one stable descending sort.  A scope's ranking is that order
-restricted to the scope's positions, which is the scope's own stable
-order.  A later method reuses the first method's order when an O(N) check
-proves it is its own, and is sorted again when the check fails.  The
-cumsum, precisions and mean of each scope's AP run on the same values in
-the same order as a separate sort of the scope's column would give.
+AP (``_scope_aps``) ranks each scope's own class column, its chunks
+concatenated in chunk order.  The order is a default argsort, kept when an
+O(N) check proves it is the stable descending one (ties in ascending
+position) and redone as a stable sort when the check fails.  A later
+method reuses the first method's order of the same column when the same
+check proves it is its own, and is sorted again when it fails.
 
 ``score_scope`` is the kernel on one scope and one method;
 ``average_precision``, ``bin_class``, ``calibration_scores``,
@@ -46,7 +45,6 @@ binning and accumulation.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,14 +115,18 @@ class ClassMetrics:
 
 def _descending(scores: np.ndarray) -> np.ndarray:
     """The stable descending order of a score column: ties keep ascending
-    position, so the ranking is the same on every platform."""
-    return np.argsort(-scores, kind="stable")
+    position, so the ranking is the same on every platform.  The default
+    argsort is kept when :func:`_keeps_order` proves it is that order, as
+    it is whenever no two scores are equal; otherwise (a tie it broke the
+    other way, ``-0.0`` next to ``0.0``, a NaN) the stable sort is taken."""
+    order = np.argsort(-scores)
+    return order if _keeps_order(scores, order) else np.argsort(-scores, kind="stable")
 
 
 def _keeps_order(scores: np.ndarray, order: np.ndarray) -> bool:
-    """Whether ``order``, the stable descending order of another column, is
-    also that of ``scores``: read in that order ``scores`` never increases,
-    and equal neighbours sit in ascending position.  A NaN fails the check."""
+    """Whether ``order`` is the stable descending order of ``scores``: read
+    in that order ``scores`` never increases, and equal neighbours sit in
+    ascending position.  A NaN among two or more scores fails the check."""
     ranked = scores[order]
     if not np.all(ranked[1:] <= ranked[:-1]):
         return False
@@ -216,7 +218,8 @@ def _bin_sums(chunks, n_classes: int, m_bins: int, runs):
     sums = [(np.zeros(size, dtype=np.int64), np.zeros(size), np.zeros(size)) for _ in runs]
     pooled = [None] * len(runs)
     for k, (codes, conf, labels) in enumerate(chunks):
-        if conf.size and (conf.min() < 0.0 or conf.max() > 1.0):
+        # a NaN makes min and max NaN, which fails both comparisons
+        if conf.size and not (conf.min() >= 0.0 and conf.max() <= 1.0):
             raise ValidationError("confidences must lie in [0, 1]")
         bins = np.searchsorted(edges, conf, side="right") - 1
         np.clip(bins, 0, m_bins - 1, out=bins)
@@ -276,42 +279,28 @@ def _scope_aps(columns, rows, label_blocks, confs, scopes) -> list:
     """AP of every (method, scope, class): ``aps[i][s][class]``.  Method
     i's confidences of chunk k are ``confs[i][k][rows[k]]``.
 
-    One class column at a time, each method's column over all chunks is
-    ranked by one stable sort.  A later method keeps the first method's
-    order when :func:`_keeps_order` proves it is also its own; its ranked
-    labels, and so its APs, are then the first method's.  A scope's ranking
-    is that order restricted to the scope's positions, since restricting a
-    stable order to a subset keeps ties in ascending position.
+    Each scope ranks its own column of a class, the class's chunks in the
+    scope concatenated, with :func:`_descending`.  A later method keeps the
+    first method's order when :func:`_keeps_order` proves it is also its
+    own; its ranked labels, and so its APs, are then the first method's.
     """
     aps = [[{} for _ in scopes] for _ in confs]
     for name, cols in columns.items():
-        y = np.concatenate([label_blocks[k][:, j] for k, j in cols], dtype=np.float64)
-        # the scope's rows of this column are the positions [lo, hi)
-        chunk_of = [k for k, _ in cols]
-        ends = np.cumsum([0] + [label_blocks[k].shape[0] for k in chunk_of]).tolist()
-        spans = {}
         for s, (_, start, stop) in enumerate(scopes):
-            first, last = bisect_left(chunk_of, start), bisect_left(chunk_of, stop)
-            if first < last:
-                spans[s] = (ends[first], ends[last])
-        first_order = None
-        for i, conf in enumerate(confs):
-            col = np.concatenate([conf[k][rows[k], j] for k, j in cols], dtype=np.float64)
-            if first_order is not None and _keeps_order(col, first_order):
-                for s in spans:
-                    aps[i][s][name] = aps[0][s][name]
+            mine = [(k, j) for k, j in cols if start <= k < stop]
+            if not mine:
                 continue
-            order = _descending(col)
-            if first_order is None:
-                first_order = order
-            ranked = y[order]
-            # rank[p] is position p's place in the order, so a scope's
-            # places, sorted, pick its rows out of the ranking in order
-            rank = np.empty_like(order)
-            rank[order] = np.arange(order.shape[0])
-            for s, (lo, hi) in spans.items():
-                whole = lo == 0 and hi == y.shape[0]
-                aps[i][s][name] = _ranked_ap(ranked if whole else ranked[np.sort(rank[lo:hi])])
+            y = np.concatenate([label_blocks[k][:, j] for k, j in mine], dtype=np.float64)
+            first_order = None
+            for i, conf in enumerate(confs):
+                col = np.concatenate([conf[k][rows[k], j] for k, j in mine], dtype=np.float64)
+                if first_order is not None and _keeps_order(col, first_order):
+                    aps[i][s][name] = aps[0][s][name]
+                    continue
+                order = _descending(col)
+                if first_order is None:
+                    first_order = order
+                aps[i][s][name] = _ranked_ap(y[order])
     return aps
 
 
@@ -324,8 +313,8 @@ def score_scopes(blocks, confs, scopes, m_bins: int) -> list:
     (name, start, stop) triples; a scope is the run of chunks
     ``blocks[start:stop]``.  Returns ``out[i][s]``, the (per_class, curve)
     pair that :func:`score_scope` gives for method i's chunks of scope s.
-    Each method's chunks are binned once for all scopes, and each class
-    column is sorted once per method (see :func:`_scope_aps`).
+    Each method's chunks are binned once for all scopes, and each scope
+    ranks its own class columns (see :func:`_scope_aps`).
     """
     columns: dict = {}
     for k, (classes, _, _) in enumerate(blocks):

@@ -19,9 +19,9 @@ and each of its steps happens once:
    dataset_id plus a pooled "All" scope over every part when there is more
    than one;
 5. metrics.score_scopes scores every (scope, method) pair in one call: it
-   bins each method's parts once for all scopes and sorts each class column
-   once per method, and a fitted method reuses Base's order where that
-   order is provably its own.  Each pair becomes a report row
+   bins each method's parts once for all scopes, each scope ranks its own
+   class columns, and a fitted method reuses Base's order of a column
+   where that order is provably its own.  Each pair becomes a report row
    (positive-count weighted scores, frequent/rare class subsets, the
    relative |MCS| improvement over Base) and a pooled curve.
 """

@@ -737,6 +737,30 @@ class TestInputBoundaries:
         assert f"row 3 key {field!r} must be {kind}, got {json.dumps(value)}" in err
         assert str(manifest) in err and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, key, flags", [
+        ("evaluate", "manifest", ["--svg"]),
+        ("evaluate", "manifest", ["--format", "csv"]),
+        ("apply", "params", []),
+        ("plot", "report", []),
+    ], ids=["evaluate-svg", "evaluate-csv", "apply", "plot"])
+    def test_lone_surrogate_escape_exits_2(self, tmp_path, capsys, small, command, key, flags):
+        # json.dumps writes the lone surrogate as the escape \ud800, which
+        # json.loads turns back into a str that UTF-8 output cannot encode
+        doc = json.loads(pathlib.Path(small[key]).read_text())
+        if key == "manifest":
+            for row in doc:
+                row["dataset_id"] = "x\ud800"
+        else:
+            doc["note"] = "x\ud800"
+        bad = tmp_path / f"{key}.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([*_argv(command, dict(small, **{key: str(bad)}), out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert f"{key} file {bad} escapes a lone surrogate" in err
+        assert not out.exists()
+
     def test_bins_above_maximum_exits_2(self, tmp_path, capsys, small):
         argv = _argv("evaluate", small, tmp_path / "out") + ["--bins", str(MAX_BINS + 1)]
         assert main(argv) == 2

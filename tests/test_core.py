@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -86,6 +87,25 @@ class TestSigmoid:
         # 1-(1-eps) != eps in float64, so symmetry holds only to ~1e-9
         assert hi == pytest.approx(-lo, abs=1e-8)
         assert hi == pytest.approx(np.log((1 - 1e-7) / 1e-7), abs=1e-8)
+
+    def test_inverse_bits_and_peak_in_blocks(self):
+        # more cells than one block, with exact 0 and 1 cells and cells
+        # within eps of them; a transposed view is read in its own C order
+        p = np.random.default_rng(5).random((40_000, 20))
+        p[::97, 3], p[::89, 7], p[::83, 11], p[::79, 13] = 0.0, 1.0, 1e-9, 1.0 - 1e-9
+        clamped = np.clip(p, 1e-7, 1.0 - 1e-7)
+        want = np.log(clamped / (1.0 - clamped))
+        tracemalloc.start()
+        try:
+            got = inverse_sigmoid(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(inverse_sigmoid(p.T).view(np.int64), want.T.view(np.int64))
+        # the output and one block's temporaries; the whole-matrix formula
+        # held three matrices of the output's size
+        assert peak < 1.5 * got.nbytes
 
     def test_inverse_rejects_out_of_range(self):
         # the value prints as a plain float, not as a numpy repr

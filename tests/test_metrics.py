@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mlcalib import metrics
 from mlcalib.core import EvalDataset, Manifest, ValidationError
 from mlcalib.metrics import (
     CalibrationScores,
@@ -77,6 +78,23 @@ class TestBinning:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
             bin_class([1.2], [0], 5)
+
+    @pytest.mark.parametrize("call", ["bin_class", "per_class_scores", "pooled_reliability",
+                                      "score_scope"])
+    def test_rejects_nan_confidence(self, call):
+        # NaN fails every comparison, so a range test written as "below 0 or
+        # above 1" would let it through to count toward n and no bin's gap
+        probs = np.array([[0.2, 0.9], [np.nan, 0.4]])
+        labels = np.array([[0.0, 1.0], [1.0, 0.0]])
+        d = _dataset(probs, labels)
+        binning = {
+            "bin_class": lambda: bin_class(probs[:, 0], labels[:, 0], 5),
+            "per_class_scores": lambda: per_class_scores(d, probs, 5),
+            "pooled_reliability": lambda: pooled_reliability(d, probs, 5),
+            "score_scope": lambda: score_scope([(d.classes, probs, labels)], 5),
+        }
+        with pytest.raises(ValidationError, match=r"confidences must lie in \[0, 1\]"):
+            binning[call]()
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValidationError):
@@ -338,3 +356,17 @@ def test_binning_permutation_invariance(n, seed, m_bins):
         if x.count:
             assert x.conf == pytest.approx(y.conf, abs=1e-12)
             assert x.acc == pytest.approx(y.acc, abs=1e-12)
+
+
+_TIES = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 5e-324, np.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=hnp.arrays(np.float64, st.integers(0, 300),
+                         elements=st.one_of(_TIES, st.floats(allow_nan=True))))
+def test_descending_is_the_stable_argsort(scores):
+    # forced ties: repeated values, -0.0 next to 0.0, and NaN; the default
+    # argsort breaks ties either way, so both the kept and the redone order
+    # are reached
+    want = np.argsort(-scores, kind="stable")
+    np.testing.assert_array_equal(metrics._descending(scores), want)

@@ -243,6 +243,14 @@ class TestRunBenchmarkBasics:
         with pytest.raises(ValidationError):
             run_benchmark([])
 
+    def test_nan_probability_rejected(self):
+        d = _tiny(10, 2)
+        probs = confidences(d).copy()
+        probs[3, 1] = np.nan
+        d = dataclasses.replace(d, probs=probs)
+        with pytest.raises(ValidationError, match=r"confidences must lie in \[0, 1\]"):
+            run_benchmark(d)
+
     def test_frequent_rare_reweighting_consistency(self):
         d = _tiny(200, 6, seed=9)
         row = run_benchmark(d, m_bins=10).rows[0]
@@ -674,12 +682,16 @@ def test_run_benchmark_matches_oracles_scope_by_scope(datasets, m_bins, method):
     _check_against_oracles(datasets, result, m_bins)
 
 
-@pytest.mark.parametrize("separable, sorts", [(True, 4), (False, 2)])
+@pytest.mark.parametrize("separable, sorts", [
+    (True, [(6,), (6,), (3,), (3,), (3,)]),
+    (False, [(6,), (3,), (3,)]),
+], ids=["separable", "not-separable"])
 def test_fitted_order_reuse_and_fallback(monkeypatch, separable, sorts):
     # held-out "cal" rows labelled by the sign of their logits make the fit
     # end at T_MIN: evaluation logits above about 0.04 all map to 1.0, and
-    # those new ties sit in descending position in Base's order, so each
-    # fitted column is sorted again.  Otherwise Base's order is reused.
+    # those new ties sit in descending position in Base's order, so a
+    # fitted column holding them is sorted again.  Otherwise Base's order
+    # is reused.
     z = np.array([[0.5, -1.0], [2.0, 1.0], [1.0, 3.0], [-0.7, 0.2], [3.0, -2.0], [-3.0, 2.5],
                   [1.5, -1.5], [-1.5, 1.5], [0.3, 0.6], [-0.3, -0.6]])
     y = np.array([[1, 0], [1, 1], [0, 1], [0, 0], [1, 0], [0, 1], [1, 0], [0, 1],
@@ -700,6 +712,8 @@ def test_fitted_order_reuse_and_fallback(monkeypatch, separable, sorts):
                            methods=[("ts", "global")], include_per_class=True)
     t = float(result.params["ts/global"][0].temperature)
     assert (t == pytest.approx(T_MIN)) == separable
-    # one sort per class column of the pooled scope, plus each fallback
-    assert calls == [(6,)] * sorts
+    # per class, one sort of each scope's column (All: 6 rows, p and q: 3
+    # each), plus each fallback: the fitted All column, and the one 3-row
+    # scope whose three fitted 1.0s tie (p for class a, q for class b)
+    assert calls == sorts * 2
     _check_against_oracles([d], result, 5)
