@@ -11,13 +11,13 @@ that writes several checks them all first with :func:`output_paths`.
 Every JSON field that the manifest, params and report loaders read is
 checked against one table of kinds, through :func:`json_field`.
 
-The text of a matrix CSV is formatted (:func:`write_matrix_csv`) and
-parsed (:func:`_read_plain_csv`) in contiguous row parts, one per CPU the
-process may run on, above a floor of work per part.  :func:`_in_parts`
-runs the first part in the caller and each other part in a forked child,
-the only processes the package starts.  A child's exit status says
-whether its part is done, declined or failed (and then redone in the
-caller).  Parsed rows land in place in one matrix shared with the
+Row text files (matrix CSVs and ``synth``'s manifest) are formatted
+(:func:`write_rows`) and matrix CSVs parsed (:func:`_read_plain_csv`) in
+contiguous row parts, one per CPU the process may run on, above a floor of
+work per part.  :func:`_in_parts` runs the first part in the caller and
+each other part in a forked child, the only processes the package starts.
+A child's exit status says whether its part is done, declined or failed
+(and then redone in the caller).  Parsed rows land in place in one matrix shared with the
 children, and a part's text, its formatted rows or its parsed ids, comes
 back raw through a pipe.  The bytes written and the values read do not
 depend on how many parts there are.
@@ -198,7 +198,7 @@ class EvalDataset:
     binning sees the exact file values rather than a sigmoid/log-odds round
     trip).  Immutable after construction.  The constructor is the one check
     of a dataset's content: shapes agree, logits are finite, labels are
-    0 or 1 and class names are distinct.
+    0 or 1, probabilities lie in [0, 1] and class names are distinct.
     """
 
     classes: tuple
@@ -241,6 +241,13 @@ class EvalDataset:
             if probs.shape != logits.shape:
                 raise ValidationError(
                     f"shape mismatch: probs {probs.shape}, logits {logits.shape}"
+                )
+            bad = ~((probs >= 0.0) & (probs <= 1.0))  # True for NaN
+            if np.any(bad):
+                i, c = np.unravel_index(int(np.argmax(bad)), probs.shape)
+                raise ValidationError(
+                    f"probability outside [0, 1] (row {i}, class {self.classes[c]}): "
+                    f"{float(probs[i, c])!r}"
                 )
         object.__setattr__(self, "logits", logits)
         object.__setattr__(self, "labels", labels)
@@ -425,22 +432,34 @@ def output_paths(out_dir: str, files: dict) -> dict:
     return paths
 
 
+def write_rows(path: str, kind: str, head: str, n: int, cells: int, rows, tail: str = "") -> None:
+    """Write the ``kind`` text file ``path``: ``head``, rows ``0:n`` and
+    ``tail``.  ``rows(start, stop)`` returns the UTF-8 text of rows
+    ``start:stop`` as a list of bytes-like buffers, and ``cells`` counts
+    the work of all ``n`` rows in float cells of a matrix CSV.  The rows
+    are formatted in parts, one per CPU and each of at least _PART_CELLS
+    cells (see :func:`_in_parts`), and written in order."""
+    parts = max(1, min(_part_count(cells, _PART_CELLS), n))
+    bounds = [n * k // parts for k in range(parts + 1)]
+    with output_file(path, kind) as fh:
+        fh.write(head)
+        fh.flush()  # the rows go to the byte stream under it
+        _in_parts(lambda span: rows(*span), list(zip(bounds, bounds[1:])), fh.buffer.writelines)
+        fh.write(tail)
+
+
 def write_matrix_csv(path: str, classes, ids, values) -> None:
     """Write a `sample_id,<class...>` CSV, one row per id, that
     :func:`_read_matrix_csv` reads back exactly: ids and class names are
     quoted as csv.writer quotes them, and each cell is the ``repr`` of its
-    value (floats round-trip bit for bit, ints print bare).  The rows are
-    formatted in parts (see :func:`_in_parts`) and written in order."""
+    value (floats round-trip bit for bit, ints print bare), or ``0`` or
+    ``1`` in a bool matrix.  The rows go through :func:`write_rows`."""
     if _NEEDS_QUOTES.search("".join(map(str, ids))):  # one scan for the usual plain ids
         ids = [csv_field(str(sample_id)) for sample_id in ids]
-    n = len(ids)
-    parts = max(1, min(_part_count(values.size, _PART_CELLS), n))
-    bounds = [n * k // parts for k in range(parts + 1)]
-    with output_file(path, "CSV") as fh:
-        fh.write(",".join(map(csv_field, ("sample_id", *classes))) + "\n")
-        fh.flush()  # the rows go to the byte stream under it
-        _in_parts(lambda span: _csv_rows(ids, values, *span), list(zip(bounds, bounds[1:])),
-                  fh.buffer.writelines)
+    # a row of 0 and 1 cells formats in about the time of one float cell
+    cells, text = (len(ids), _flag_rows) if values.dtype == bool else (values.size, _csv_rows)
+    write_rows(path, "CSV", ",".join(map(csv_field, ("sample_id", *classes))) + "\n", len(ids),
+               cells, lambda start, stop: text(ids, values, start, stop))
 
 
 def _csv_rows(ids, values, start: int, stop: int) -> list:
@@ -453,6 +472,19 @@ def _csv_rows(ids, values, start: int, stop: int) -> list:
         blocks.append("".join(f"{sample_id},{','.join(map(repr, row))}\n"
                               for sample_id, row in rows).encode("utf-8"))
     return blocks
+
+
+def _flag_rows(ids, values, start: int, stop: int) -> list:
+    """The UTF-8 text of rows ``start:stop`` of a bool matrix CSV.  The
+    cells come from one uint8 matrix: a ``0`` or ``1`` byte per cell, with
+    a comma after each cell but the last, which a line end follows."""
+    cells = np.full((stop - start, 2 * values.shape[1]), ord(","), dtype=np.uint8)
+    np.add(values[start:stop], ord("0"), out=cells[:, ::2], casting="unsafe")
+    cells[:, -1] = ord("\n")
+    text, width = cells.tobytes().decode("ascii"), cells.shape[1]
+    rows = zip(ids[start:stop], range(0, len(text), width))
+    return ["".join(f"{sample_id},{text[at : at + width]}" for sample_id, at in rows)
+            .encode("utf-8")]
 
 
 def _read_plain_csv(path: str):

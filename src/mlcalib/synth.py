@@ -6,17 +6,27 @@ true_T = 1, true_b = 0 is perfectly calibrated by construction and any
 other setting has analytically known miscalibration.  Randomness comes
 from a counter-based generator (splitmix64 over (seed, stream, index)), so
 generation is reproducible element-wise and order-independent.
+
+:func:`write_fixture` writes each file through ``core.write_rows``, in row
+parts.  predictions.csv holds the ``repr`` of each logit.  labels.csv is
+written from a bool matrix, whose text comes from one uint8 matrix per
+part: a ``0`` or ``1`` byte per cell, with the commas and line ends
+between them.  Each manifest row is one string template filled with the
+``json.dumps`` of its ids and the ``.17g`` text of its times: the bytes
+``dumps_canonical`` gives for the list of row objects, without building
+them.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (EvalDataset, Manifest, ValidationError, dumps_canonical, output_file,
-                   output_paths, sigmoid, write_matrix_csv)
+                   output_paths, sigmoid, write_matrix_csv, write_rows)
 
 _STREAM_LOGITS = 0
 _STREAM_LABELS = 1
@@ -76,6 +86,11 @@ class SynthConfig:
             raise ValidationError(f"N x C is over the largest array, got N={self.n}, C={self.c}")
         if not 0 <= self.seed < 2**64:  # the generator keys on a uint64
             raise ValidationError(f"seed must be in [0, 2**64), got {self.seed}")
+        try:  # a byte that is not UTF-8 reaches argv as a lone surrogate
+            self.dataset_id.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(
+                f"dataset_id must be UTF-8 text, got {self.dataset_id!r}") from None
         for name, value, positive in (
             ("true_T", self.true_t, True),
             ("true_b", self.true_b, False),
@@ -170,16 +185,30 @@ def write_fixture(cfg: SynthConfig, out_dir: str) -> dict:
     paths = {name.split(".")[0]: path for name, path in output_paths(out_dir, files).items()}
     meta = dataset.meta
     write_matrix_csv(paths["predictions"], dataset.classes, meta.sample_id, dataset.logits)
-    # int cells print as 0 and 1, as labels files carry them
-    write_matrix_csv(paths["labels"], dataset.classes, meta.sample_id, dataset.labels.astype(int))
-    columns = {
-        "sample_id": meta.sample_id,
-        "dataset_id": meta.dataset_id,
-        "start_s": meta.start_s.tolist(),
-        "duration_s": meta.duration_s.tolist(),
-    }
-    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
-    for kind, doc in (("manifest", rows), ("truth", truth)):
-        with output_file(paths[kind], kind) as fh:
-            fh.write(dumps_canonical(doc) + "\n")
+    # bool cells print as 0 and 1, as labels files carry them
+    write_matrix_csv(paths["labels"], dataset.classes, meta.sample_id, dataset.labels == 1.0)
+    # a manifest row formats in about the time of one float cell of a CSV
+    write_rows(paths["manifest"], "manifest", "[\n", cfg.n, cfg.n,
+               lambda start, stop: _manifest_rows(meta, start, stop), "\n]\n")
+    with output_file(paths["truth"], "truth") as fh:
+        fh.write(dumps_canonical(truth) + "\n")
     return paths
+
+
+# one manifest row as dumps_canonical writes it in a list: JSON strings for
+# the ids, 17 significant digits for the times
+_MANIFEST_ROW = ('  {{\n    "sample_id": {},\n    "dataset_id": {},\n'
+                 '    "start_s": {:.17g},\n    "duration_s": {:.17g}\n  }}')
+
+
+def _manifest_rows(meta: Manifest, start: int, stop: int) -> list:
+    """The text of rows ``start:stop`` of manifest.json, the same bytes as
+    dumps_canonical gives for the list of row objects: every row but the
+    first starts with the comma that ends the one before."""
+    if start == stop:
+        return []
+    datasets = [json.dumps(name) for name in meta.datasets]
+    rows = map(_MANIFEST_ROW.format, map(json.dumps, meta.sample_id[start:stop]),
+               map(datasets.__getitem__, meta.codes[start:stop].tolist()),
+               meta.start_s[start:stop].tolist(), meta.duration_s[start:stop].tolist())
+    return [((",\n" if start else "") + ",\n".join(rows)).encode("utf-8")]

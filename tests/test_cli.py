@@ -669,10 +669,12 @@ class TestInputBoundaries:
          (f"--seed={2**64}", f"seed must be in [0, 2**64), got {2**64}"),
          ("--clip-duration=1e308",
           "clip_duration_s is too large for N=10: the last start, 9 x 1e+308, is not finite"),
-         (f"--n={10**20}", f"N x C is over the largest array, got N={10**20}, C=2")],
+         (f"--n={10**20}", f"N x C is over the largest array, got N={10**20}, C=2"),
+         # the byte 0xff of a non-UTF-8 argv reaches Python as this lone surrogate
+         ("--dataset-id=a\udcff", "dataset_id must be UTF-8 text, got 'a\\udcff'")],
         ids=["duration-inf", "duration-nan", "duration-0", "stddev-nan", "stddev-inf",
              "stddev-negative", "means-nan", "means-inf", "seed-negative", "seed-over-uint64",
-             "last-start-overflows", "cells-over-array"],
+             "last-start-overflows", "cells-over-array", "dataset-id-not-utf8"],
     )
     @pytest.mark.filterwarnings("error")  # numpy warned on an infinite duration
     def test_synth_flags_checked_before_generating(self, tmp_path, capsys, flag, want):

@@ -1,7 +1,10 @@
 import csv
+import dataclasses
+import hashlib
 import io
 import json
 import os
+import pathlib
 import signal
 import subprocess
 import sys
@@ -187,6 +190,15 @@ class TestEvalDataset:
     def test_duplicate_class(self):
         with pytest.raises(ValidationError, match="duplicate class"):
             EvalDataset(("a", "a"), np.zeros((1, 2)), np.zeros((1, 2)), _meta(1))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.25, 1.5])
+    def test_probability_outside_unit_names_position(self, value):
+        p = np.array([[0.25, 0.75], [0.0, 1.0]])
+        d = EvalDataset(("a", "b"), inverse_sigmoid(p), np.zeros((2, 2)), _meta(2), probs=p)
+        p[1, 0] = value
+        with pytest.raises(ValidationError,
+                           match=rf"outside \[0, 1\] \(row 1, class a\): {value!r}$"):
+            dataclasses.replace(d, probs=p)
 
     def test_duplicate_sample_id_within_dataset(self):
         with pytest.raises(ValidationError, match="duplicate sample_id"):
@@ -574,6 +586,23 @@ def test_matrix_csv_spans_row_blocks(tmp_path):
 
 def test_matrix_csv_spans_row_blocks_in_parts(tmp_path, parts):
     test_matrix_csv_spans_row_blocks(tmp_path)
+
+
+# a fixture whose ids need CSV quoting and JSON escaping, with times that
+# are not integers; tests/golden/synth_fixture.json holds the sha256 of
+# each of its files
+_GOLDEN_SYNTH = SynthConfig(n=37, c=5, true_t=2.0, true_b=0.5, seed=11,
+                            dataset_id='site "\u00c5", nord', clip_duration_s=0.1)
+
+
+@pytest.mark.parametrize("split", [1, *_SPLITS])
+def test_synth_fixture_golden_in_parts(tmp_path, split):
+    golden = pathlib.Path(__file__).parent / "golden" / "synth_fixture.json"
+    want = json.loads(golden.read_text(encoding="utf-8"))
+    with _split_into(split):
+        write_fixture(_GOLDEN_SYNTH, str(tmp_path))
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
+    assert got == want
 
 
 def _matrix_file(path, n, bad_row=None, bad_line=None):

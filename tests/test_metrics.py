@@ -86,7 +86,9 @@ class TestBinning:
         # above 1" would let it through to count toward n and no bin's gap
         probs = np.array([[0.2, 0.9], [np.nan, 0.4]])
         labels = np.array([[0.0, 1.0], [1.0, 0.0]])
-        d = _dataset(probs, labels)
+        # the dataset refuses a NaN probability, so it holds 0.5 there, and
+        # each call is handed the NaN matrix as its confidences
+        d = _dataset(np.nan_to_num(probs, nan=0.5), labels)
         binning = {
             "bin_class": lambda: bin_class(probs[:, 0], labels[:, 0], 5),
             "per_class_scores": lambda: per_class_scores(d, probs, 5),

@@ -244,12 +244,12 @@ class TestRunBenchmarkBasics:
             run_benchmark([])
 
     def test_nan_probability_rejected(self):
+        # the dataset refuses the cell, so no run gets to bin it
         d = _tiny(10, 2)
         probs = confidences(d).copy()
         probs[3, 1] = np.nan
-        d = dataclasses.replace(d, probs=probs)
-        with pytest.raises(ValidationError, match=r"confidences must lie in \[0, 1\]"):
-            run_benchmark(d)
+        with pytest.raises(ValidationError, match=r"outside \[0, 1\] \(row 3, class c1\): nan$"):
+            run_benchmark(dataclasses.replace(d, probs=probs))
 
     def test_frequent_rare_reweighting_consistency(self):
         d = _tiny(200, 6, seed=9)

@@ -2,8 +2,12 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mlcalib.core import ValidationError, load_dataset, confidences, sigmoid
+from mlcalib import synth
+from mlcalib.core import (Manifest, ValidationError, confidences, dumps_canonical, load_dataset,
+                          sigmoid)
 from mlcalib.metrics import aggregate_multilabel, per_class_scores, pooled_reliability, calibration_scores
 from mlcalib.synth import LatentSpec, SynthConfig, generate, latent_means, write_fixture
 
@@ -137,3 +141,56 @@ class TestFixtureFiles:
         p2 = write_fixture(cfg, str(tmp_path / "b"))
         for key in ("predictions", "labels", "manifest", "truth"):
             assert pathlib.Path(p1[key]).read_bytes() == pathlib.Path(p2[key]).read_bytes()
+
+
+def _escaped(**chars):
+    """Text that JSON escapes: a quote, a backslash, control characters, DEL
+    and text outside ASCII, among other characters (``chars`` limits them)."""
+    special = st.sampled_from('"\\\x00\x1f\n\t\x7f\u00e9\u20ac\U0001f426')
+    return st.text(st.one_of(special, st.characters(**chars)), max_size=6)
+
+
+_TIMES = st.one_of(st.sampled_from([0.0, 0.1, 1e-7, 1e300, 5e-324]),
+                   st.floats(0.0, 1e308, allow_nan=False))
+
+
+def _manifest_doc(meta):
+    return [{"sample_id": sid, "dataset_id": did, "start_s": start, "duration_s": duration}
+            for sid, did, start, duration in zip(meta.sample_id, meta.dataset_id,
+                                                 meta.start_s.tolist(),
+                                                 meta.duration_s.tolist())]
+
+
+class TestManifestTemplate:
+    """The manifest rows come from one template, with the bytes that
+    dumps_canonical gives for the list of row objects."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_dumps_canonical(self, data):
+        ids = data.draw(st.lists(_escaped(), min_size=1, max_size=6, unique=True))
+        names = data.draw(st.lists(_escaped(), min_size=1, max_size=3, unique=True))
+        n = len(ids)
+        meta = Manifest(
+            sample_id=ids,
+            dataset_id=[data.draw(st.sampled_from(names)) for _ in ids],
+            start_s=data.draw(st.lists(_TIMES, min_size=n, max_size=n)),
+            duration_s=data.draw(st.lists(_TIMES.filter(bool), min_size=n, max_size=n)),
+        )
+        cut = data.draw(st.integers(0, n))  # where a second part starts
+        parts = synth._manifest_rows(meta, 0, cut) + synth._manifest_rows(meta, cut, n)
+        text = b"[\n" + b"".join(parts) + b"\n]\n"
+        assert text == (dumps_canonical(_manifest_doc(meta)) + "\n").encode("utf-8")
+
+    @settings(max_examples=40, deadline=None)
+    # a lone surrogate is not UTF-8 text, which a dataset_id must be
+    @given(dataset_id=_escaped(exclude_categories=("Cs",)),
+           duration=st.sampled_from([0.1, 1e-7, 1e300, 2.5]))
+    def test_fixture_manifest_matches_dumps_canonical(self, tmp_path_factory, dataset_id,
+                                                      duration):
+        cfg = SynthConfig(n=7, c=2, dataset_id=dataset_id, clip_duration_s=duration)
+        out = tmp_path_factory.mktemp("fx")
+        paths = write_fixture(cfg, str(out))
+        dataset, _ = generate(cfg)
+        want = (dumps_canonical(_manifest_doc(dataset.meta)) + "\n").encode("utf-8")
+        assert pathlib.Path(paths["manifest"]).read_bytes() == want
