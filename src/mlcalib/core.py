@@ -4,6 +4,9 @@ Everything downstream (metrics, scaling, protocols) consumes the
 :class:`EvalDataset` built here: an aligned logit matrix, a binary label
 matrix, class names, and a columnar :class:`Manifest` with one row per
 sample.  All arithmetic is float64; input files are parsed as decimal text.
+The elementwise primitives (:func:`sigmoid`, :func:`inverse_sigmoid` and
+the normal quantile :func:`ndtri`, a port of Cephes ndtri that gives
+scipy's bits) work in blocks, so their temporaries stay one block long.
 
 Files are read and written as UTF-8 whatever the locale; every output
 goes through :func:`output_file` and :func:`output_dir`, and a command
@@ -48,8 +51,8 @@ class NumericalError(RuntimeError):
     """A numerical routine degenerated (non-finite value where none is allowed)."""
 
 
-# cells of sigmoid's and inverse_sigmoid's output computed at a time:
-# their temporaries are one block long, not the size of the matrix
+# cells of sigmoid's, inverse_sigmoid's and ndtri's output computed at a
+# time: their temporaries are one block long, not the size of the matrix
 _BLOCK_CELLS = 1 << 16
 
 
@@ -117,6 +120,85 @@ def inverse_sigmoid(p, eps: float = 1e-7):
         np.log(y, out=y)
 
     return _by_blocks(arr, step)
+
+
+# Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989): rational approximations in y - 0.5 for the central
+# part, and in 1/x, x = sqrt(-2 log y), below and above x = 8 for the tails
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+
+
+def _rational(x: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
+    """Cephes ``x * polevl(x, p) / p1evl(x, q)``, in that order: Horner
+    steps ``ans * x + c``, each rounded twice as in C without fused
+    multiply-adds; ``q`` has an implied leading coefficient of 1."""
+    num = np.full_like(x, p[0])
+    for c in p[1:]:
+        num *= x
+        num += c
+    den = x + q[0]
+    for c in q[1:]:
+        den *= x
+        den += c
+    return x * num / den
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    # math.log is the C library's log; numpy's vectorized log may differ
+    # from it in the last bit, and Cephes ndtri is defined on libm's
+    return np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
+
+
+def ndtri(u):
+    """The standard normal quantile of each probability ``u``: the same
+    bits as ``scipy.special.ndtri``, which is Cephes ndtri.
+
+    -inf at 0, +inf at 1 and NaN outside [0, 1] or at NaN.  Returns the
+    same shape, in C order.
+    """
+    def step(x, y):
+        # as Cephes: t = 1 - x (exact) above 1 - exp(-2), else x; a tail
+        # result is negated where x was not reflected
+        flip = x > 1.0 - _EXP_M2
+        t = np.where(flip, 1.0 - x, x)
+        mid = t > _EXP_M2
+        c = t[mid] - 0.5
+        c2 = c * c
+        y[mid] = (c + c * _rational(c2, _NDTRI_P0, _NDTRI_Q0)) * _S2PI
+        tail = ~mid & (t > 0.0)  # False at 0, 1, NaN and outside [0, 1]
+        r = np.sqrt(-2.0 * _libm_log(t[tail]))
+        z = 1.0 / r
+        r1 = _rational(z, _NDTRI_P1, _NDTRI_Q1)
+        far = r >= 8.0  # t below exp(-32)
+        if far.any():
+            r1[far] = _rational(z[far], _NDTRI_P2, _NDTRI_Q2)
+        r -= _libm_log(r) / r
+        r -= r1
+        np.negative(r, out=r, where=~flip[tail])
+        y[tail] = r
+        y[~(mid | tail)] = np.nan
+        y[x == 0.0] = -np.inf
+        y[x == 1.0] = np.inf
+
+    return _by_blocks(np.asarray(u, dtype=np.float64), step)
 
 
 def _frozen(values) -> np.ndarray:

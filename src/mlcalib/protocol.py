@@ -185,7 +185,8 @@ def _scope_parts(datasets, eval_sel):
     by_id: dict = {}
     for k, (d, sel) in enumerate(zip(datasets, eval_sel)):
         codes = d.meta.codes[sel]
-        for code in np.unique(codes):
+        # the codes present, ascending; np.unique would import numpy.ma
+        for code in np.flatnonzero(np.bincount(codes, minlength=len(d.meta.datasets))):
             by_id.setdefault(d.meta.datasets[code], []).append((k, sel[codes == code]))
     parts: list = []
     scopes = []

@@ -5,7 +5,10 @@ at sigmoid(z / true_T + true_b).  The dataset "reports" sigmoid(z), so
 true_T = 1, true_b = 0 is perfectly calibrated by construction and any
 other setting has analytically known miscalibration.  Randomness comes
 from a counter-based generator (splitmix64 over (seed, stream, index)), so
-generation is reproducible element-wise and order-independent.
+generation is reproducible element-wise and order-independent.  Each
+latent is mean + stddev * ``core.ndtri(u)`` of one uniform draw u: the
+inverse normal CDF, ported from Cephes with the same bits as
+``scipy.special.ndtri``, so the package needs only numpy.
 
 :func:`write_fixture` writes each file through ``core.write_rows``, in row
 parts.  predictions.csv holds the ``repr`` of each logit.  labels.csv is
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EvalDataset, Manifest, ValidationError, dumps_canonical, output_file,
+from .core import (EvalDataset, Manifest, ValidationError, dumps_canonical, ndtri, output_file,
                    output_paths, sigmoid, write_matrix_csv, write_rows)
 
 _STREAM_LOGITS = 0
@@ -45,7 +48,10 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 
 
 def _uniforms(seed: int, stream: int, count: int) -> np.ndarray:
-    """count uniforms in the open interval (0, 1), keyed by (seed, stream, i)."""
+    """count uniforms in (0, 1], keyed by (seed, stream, i): the top 53
+    bits of each splitmix64 word, plus one half, times 2**-53.  The lowest
+    is 2**-54; the top one, (2**53 - 1 + 0.5) * 2**-53, rounds to exactly
+    1.0, where :func:`~mlcalib.core.ndtri` gives +inf."""
     base = _splitmix64(_splitmix64(np.array(seed, dtype=_U64)) ^ _U64(stream))
     idx = np.arange(count, dtype=_U64)
     bits = _splitmix64(base ^ idx)
@@ -134,9 +140,6 @@ def generate(cfg: SynthConfig):
     reproduce or verify the fixture: sizes, seed, latent spec, and the
     generating (true_T, true_b).
     """
-    # imported here so that commands which read files never load scipy
-    from scipy.special import ndtri
-
     means = latent_means(cfg)
     stddev = _per_class(cfg.latent.stddev, cfg.c, "latent stddev")
     true_t = _per_class(cfg.true_t, cfg.c, "true_T")

@@ -78,6 +78,24 @@ class TestSynthCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_top_uniform_draw_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the top draw is exactly 1.0 (once in 2**53 cells): its logit is
+        # +inf, which the dataset check names, with no output written
+        draws = synth._uniforms
+
+        def with_top(seed, stream, count):
+            u = draws(seed, stream, count)
+            if stream == synth._STREAM_LOGITS:
+                u[7] = (2**53 - 1 + 0.5) * 2.0**-53
+            return u
+
+        monkeypatch.setattr(synth, "_uniforms", with_top)
+        code = main(["synth", "--n", "5", "--classes", "3", "--out", str(tmp_path / "fx")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: non-finite value (row 2, class class_001)"]
+        assert not (tmp_path / "fx").exists()
+
 
 class TestEvaluateCommand:
     def test_report_json(self, tmp_path):
@@ -900,23 +918,34 @@ class TestOutputs:
 
 
 class TestImports:
-    def test_scipy_loads_only_when_synth_runs(self):
-        """Commands that read files never pay for scipy's import; synth
-        still loads it and works.  One child interpreter checks both."""
+    def test_no_command_loads_scipy_or_numpy_ma(self, tmp_path):
+        """synth, fit, apply and evaluate all succeed with scipy blocked,
+        and none of them imports numpy.ma.  One child interpreter runs all
+        four through cli.main."""
         code = (
-            "import sys, mlcalib.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-            "from mlcalib.synth import SynthConfig, generate\n"
-            "dataset, _ = generate(SynthConfig(n=5, c=2))\n"
-            "print(dataset.logits.shape, 'scipy.special' in sys.modules)\n"
+            "import os, sys\n"
+            "sys.modules['scipy'] = None  # any import of scipy now fails\n"
+            "from mlcalib.cli import main\n"
+            "out = sys.argv[1]\n"
+            "fx = os.path.join(out, 'fx')\n"
+            "data = [f'--predictions={fx}/predictions.csv', f'--labels={fx}/labels.csv',\n"
+            "        f'--manifest={fx}/manifest.json']\n"
+            "codes = [\n"
+            "    main(['synth', '--n', '60', '--classes', '3', '--seed', '4', '--out', fx]),\n"
+            "    main(['fit', *data, '--method', 'ps', '--first-minutes', '1',\n"
+            "          '--out', os.path.join(out, 'fit')]),\n"
+            "    main(['apply', data[0], '--params', os.path.join(out, 'fit', 'params.json'),\n"
+            "          '--out', os.path.join(out, 'apply')]),\n"
+            "    main(['evaluate', *data, '--out', os.path.join(out, 'evaluate')]),\n"
+            "]\n"
+            "print(codes, sys.modules['scipy'], 'numpy.ma' in sys.modules)\n"
         )
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        done = subprocess.run([sys.executable, "-c", code], env=env,
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines() == ["[]", "(5, 2) True"]
-
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] None False"
 
     def test_version_is_looked_up_only_for_a_report(self):
         """Importing the CLI does not load importlib.metadata; the package

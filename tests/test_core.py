@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import signal
@@ -28,12 +29,13 @@ from mlcalib.core import (
     confidences,
     inverse_sigmoid,
     load_dataset,
+    ndtri,
     pos_counts,
     sigmoid,
     write_matrix_csv,
 )
 
-from mlcalib.synth import SynthConfig, write_fixture
+from mlcalib.synth import SynthConfig, _uniforms, write_fixture
 
 from conftest import simple_meta, write_triple
 from oracles import oracle_read_matrix_csv
@@ -122,6 +124,62 @@ class TestSigmoid:
     def test_inverse_rejects_bad_eps(self):
         with pytest.raises(ValidationError):
             inverse_sigmoid(0.5, eps=0.0)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestNdtri:
+    def test_ends_and_outside_the_domain(self):
+        # a top uniform draw of exactly 1.0 maps to +inf, not to an error
+        assert ndtri(1.0) == math.inf and ndtri(0.0) == -math.inf
+        assert ndtri(-0.0) == -math.inf and ndtri(0.5) == 0.0
+        got = ndtri(np.array([-1e-300, 1.0 + 2**-52, -math.inf, math.inf, math.nan]))
+        assert np.isnan(got).all()
+
+    def test_symmetric_and_increasing(self):
+        # 1 - v is exact for v in [0.5, 1], so the reflection is exact too
+        v = 1.0 - np.linspace(1e-300, 0.5, 20_001)
+        assert np.array_equal(ndtri(v), -ndtri(1.0 - v))
+        assert np.all(np.diff(ndtri(v)) < 0)
+
+    def test_shape_and_blocks(self):
+        # more cells than one block; a transposed view reads in its own C order
+        u = _uniforms(3, 0, 90_000).reshape(4_500, 20)
+        whole = ndtri(u)
+        assert whole.shape == u.shape and whole.flags.c_contiguous
+        assert _same_bits(ndtri(u.T), whole.T)
+        assert _same_bits([ndtri(v) for v in u[:50, 0].tolist()], whole[:50, 0])
+        assert isinstance(ndtri(0.25), float)
+
+
+class TestNdtriMatchesScipy:
+    """core.ndtri gives scipy.special.ndtri's bits.  On x86-64 with
+    numpy 2.4, a port whose tails use np.log instead of the C library's
+    log differs on about one uniform draw in 20,000, and fails here."""
+
+    def test_uniform_draws(self):
+        special = pytest.importorskip("scipy.special")
+        for seed in (0, 1, 7, 2**63 + 5):
+            u = _uniforms(seed, 0, 300_000).reshape(-1, 20)
+            assert _same_bits(ndtri(u), special.ndtri(u)), seed
+
+    def test_branch_edges_and_their_neighbours(self):
+        special = pytest.importorskip("scipy.special")
+        edges = np.array([2.0**-54, math.exp(-2), 1.0 - math.exp(-2), math.exp(-32), 0.5,
+                          5e-324, 1.0 - 2.0**-53])
+        u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                            [0.0, 1.0]])
+        assert _same_bits(ndtri(u), special.ndtri(u))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(2.0**-54, 1.0), min_size=1, max_size=40))
+    def test_any_probability(self, values):
+        special = pytest.importorskip("scipy.special")
+        u = np.array(values)
+        assert _same_bits(ndtri(u), special.ndtri(u))
 
 
 class TestManifest:
