@@ -8,8 +8,9 @@ report and, with --svg, one reliability diagram per scope, after checking
 that every one of them can be written.  The diagrams of --svg and of plot
 are drawn from a report document, the one report.emit_report returns or
 the one plot reads, so plot on a saved report reproduces the --svg bytes.
-apply writes calibrated.csv with core.write_matrix_csv, which also writes
-synth's fixture CSVs.
+apply writes calibrated.csv with core.write_matrix_csv, through the row
+writer that also writes synth's fixture: a run that fails leaves an
+existing file as it was.
 
 Exit codes: 0 on success, 2 on input or validation errors, 3 on numerical
 failures.  Every subcommand is deterministic given identical inputs and
@@ -252,8 +253,7 @@ def cmd_apply(args) -> int:
         raise ValidationError(f"params classes do not match predictions classes {why}")
     conf = apply_scaling(logits, params)
     del logits  # freed before the write, whose parts start as copies of this process
-    path = output_paths(args.out, {"calibrated.csv": "CSV"})["calibrated.csv"]
-    write_matrix_csv(path, classes, ids, conf)
+    write_matrix_csv(os.path.join(args.out, "calibrated.csv"), classes, ids, conf)
     return 0
 
 
@@ -283,12 +283,7 @@ def cmd_synth(args) -> int:
         clip_duration_s=args.clip_duration,
         latent=LatentSpec(means=means, stddev=args.stddev),
     )
-    try:
-        paths = write_fixture(cfg, args.out)
-    except MemoryError:  # numpy cannot allocate the N x C matrices
-        raise ValidationError(
-            f"--n {args.n} x --classes {args.classes} cells do not fit in memory"
-        ) from None
+    paths = write_fixture(cfg, args.out)
     print("\n".join(f"wrote {paths[key]}" for key in ("predictions", "labels", "manifest", "truth")))
     return 0
 

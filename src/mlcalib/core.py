@@ -14,21 +14,25 @@ that writes several checks them all first with :func:`output_paths`.
 Every JSON field that the manifest, params and report loaders read is
 checked against one table of kinds, through :func:`json_field`.
 
-Row text files (matrix CSVs and ``synth``'s manifest) are formatted
+Row text files (matrix CSVs and ``synth``'s fixture) are formatted
 (:func:`write_rows`) and matrix CSVs parsed (:func:`_read_plain_csv`) in
 contiguous row parts, one per CPU the process may run on, above a floor of
 work per part.  :func:`_in_parts` runs the first part in the caller and
 each other part in a forked child, the only processes the package starts.
 A child's exit status says whether its part is done, declined or failed
-(and then redone in the caller).  Parsed rows land in place in one matrix shared with the
-children, and a part's text, its formatted rows or its parsed ids, comes
-back raw through a pipe.  The bytes written and the values read do not
-depend on how many parts there are.
+(and then redone in the caller).  Parsed rows land in place in one matrix
+shared with the children, and a part's text, its formatted rows or its
+parsed ids, comes back raw through a pipe.  The writer takes the rows in
+rounds of bounded size, one round of parts at a time, so its memory does
+not grow with the number of rows, and it stages every file until the last
+round is written.  The bytes written and the values read do not depend on
+how many parts or rounds there are.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import mmap
@@ -36,7 +40,8 @@ import os
 import re
 import signal
 import sys
-from contextlib import contextmanager
+from collections import deque
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -374,6 +379,11 @@ _NEEDS_QUOTES = re.compile('[,"\r\n]')
 # rows per values.tolist() call: bounds the Python floats alive during a write
 _CSV_BLOCK_ROWS = 1024
 
+# the float cells of a matrix CSV that one round of parts formats, in
+# memory at once, whatever the number of rows; every benchmark file is one
+# round, so each of its parts stays long enough to run beside the others
+_ROUND_CELLS = 1 << 20
+
 # bytes of a CSV file read, checked and parsed at a time
 _READ_BYTES = 1 << 18
 
@@ -471,14 +481,28 @@ def csv_field(text: str) -> str:
     return text
 
 
+# names the temporary files of output_file apart within one process
+_STAGED = itertools.count()
+
+
 @contextmanager
 def output_file(path: str, kind: str):
     """Open ``path``, a ``kind`` file, for writing text: UTF-8 whatever the
-    locale, with no newline translation.  An OSError from the open or from a
-    write is a ValidationError that names the file."""
+    locale, with no newline translation.  The text goes to a temporary file
+    in the same directory, which replaces ``path`` when the block ends and
+    is removed if it raises, so a write that fails leaves an existing file
+    as it was.  An OSError from the open, a write or the replace is a
+    ValidationError that names ``path``."""
+    temp = os.path.join(os.path.dirname(path), f".mlcalib-{os.getpid()}-{next(_STAGED)}.tmp")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+        try:
+            with open(temp, "w", encoding="utf-8", newline="") as fh:
+                yield fh
+            os.replace(temp, path)
+        except BaseException:
+            with suppress(OSError):
+                os.remove(temp)
+            raise
     except OSError as exc:
         raise ValidationError(f"cannot write {kind} file {path}: {exc}") from exc
 
@@ -490,6 +514,27 @@ def output_dir(path: str) -> str:
     except OSError as exc:
         raise ValidationError(f"cannot create output directory {path}: {exc}") from exc
     return path
+
+
+def _missing_dirs(path: str) -> list:
+    """``path`` and those of its parents that do not exist, deepest first."""
+    missing, path = [], os.path.abspath(path)
+    while not os.path.lexists(path) and path != os.path.dirname(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
+def free_bytes(path: str):
+    """The bytes free to this user on the file system that holds ``path``,
+    or will hold it once it is created; None where ``os.statvfs`` is
+    missing or fails."""
+    missing = _missing_dirs(path)
+    try:
+        st = os.statvfs(os.path.dirname(missing[-1]) if missing else path)
+    except (AttributeError, OSError):
+        return None
+    return st.f_bavail * st.f_frsize
 
 
 def output_paths(out_dir: str, files: dict) -> dict:
@@ -514,20 +559,77 @@ def output_paths(out_dir: str, files: dict) -> dict:
     return paths
 
 
-def write_rows(path: str, kind: str, head: str, n: int, cells: int, rows, tail: str = "") -> None:
-    """Write the ``kind`` text file ``path``: ``head``, rows ``0:n`` and
-    ``tail``.  ``rows(start, stop)`` returns the UTF-8 text of rows
-    ``start:stop`` as a list of bytes-like buffers, and ``cells`` counts
-    the work of all ``n`` rows in float cells of a matrix CSV.  The rows
-    are formatted in parts, one per CPU and each of at least _PART_CELLS
-    cells (see :func:`_in_parts`), and written in order."""
-    parts = max(1, min(_part_count(cells, _PART_CELLS), n))
-    bounds = [n * k // parts for k in range(parts + 1)]
-    with output_file(path, kind) as fh:
-        fh.write(head)
-        fh.flush()  # the rows go to the byte stream under it
-        _in_parts(lambda span: rows(*span), list(zip(bounds, bounds[1:])), fh.buffer.writelines)
-        fh.write(tail)
+def write_rows(out_dir: str, files: dict, n: int, cells: int, rows) -> dict:
+    """Write text files into ``out_dir``, created if needed, and return the
+    path of each.  ``files`` maps each file name to its (kind, head, tail),
+    and each file holds its head, its text of rows ``0:n`` and its tail.
+    ``rows(start, stop)`` returns, for each file in order, the UTF-8 text
+    of rows ``start:stop`` as a list of bytes-like buffers; ``cells``
+    counts the work of all ``n`` rows in float cells of a matrix CSV.
+
+    The rows go in rounds of at most _ROUND_CELLS cells (and at least one
+    row), and each round in parts, one per CPU and each of at least
+    _PART_CELLS cells (see :func:`_in_parts`), whose text is appended to
+    each file in order.  Every file is staged by :func:`output_file` until
+    the last round is written: a run that fails leaves the existing files
+    as they were, and removes ``out_dir`` if it created it."""
+    missing = _missing_dirs(out_dir)
+    try:
+        paths = output_paths(out_dir, {name: kind for name, (kind, _, _) in files.items()})
+        with ExitStack() as stack:
+            outs = [(stack.enter_context(output_file(paths[name], kind)).buffer, kind, paths[name])
+                    for name, (kind, _, _) in files.items()]
+
+            def put(k, buffers):  # an OSError names the file it writes
+                out, kind, path = outs[k]
+                try:
+                    out.writelines(buffers)
+                except OSError as exc:
+                    raise ValidationError(f"cannot write {kind} file {path}: {exc}") from exc
+
+            def task(span):  # the size of each file's text, then the texts
+                texts = rows(*span)
+                sizes = [sum(memoryview(b).nbytes for b in text) for text in texts]
+                return [np.array(sizes, np.int64).tobytes(), *itertools.chain(*texts)]
+
+            def take(part):
+                views = deque(memoryview(b).cast("B") for b in part)
+                sizes = np.frombuffer(b"".join(_first_bytes(views, 8 * len(outs))), np.int64)
+                for k, size in enumerate(sizes.tolist()):
+                    put(k, _first_bytes(views, size))
+
+            for k, (_, head, _) in enumerate(files.values()):
+                put(k, [head.encode("utf-8")])
+            step = max(1, min(n, n * _ROUND_CELLS // max(cells, 1)))
+            for lo in range(0, n, step):
+                hi = min(lo + step, n)
+                parts = max(1, min(_part_count(cells * (hi - lo) // n, _PART_CELLS), hi - lo))
+                bounds = [lo + (hi - lo) * k // parts for k in range(parts + 1)]
+                _in_parts(task, list(zip(bounds, bounds[1:])), take)
+            for k, (_, _, tail) in enumerate(files.values()):
+                put(k, [tail.encode("utf-8")])
+    except BaseException:
+        for path in missing:  # each is empty unless another process wrote there
+            try:
+                os.rmdir(path)
+            except OSError:
+                break
+        raise
+    return paths
+
+
+def _first_bytes(views: deque, size: int) -> list:
+    """The first ``size`` bytes of the byte views in ``views``, which lose
+    them, as a list of views."""
+    out = []
+    while size:
+        view = views.popleft()
+        if len(view) > size:
+            views.appendleft(view[size:])
+            view = view[:size]
+        out.append(view)
+        size -= len(view)
+    return out
 
 
 def write_matrix_csv(path: str, classes, ids, values) -> None:
@@ -535,36 +637,45 @@ def write_matrix_csv(path: str, classes, ids, values) -> None:
     :func:`_read_matrix_csv` reads back exactly: ids and class names are
     quoted as csv.writer quotes them, and each cell is the ``repr`` of its
     value (floats round-trip bit for bit, ints print bare), or ``0`` or
-    ``1`` in a bool matrix.  The rows go through :func:`write_rows`."""
+    ``1`` in a bool matrix.  The rows go through :func:`write_rows`, so the
+    directory of ``path`` is created if needed and a write that fails leaves
+    an existing file as it was."""
+    # a row of 0 and 1 cells formats in about the time of one float cell
+    cells = len(ids) if values.dtype == bool else values.size
+    head = ",".join(map(csv_field, ("sample_id", *classes))) + "\n"
+    write_rows(os.path.dirname(path) or os.curdir, {os.path.basename(path): ("CSV", head, "")},
+               len(ids), cells, lambda start, stop: [matrix_rows(ids[start:stop],
+                                                                 values[start:stop])])
+
+
+def matrix_rows(ids, values) -> list:
+    """The UTF-8 text of the rows of a matrix CSV, one per id, as
+    :func:`write_matrix_csv` writes them, as a list of bytes objects."""
     if _NEEDS_QUOTES.search("".join(map(str, ids))):  # one scan for the usual plain ids
         ids = [csv_field(str(sample_id)) for sample_id in ids]
-    # a row of 0 and 1 cells formats in about the time of one float cell
-    cells, text = (len(ids), _flag_rows) if values.dtype == bool else (values.size, _csv_rows)
-    write_rows(path, "CSV", ",".join(map(csv_field, ("sample_id", *classes))) + "\n", len(ids),
-               cells, lambda start, stop: text(ids, values, start, stop))
+    return (_flag_rows if values.dtype == bool else _csv_rows)(ids, values)
 
 
-def _csv_rows(ids, values, start: int, stop: int) -> list:
-    """The UTF-8 text of rows ``start:stop`` of a matrix CSV, one bytes
-    object per _CSV_BLOCK_ROWS rows."""
+def _csv_rows(ids, values) -> list:
+    """The UTF-8 text of the rows of a matrix CSV, one bytes object per
+    _CSV_BLOCK_ROWS rows."""
     blocks = []
-    for i in range(start, stop, _CSV_BLOCK_ROWS):
-        end = min(i + _CSV_BLOCK_ROWS, stop)
-        rows = zip(ids[i:end], values[i:end].tolist())
+    for i in range(0, len(ids), _CSV_BLOCK_ROWS):
+        rows = zip(ids[i : i + _CSV_BLOCK_ROWS], values[i : i + _CSV_BLOCK_ROWS].tolist())
         blocks.append("".join(f"{sample_id},{','.join(map(repr, row))}\n"
                               for sample_id, row in rows).encode("utf-8"))
     return blocks
 
 
-def _flag_rows(ids, values, start: int, stop: int) -> list:
-    """The UTF-8 text of rows ``start:stop`` of a bool matrix CSV.  The
-    cells come from one uint8 matrix: a ``0`` or ``1`` byte per cell, with
-    a comma after each cell but the last, which a line end follows."""
-    cells = np.full((stop - start, 2 * values.shape[1]), ord(","), dtype=np.uint8)
-    np.add(values[start:stop], ord("0"), out=cells[:, ::2], casting="unsafe")
+def _flag_rows(ids, values) -> list:
+    """The UTF-8 text of the rows of a bool matrix CSV.  The cells come from
+    one uint8 matrix: a ``0`` or ``1`` byte per cell, with a comma after
+    each cell but the last, which a line end follows."""
+    cells = np.full((len(ids), 2 * values.shape[1]), ord(","), dtype=np.uint8)
+    np.add(values, ord("0"), out=cells[:, ::2], casting="unsafe")
     cells[:, -1] = ord("\n")
     text, width = cells.tobytes().decode("ascii"), cells.shape[1]
-    rows = zip(ids[start:stop], range(0, len(text), width))
+    rows = zip(ids, range(0, len(text), width))
     return ["".join(f"{sample_id},{text[at : at + width]}" for sample_id, at in rows)
             .encode("utf-8")]
 

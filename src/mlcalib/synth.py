@@ -10,26 +10,30 @@ latent is mean + stddev * ``core.ndtri(u)`` of one uniform draw u: the
 inverse normal CDF, ported from Cephes with the same bits as
 ``scipy.special.ndtri``, so the package needs only numpy.
 
-:func:`write_fixture` writes each file through ``core.write_rows``, in row
-parts.  predictions.csv holds the ``repr`` of each logit.  labels.csv is
-written from a bool matrix, whose text comes from one uint8 matrix per
-part: a ``0`` or ``1`` byte per cell, with the commas and line ends
-between them.  Each manifest row is one string template filled with the
-``json.dumps`` of its ids and the ``.17g`` text of its times: the bytes
+:func:`write_fixture` writes the four files through ``core.write_rows``,
+in rounds of row parts.  Each part draws the uniforms of its own rows
+[a, b), at the counters [a * C, b * C), builds their logits and labels,
+and formats its text of every file, so no process holds an N x C matrix.
+predictions.csv holds the ``repr`` of each logit.  labels.csv is written
+from a bool matrix, whose text comes from one uint8 matrix per part: a
+``0`` or ``1`` byte per cell, with the commas and line ends between them.
+Each manifest row is one string template filled with the ``json.dumps``
+of its ids and the ``.17g`` text of its times: the bytes
 ``dumps_canonical`` gives for the list of row objects, without building
-them.
+them.  :func:`generate` builds its dataset from the same rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EvalDataset, Manifest, ValidationError, dumps_canonical, ndtri, output_file,
-                   output_paths, sigmoid, write_matrix_csv, write_rows)
+from .core import (EvalDataset, Manifest, ValidationError, csv_field, dumps_canonical, free_bytes,
+                   matrix_rows, ndtri, sigmoid, write_rows)
 
 _STREAM_LOGITS = 0
 _STREAM_LABELS = 1
@@ -47,15 +51,20 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
         return z ^ (z >> _U64(31))
 
 
-def _uniforms(seed: int, stream: int, count: int) -> np.ndarray:
-    """count uniforms in (0, 1], keyed by (seed, stream, i): the top 53
-    bits of each splitmix64 word, plus one half, times 2**-53.  The lowest
-    is 2**-54; the top one, (2**53 - 1 + 0.5) * 2**-53, rounds to exactly
-    1.0, where :func:`~mlcalib.core.ndtri` gives +inf."""
+def _uniforms(seed: int, stream: int, count: int, start: int = 0) -> np.ndarray:
+    """count uniforms in (0, 1], keyed by (seed, stream, i) for the
+    counters i in ``start:start + count``: the top 53 bits of each
+    splitmix64 word, plus one half, times 2**-53.  The lowest is 2**-54;
+    the top one, (2**53 - 1 + 0.5) * 2**-53, rounds to exactly 1.0, where
+    :func:`~mlcalib.core.ndtri` gives +inf."""
     base = _splitmix64(_splitmix64(np.array(seed, dtype=_U64)) ^ _U64(stream))
-    idx = np.arange(count, dtype=_U64)
+    idx = np.arange(start, start + count, dtype=_U64)
     bits = _splitmix64(base ^ idx)
     return ((bits >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+# the lowest draw of _uniforms and the highest below 1.0
+_DRAW_ENDS = np.array([2.0**-54, 1.0 - 2.0**-52])
 
 
 @dataclass(frozen=True)
@@ -87,7 +96,8 @@ class SynthConfig:
         # every setting is checked before anything is generated, by name
         if self.n < 1 or self.c < 1:
             raise ValidationError(f"N and C must be >= 1, got N={self.n}, C={self.c}")
-        # past this, numpy refuses the N x C arrays with a ValueError, not a MemoryError
+        # past this, numpy refuses generate's N x C arrays with a ValueError,
+        # and the uniforms' counters near the end of their uint64 range
         if self.n * self.c > np.iinfo(np.intp).max // 16:
             raise ValidationError(f"N x C is over the largest array, got N={self.n}, C={self.c}")
         if not 0 <= self.seed < 2**64:  # the generator keys on a uint64
@@ -133,69 +143,141 @@ def latent_means(cfg: SynthConfig) -> np.ndarray:
     return -3.0 + 4.0 * u
 
 
-def generate(cfg: SynthConfig):
-    """Build the synthetic EvalDataset and its ground-truth record.
+@dataclass(frozen=True)
+class _Plan:
+    """The per-class settings of a fixture, resolved and checked."""
 
-    Returns (dataset, truth) where truth carries everything needed to
-    reproduce or verify the fixture: sizes, seed, latent spec, and the
-    generating (true_T, true_b).
-    """
-    means = latent_means(cfg)
-    stddev = _per_class(cfg.latent.stddev, cfg.c, "latent stddev")
-    true_t = _per_class(cfg.true_t, cfg.c, "true_T")
-    true_b = _per_class(cfg.true_b, cfg.c, "true_b")
+    classes: tuple
+    means: np.ndarray
+    stddev: np.ndarray
+    true_t: np.ndarray
+    true_b: np.ndarray
+    width: int  # digits of the row number in each sample id
 
-    count = cfg.n * cfg.c
-    u_z = _uniforms(cfg.seed, _STREAM_LOGITS, count).reshape(cfg.n, cfg.c)
-    u_y = _uniforms(cfg.seed, _STREAM_LABELS, count).reshape(cfg.n, cfg.c)
-    z = means + stddev * ndtri(u_z)
-    p_true = sigmoid(z / true_t + true_b)
-    labels = (u_y < p_true).astype(np.float64)
 
-    width = max(6, len(str(cfg.n - 1)))
-    meta = Manifest(
-        sample_id=tuple(f"{cfg.dataset_id}-{i:0{width}d}" for i in range(cfg.n)),
-        dataset_id=(cfg.dataset_id,) * cfg.n,
-        start_s=np.arange(cfg.n) * cfg.clip_duration_s,
-        duration_s=np.full(cfg.n, cfg.clip_duration_s),
+def _plan(cfg: SynthConfig) -> _Plan:
+    """Resolve the per-class settings, and check that each class's logits
+    of the lowest and highest draws below 1.0 are finite: then only the top
+    draw, 1.0, can give a non-finite logit."""
+    plan = _Plan(
+        classes=tuple(f"class_{c:03d}" for c in range(cfg.c)),
+        means=latent_means(cfg),
+        stddev=_per_class(cfg.latent.stddev, cfg.c, "latent stddev"),
+        true_t=_per_class(cfg.true_t, cfg.c, "true_T"),
+        true_b=_per_class(cfg.true_b, cfg.c, "true_b"),
+        width=max(6, len(str(cfg.n - 1))),
     )
-    classes = tuple(f"class_{c:03d}" for c in range(cfg.c))
-    dataset = EvalDataset(classes=classes, logits=z, labels=labels, meta=meta)
-    truth = {
+    quantiles = ndtri(_DRAW_ENDS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = plan.means + plan.stddev * quantiles[:, None]
+    bad = ~np.isfinite(ends)
+    if bad.any():
+        j = int(np.argmax(bad.any(axis=0)))
+        k = int(np.argmax(bad[:, j]))
+        raise ValidationError(
+            f"the logits of {plan.classes[j]} overflow: latent mean {float(plan.means[j])!r} + "
+            f"stddev {float(plan.stddev[j])!r} x {float(quantiles[k])!r} is not finite"
+        )
+    return plan
+
+
+def _rows(cfg: SynthConfig, plan: _Plan, start: int, stop: int):
+    """Rows ``start:stop`` of the fixture, from the counters ``start * C``
+    to ``stop * C`` of each stream: (sample ids, logits, bool labels).  A
+    non-finite logit is an error that names its row and class."""
+    c, count = cfg.c, (stop - start) * cfg.c
+    z = plan.means + plan.stddev * ndtri(
+        _uniforms(cfg.seed, _STREAM_LOGITS, count, start * c).reshape(-1, c))
+    bad = ~np.isfinite(z)
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), c)
+        raise ValidationError(f"non-finite value (row {start + i}, class {plan.classes[j]})")
+    with np.errstate(over="ignore"):  # z / T past the floats is +-inf, of sigmoid 1 or 0
+        p_true = sigmoid(z / plan.true_t + plan.true_b)
+    labels = _uniforms(cfg.seed, _STREAM_LABELS, count, start * c).reshape(-1, c) < p_true
+    ids = [f"{cfg.dataset_id}-{i:0{plan.width}d}" for i in range(start, stop)]
+    return ids, z, labels
+
+
+def _truth(cfg: SynthConfig, plan: _Plan) -> dict:
+    return {
         "n": cfg.n,
         "c": cfg.c,
         "seed": cfg.seed,
         "dataset_id": cfg.dataset_id,
         "clip_duration_s": cfg.clip_duration_s,
-        "classes": list(classes),
-        "latent_means": [float(m) for m in means],
-        "latent_stddev": [float(s) for s in stddev],
-        "true_T": [float(t) for t in true_t],
-        "true_b": [float(b) for b in true_b],
+        "classes": list(plan.classes),
+        "latent_means": plan.means.tolist(),
+        "latent_stddev": plan.stddev.tolist(),
+        "true_T": plan.true_t.tolist(),
+        "true_b": plan.true_b.tolist(),
     }
-    return dataset, truth
+
+
+def generate(cfg: SynthConfig):
+    """Build the synthetic EvalDataset and its ground-truth record.
+
+    Returns (dataset, truth) where truth carries everything needed to
+    reproduce or verify the fixture: sizes, seed, latent spec, and the
+    generating (true_T, true_b).  The rows are those :func:`write_fixture`
+    writes.
+    """
+    plan = _plan(cfg)
+    ids, z, labels = _rows(cfg, plan, 0, cfg.n)
+    meta = Manifest(
+        sample_id=tuple(ids),
+        dataset_id=(cfg.dataset_id,) * cfg.n,
+        start_s=np.arange(cfg.n) * float(cfg.clip_duration_s),
+        duration_s=np.full(cfg.n, cfg.clip_duration_s),
+    )
+    dataset = EvalDataset(classes=plan.classes, logits=z, labels=labels.astype(np.float64),
+                          meta=meta)
+    return dataset, _truth(cfg, plan)
 
 
 def write_fixture(cfg: SynthConfig, out_dir: str) -> dict:
     """Generate and write the standard file triple plus a truth sidecar.
 
     Creates predictions.csv (logits), labels.csv, manifest.json, and
-    truth.json under out_dir; returns the path map.
+    truth.json under out_dir; returns the path map.  Each part generates
+    and formats its own rows, and every file is replaced only once all of
+    them are written (see ``core.write_rows``).  Settings whose logits
+    overflow, and files larger than the free space under out_dir, fail
+    before anything is generated.
     """
-    dataset, truth = generate(cfg)
-    files = {"predictions.csv": "CSV", "labels.csv": "CSV", "manifest.json": "manifest",
-             "truth.json": "truth"}
-    paths = {name.split(".")[0]: path for name, path in output_paths(out_dir, files).items()}
-    meta = dataset.meta
-    write_matrix_csv(paths["predictions"], dataset.classes, meta.sample_id, dataset.logits)
-    # bool cells print as 0 and 1, as labels files carry them
-    write_matrix_csv(paths["labels"], dataset.classes, meta.sample_id, dataset.labels == 1.0)
-    # a manifest row formats in about the time of one float cell of a CSV
-    write_rows(paths["manifest"], "manifest", "[\n", cfg.n, cfg.n,
-               lambda start, stop: _manifest_rows(meta, start, stop), "\n]\n")
-    with output_file(paths["truth"], "truth") as fh:
-        fh.write(dumps_canonical(truth) + "\n")
-    return paths
+    plan = _plan(cfg)
+    head = ",".join(map(csv_field, ("sample_id", *plan.classes))) + "\n"
+    dataset_text, duration = json.dumps(cfg.dataset_id), float(cfg.clip_duration_s)
+    need = _least_bytes(cfg, plan, head, dataset_text)
+    free = free_bytes(out_dir)
+    if free is not None and need > free:
+        raise ValidationError(f"N={cfg.n}, C={cfg.c} needs at least {need} bytes of files, "
+                              f"but {out_dir} has {free} bytes free")
+
+    def rows(start, stop):
+        ids, z, labels = _rows(cfg, plan, start, stop)
+        manifest = _manifest_rows(ids, itertools.repeat(dataset_text),
+                                  (np.arange(start, stop) * duration).tolist(),
+                                  itertools.repeat(duration), start > 0)
+        return [matrix_rows(ids, z), matrix_rows(ids, labels), manifest, []]
+
+    files = {"predictions.csv": ("CSV", head, ""), "labels.csv": ("CSV", head, ""),
+             "manifest.json": ("manifest", "[\n", "\n]\n"),
+             "truth.json": ("truth", dumps_canonical(_truth(cfg, plan)) + "\n", "")}
+    # a row's labels and its manifest entry each format in about the time
+    # of one float cell of its logits
+    paths = write_rows(out_dir, files, cfg.n, cfg.n * (cfg.c + 2), rows)
+    return {name.split(".")[0]: path for name, path in paths.items()}
+
+
+def _least_bytes(cfg: SynthConfig, plan: _Plan, head: str, dataset_text: str) -> int:
+    """A lower bound on the size of a fixture's files: every sample id has
+    the same length, every logit prints in at least 3 characters and every
+    time in at least 1."""
+    first = f"{cfg.dataset_id}-{0:0{plan.width}d}"
+    entry = _MANIFEST_ROW.format(json.dumps(first), dataset_text, 0, 0)
+    row = 2 * (len(first.encode("utf-8")) + 1) + 6 * cfg.c + len(entry.encode("utf-8")) + 2
+    return 2 * len(head) + cfg.n * row
 
 
 # one manifest row as dumps_canonical writes it in a list: JSON strings for
@@ -204,14 +286,13 @@ _MANIFEST_ROW = ('  {{\n    "sample_id": {},\n    "dataset_id": {},\n'
                  '    "start_s": {:.17g},\n    "duration_s": {:.17g}\n  }}')
 
 
-def _manifest_rows(meta: Manifest, start: int, stop: int) -> list:
-    """The text of rows ``start:stop`` of manifest.json, the same bytes as
-    dumps_canonical gives for the list of row objects: every row but the
-    first starts with the comma that ends the one before."""
-    if start == stop:
+def _manifest_rows(sample_ids, dataset_texts, start_s, duration_s, after: bool) -> list:
+    """The text of manifest.json rows, the same bytes as dumps_canonical
+    gives for these row objects in a list.  ``dataset_texts`` holds the
+    JSON text of each row's dataset_id.  With ``after`` the rows follow
+    others, and start with the comma that ends the one before."""
+    text = ",\n".join(map(_MANIFEST_ROW.format, map(json.dumps, sample_ids), dataset_texts,
+                          start_s, duration_s))
+    if not text:
         return []
-    datasets = [json.dumps(name) for name in meta.datasets]
-    rows = map(_MANIFEST_ROW.format, map(json.dumps, meta.sample_id[start:stop]),
-               map(datasets.__getitem__, meta.codes[start:stop].tolist()),
-               meta.start_s[start:stop].tolist(), meta.duration_s[start:stop].tolist())
-    return [((",\n" if start else "") + ",\n".join(rows)).encode("utf-8")]
+    return [((",\n" if after else "") + text).encode("utf-8")]

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlcalib import report, synth
+from mlcalib import core, report, synth
 from mlcalib.cli import main
 from mlcalib.core import _read_matrix_csv, sigmoid
 from mlcalib.metrics import MAX_BINS
@@ -83,10 +84,10 @@ class TestSynthCommand:
         # +inf, which the dataset check names, with no output written
         draws = synth._uniforms
 
-        def with_top(seed, stream, count):
-            u = draws(seed, stream, count)
-            if stream == synth._STREAM_LOGITS:
-                u[7] = (2**53 - 1 + 0.5) * 2.0**-53
+        def with_top(seed, stream, count, start=0):
+            u = draws(seed, stream, count, start)
+            if stream == synth._STREAM_LOGITS and start <= 7 < start + count:
+                u[7 - start] = (2**53 - 1 + 0.5) * 2.0**-53
             return u
 
         monkeypatch.setattr(synth, "_uniforms", with_top)
@@ -689,12 +690,19 @@ class TestInputBoundaries:
           "clip_duration_s is too large for N=10: the last start, 9 x 1e+308, is not finite"),
          (f"--n={10**20}", f"N x C is over the largest array, got N={10**20}, C=2"),
          # the byte 0xff of a non-UTF-8 argv reaches Python as this lone surrogate
-         ("--dataset-id=a\udcff", "dataset_id must be UTF-8 text, got 'a\\udcff'")],
+         ("--dataset-id=a\udcff", "dataset_id must be UTF-8 text, got 'a\\udcff'"),
+         # the logits of the lowest draw, 2**-54, overflow: both ends, or only it
+         ("--stddev=1e308", "the logits of class_000 overflow: latent mean 0.34280911981142737 "
+          "+ stddev 1e+308 x -8.292361075813597 is not finite"),
+         ("--stddev=2.2e307", "the logits of class_000 overflow: latent mean "
+          "0.34280911981142737 + stddev 2.2e+307 x -8.292361075813597 is not finite")],
         ids=["duration-inf", "duration-nan", "duration-0", "stddev-nan", "stddev-inf",
              "stddev-negative", "means-nan", "means-inf", "seed-negative", "seed-over-uint64",
-             "last-start-overflows", "cells-over-array", "dataset-id-not-utf8"],
+             "last-start-overflows", "cells-over-array", "dataset-id-not-utf8",
+             "logits-overflow", "lowest-logit-overflows"],
     )
-    @pytest.mark.filterwarnings("error")  # numpy warned on an infinite duration
+    # numpy warned on an infinite duration, and on logits that overflow
+    @pytest.mark.filterwarnings("error")
     def test_synth_flags_checked_before_generating(self, tmp_path, capsys, flag, want):
         out = tmp_path / "fx"
         assert main(["synth", "--n", "10", "--classes", "2", flag, "--out", str(out)]) == 2
@@ -702,17 +710,21 @@ class TestInputBoundaries:
         assert not out.exists()
 
     def test_synth_out_of_memory_names_n_and_classes(self, tmp_path, capsys, monkeypatch):
-        uniforms = synth._uniforms
+        """A fixture whose files cannot fit in the free space fails before
+        any row is drawn, naming N, C, the least size of its files and the
+        free bytes."""
+        def not_drawn(*args):
+            raise AssertionError("no row is drawn")
 
-        def no_room(seed, stream, count):  # as numpy fails on an N x C too large
-            if count > 1000:
-                raise MemoryError
-            return uniforms(seed, stream, count)
-
-        monkeypatch.setattr(synth, "_uniforms", no_room)
+        monkeypatch.setattr(synth, "_rows", not_drawn)
+        monkeypatch.setattr(os, "statvfs", lambda path: os.statvfs_result((4096,) * 10))
         out = tmp_path / "fx"
         assert main(["synth", "--n", "100000000000", "--classes", "3", "--out", str(out)]) == 2
-        err = "error: --n 100000000000 x --classes 3 cells do not fit in memory\n"
+        # at least 166 bytes a row: a 17-byte id and a line end in each CSV,
+        # 3-byte logits and 1-byte labels each after a comma, and a manifest
+        # entry of 110 bytes with its 2-byte separator
+        err = (f"error: N=100000000000, C=3 needs at least 16600000000080 bytes of files, "
+               f"but {out} has {4096 * 4096} bytes free\n")
         assert capsys.readouterr().err == err
         assert not out.exists()
 
@@ -874,6 +886,50 @@ class TestOutputs:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write ") and str(out / name) in err
         assert os.listdir(out) == [name]
+
+    @pytest.mark.parametrize("command", ["apply", "synth"])
+    def test_failure_after_the_first_round_keeps_the_old_files(self, tmp_path, capsys,
+                                                                monkeypatch, small, command):
+        """The rows are written in several rounds, and the second one fails:
+        apply on a full disk, synth on its top draw.  Every file keeps its
+        old bytes and no temporary file is left."""
+        out = tmp_path / "out"
+        out.mkdir()
+        names = (["calibrated.csv"] if command == "apply" else
+                 ["predictions.csv", "labels.csv", "manifest.json", "truth.json"])
+        for name in names:
+            (out / name).write_bytes(f"old {name}\n".encode())
+        # 200 x 3 logits in rounds of 50 rows; 10 synth rows in rounds of 2
+        monkeypatch.setattr(core, "_ROUND_CELLS", 150 if command == "apply" else 8)
+        calls = []
+        if command == "apply":
+            rows = core._csv_rows
+
+            def second_fails(*args):
+                calls.append(None)
+                if len(calls) == 2:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return rows(*args)
+
+            monkeypatch.setattr(core, "_csv_rows", second_fails)
+            want = (f"cannot write CSV file {out / 'calibrated.csv'}: "
+                    f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")
+        else:
+            draws = synth._uniforms
+
+            def top_in_row_3(seed, stream, count, start=0):
+                u = draws(seed, stream, count, start)
+                if stream == synth._STREAM_LOGITS and start <= 7 < start + count:
+                    u[7 - start] = 1.0
+                return u
+
+            monkeypatch.setattr(synth, "_uniforms", top_in_row_3)
+            want = "non-finite value (row 3, class class_001)"
+        assert main(_argv(command, small, out)) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert sorted(os.listdir(out)) == sorted(names)
+        for name in names:
+            assert (out / name).read_bytes() == f"old {name}\n".encode()
 
     def test_svg_name_too_long_writes_nothing(self, tmp_path, capsys, small):
         paths = _two_datasets(tmp_path, small, "n" * 300, "south")

@@ -663,6 +663,51 @@ def test_synth_fixture_golden_in_parts(tmp_path, split):
     assert got == want
 
 
+def test_synth_fixture_golden_in_one_row_rounds(tmp_path, monkeypatch):
+    monkeypatch.setattr(core, "_ROUND_CELLS", 1)
+    test_synth_fixture_golden_in_parts(tmp_path, _MAX_PARTS)
+
+
+def _ramp(lo, hi, c):  # a per-class flag value as the benchmark writes it
+    return ",".join(f"{lo + (hi - lo) * i / (c - 1):.4g}" for i in range(c))
+
+
+# the benchmark's fit-10k fixture at its default seed, and the sha256 of each
+# of its files as written before synth generated its rows in parts
+_FIT_10K = ["synth", "--n", "10000", "--classes", "20", f"--true-t={_ramp(0.6, 4.0, 20)}",
+            f"--true-b={_ramp(-1.0, 1.0, 20)}", "--stddev", "2.0", "--seed", "2"]
+_FIT_10K_SHA256 = {
+    "labels.csv": "81735288983d87bd17e07844c0002ab5473100eb5b85d4481da574bbea465194",
+    "manifest.json": "469a4953f8f97ae002005f48d4be1a81c9ff1164cf11091dd0f7ee56c10541e3",
+    "predictions.csv": "ab042814bdceb04742a906206ac370e6fe054027eb70140726d63c1241539bf5",
+    "truth.json": "ee896ed66e9413065e12319e6896c920d551a1e02ee03a5a9653f274629c68b4",
+}
+
+
+@pytest.mark.parametrize("split, round_rows", [(1, None), (2, None), (2, 100)],
+                         ids=["1-part", "2-parts", "100-row-rounds"])
+def test_fit_10k_fixture_pinned(tmp_path, monkeypatch, capsys, split, round_rows):
+    from mlcalib.cli import main
+
+    rounds = []
+    in_parts = core._in_parts
+
+    def counted(task, spans, take):
+        rounds.append(spans)
+        return in_parts(task, spans, take)
+
+    monkeypatch.setattr(core, "_in_parts", counted)
+    if round_rows:  # synth counts the work of a row as C + 2 float cells
+        monkeypatch.setattr(core, "_ROUND_CELLS", round_rows * (20 + 2))
+    with _split_into(split):
+        assert main([*_FIT_10K, "--out", str(tmp_path)]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in _FIT_10K_SHA256}
+    assert got == _FIT_10K_SHA256
+    assert len(rounds) == 10_000 // (round_rows or 10_000)
+    assert {len(spans) for spans in rounds} == {split}
+
+
 def _matrix_file(path, n, bad_row=None, bad_line=None):
     """A plain n x 2 matrix CSV; row ``bad_row`` reads ``bad_line`` instead."""
     lines = ["sample_id,a,b"] + [f"s{i},{i}.5,-{i}" for i in range(n)]

@@ -1,3 +1,4 @@
+import json
 import pathlib
 
 import numpy as np
@@ -84,6 +85,20 @@ class TestShape:
             generate(SynthConfig(n=1, c=1, latent=LatentSpec(stddev=0.0)))
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_logits_rejected_before_drawing(self, tmp_path, monkeypatch):
+        # only the highest draw below 1.0 overflows: 1.7e308 + 2e307 x 8.13
+        cfg = SynthConfig(n=5, c=2, latent=LatentSpec(means=(0.0, 1.7e308), stddev=2e307))
+        monkeypatch.setattr(synth, "_uniforms", None)  # no row is drawn
+        want = ("the logits of class_001 overflow: latent mean 1.7e+308 + stddev 2e+307 x "
+                "8.125890664701908 is not finite")
+        for build in (generate, lambda cfg: write_fixture(cfg, str(tmp_path / "fx"))):
+            with pytest.raises(ValidationError) as got:
+                build(cfg)
+            assert str(got.value) == want
+        assert not (tmp_path / "fx").exists()
+
+
 class TestStatistics:
     def test_prevalence_matches_quadrature(self):
         cfg = SynthConfig(
@@ -125,8 +140,6 @@ class TestFixtureFiles:
         assert np.array_equal(loaded.meta.duration_s, direct.meta.duration_s)
 
     def test_truth_sidecar_content(self, tmp_path):
-        import json
-
         cfg = SynthConfig(n=10, c=2, true_t=(2.0, 0.5), true_b=-1.0, seed=4)
         paths = write_fixture(cfg, str(tmp_path / "fix"))
         truth = json.loads(pathlib.Path(paths["truth"]).read_text())
@@ -178,7 +191,13 @@ class TestManifestTemplate:
             duration_s=data.draw(st.lists(_TIMES.filter(bool), min_size=n, max_size=n)),
         )
         cut = data.draw(st.integers(0, n))  # where a second part starts
-        parts = synth._manifest_rows(meta, 0, cut) + synth._manifest_rows(meta, cut, n)
+
+        def rows(start, stop):
+            return synth._manifest_rows(
+                meta.sample_id[start:stop], map(json.dumps, meta.dataset_id[start:stop]),
+                meta.start_s[start:stop].tolist(), meta.duration_s[start:stop].tolist(), start > 0)
+
+        parts = rows(0, cut) + rows(cut, n)
         text = b"[\n" + b"".join(parts) + b"\n]\n"
         assert text == (dumps_canonical(_manifest_doc(meta)) + "\n").encode("utf-8")
 
