@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlcalib import core
+from mlcalib.cli import main
 from mlcalib.core import (
     EvalDataset,
     Manifest,
@@ -687,8 +688,6 @@ _FIT_10K_SHA256 = {
 @pytest.mark.parametrize("split, round_rows", [(1, None), (2, None), (2, 100)],
                          ids=["1-part", "2-parts", "100-row-rounds"])
 def test_fit_10k_fixture_pinned(tmp_path, monkeypatch, capsys, split, round_rows):
-    from mlcalib.cli import main
-
     rounds = []
     in_parts = core._in_parts
 

@@ -84,7 +84,6 @@ class TestShape:
         with pytest.raises(ValidationError):
             generate(SynthConfig(n=1, c=1, latent=LatentSpec(stddev=0.0)))
 
-
     @pytest.mark.filterwarnings("error")
     def test_overflowing_logits_rejected_before_drawing(self, tmp_path, monkeypatch):
         # only the highest draw below 1.0 overflows: 1.7e308 + 2e307 x 8.13
