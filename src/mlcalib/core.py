@@ -39,6 +39,7 @@ import mmap
 import os
 import re
 import signal
+import stat
 import sys
 from collections import deque
 from contextlib import ExitStack, contextmanager, suppress
@@ -491,14 +492,18 @@ def output_file(path: str, kind: str):
     locale, with no newline translation.  The text goes to a temporary file
     in the same directory, which replaces ``path`` when the block ends and
     is removed if it raises, so a write that fails leaves an existing file
-    as it was.  An OSError from the open, a write or the replace is a
-    ValidationError that names ``path``."""
-    temp = os.path.join(os.path.dirname(path), f".mlcalib-{os.getpid()}-{next(_STAGED)}.tmp")
+    as it was.  As a plain open would, it writes through a symbolic link
+    and keeps an existing file's mode.  An OSError from the open, a write
+    or the replace is a ValidationError that names ``path``."""
+    target = os.path.realpath(path)
+    temp = os.path.join(os.path.dirname(target), f".mlcalib-{os.getpid()}-{next(_STAGED)}.tmp")
     try:
         try:
             with open(temp, "w", encoding="utf-8", newline="") as fh:
                 yield fh
-            os.replace(temp, path)
+            with suppress(FileNotFoundError):
+                os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
+            os.replace(temp, target)
         except BaseException:
             with suppress(OSError):
                 os.remove(temp)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 import tempfile
@@ -930,6 +931,24 @@ class TestOutputs:
         assert sorted(os.listdir(out)) == sorted(names)
         for name in names:
             assert (out / name).read_bytes() == f"old {name}\n".encode()
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symbolic links")
+    def test_rewritten_output_keeps_its_link_and_mode(self, tmp_path, small):
+        """A file is written to a temporary file and renamed over the old
+        one, but an output that is a link still leads to its target, which
+        keeps its mode, as when the old file was opened in place."""
+        target = tmp_path / "kept" / "calibrated.csv"
+        target.parent.mkdir()
+        target.write_bytes(b"old\n")
+        target.chmod(0o640)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "calibrated.csv").symlink_to(target)
+        assert main(_argv("apply", small, out)) == 0
+        assert (out / "calibrated.csv").is_symlink()
+        assert target.read_bytes().startswith(b"sample_id,")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert sorted(os.listdir(target.parent)) == ["calibrated.csv"]
 
     def test_svg_name_too_long_writes_nothing(self, tmp_path, capsys, small):
         paths = _two_datasets(tmp_path, small, "n" * 300, "south")
