@@ -56,18 +56,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    dataset_in = argparse.ArgumentParser(add_help=False)
-    dataset_in.add_argument("--predictions", required=True, help="predictions CSV")
-    dataset_in.add_argument("--labels", required=True, help="binary labels CSV")
-    dataset_in.add_argument("--manifest", required=True, help="manifest JSON")
-    dataset_in.add_argument(
+    predictions_in = argparse.ArgumentParser(add_help=False)
+    predictions_in.add_argument("--predictions", required=True, help="predictions CSV")
+    predictions_in.add_argument(
         "--probabilities",
         action="store_true",
         help="prediction cells are probabilities in [0,1] instead of logits",
     )
-    dataset_in.add_argument(
+    predictions_in.add_argument(
         "--eps", type=float, default=1e-7, help="probability clamp for logit recovery"
     )
+
+    dataset_in = argparse.ArgumentParser(add_help=False, parents=[predictions_in])
+    dataset_in.add_argument("--labels", required=True, help="binary labels CSV")
+    dataset_in.add_argument("--manifest", required=True, help="manifest JSON")
 
     reporting = argparse.ArgumentParser(add_help=False)
     reporting.add_argument("--bins", type=int, default=15, help="reliability bins M")
@@ -119,11 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     apply_p = sub.add_parser(
-        "apply", help="apply saved scaling parameters to a predictions file"
+        "apply",
+        parents=[predictions_in],
+        help="apply saved scaling parameters to a predictions file",
     )
-    apply_p.add_argument("--predictions", required=True)
-    apply_p.add_argument("--probabilities", action="store_true")
-    apply_p.add_argument("--eps", type=float, default=1e-7)
     apply_p.add_argument("--params", required=True, help="params JSON from fit")
     apply_p.add_argument("--out", default=".")
 

@@ -21,8 +21,9 @@ work per part.  :func:`_in_parts` runs the first part in the caller and
 each other part in a forked child, the only processes the package starts.
 A child's exit status says whether its part is done, declined or failed
 (and then redone in the caller).  Parsed rows land in place in one matrix
-shared with the children, and a part's text, its formatted rows or its
-parsed ids, comes back raw through a pipe.  The writer takes the rows in
+shared with the children.  A part's text, each file's formatted rows or
+the parsed ids, comes back raw, each output through a pipe of its own, and
+the pipes are written and read in order.  The writer takes the rows in
 rounds of bounded size, one round of parts at a time, so its memory does
 not grow with the number of rows, and it stages every file until the last
 round is written.  The bytes written and the values read do not depend on
@@ -41,7 +42,6 @@ import re
 import signal
 import stat
 import sys
-from collections import deque
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -312,17 +312,8 @@ class EvalDataset:
         if len(set(self.classes)) != len(self.classes):
             dupe = next(c for c in self.classes if list(self.classes).count(c) > 1)
             raise ValidationError(f"duplicate class name {dupe!r}")
-        if not np.all(np.isfinite(logits)):
-            i, c = np.unravel_index(int(np.argmax(~np.isfinite(logits))), logits.shape)
-            raise ValidationError(
-                f"non-finite value (row {i}, class {self.classes[c]})"
-            )
-        bad = (labels != 0.0) & (labels != 1.0)
-        if np.any(bad):
-            i, c = np.unravel_index(int(np.argmax(bad)), labels.shape)
-            raise ValidationError(
-                f"non-binary label (row {i}, class {self.classes[c]}): {float(labels[i, c])!r}"
-            )
+        check_cells(~np.isfinite(logits), "non-finite value", self.classes)
+        check_cells((labels != 0.0) & (labels != 1.0), "non-binary label", self.classes, labels)
         probs = self.probs
         if probs is not None:
             probs = _frozen(probs)
@@ -330,13 +321,8 @@ class EvalDataset:
                 raise ValidationError(
                     f"shape mismatch: probs {probs.shape}, logits {logits.shape}"
                 )
-            bad = ~((probs >= 0.0) & (probs <= 1.0))  # True for NaN
-            if np.any(bad):
-                i, c = np.unravel_index(int(np.argmax(bad)), probs.shape)
-                raise ValidationError(
-                    f"probability outside [0, 1] (row {i}, class {self.classes[c]}): "
-                    f"{float(probs[i, c])!r}"
-                )
+            check_cells(~((probs >= 0.0) & (probs <= 1.0)),  # True for NaN
+                        "probability outside [0, 1]", self.classes, probs)
         object.__setattr__(self, "logits", logits)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
@@ -349,6 +335,17 @@ class EvalDataset:
     @property
     def c(self) -> int:
         return self.logits.shape[1]
+
+
+def check_cells(bad: np.ndarray, what: str, classes, values=None, row: int = 0, where: str = ""):
+    """Raise a ValidationError that names the first True cell, in C order,
+    of the N x C matrix ``bad``: ``what (row i, class c){where}``, with rows
+    counted from ``row``, then ``: value`` of that cell of ``values`` when
+    they are given.  A matrix with no True cell passes."""
+    if bad.any():
+        i, c = divmod(int(np.argmax(bad)), bad.shape[1])
+        text = f"{what} (row {row + i}, class {classes[c]}){where}"
+        raise ValidationError(text if values is None else f"{text}: {float(values[i, c])!r}")
 
 
 def confidences(d: EvalDataset) -> np.ndarray:
@@ -409,26 +406,29 @@ def _part_count(work: int, floor: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), _MAX_PARTS, work // floor))
 
 
-def _in_parts(task, spans, take) -> bool:
+def _in_parts(task, spans, take, outputs: int = 1) -> bool:
     """Call ``take(task(span))`` for each of ``spans`` in order, where a
-    task returns a list of bytes-like buffers, or None to decline its span.
+    task returns ``outputs`` texts, each a list of bytes-like buffers, or
+    None to decline its span.
 
     The first span's task runs here, and every other span's task at the
-    same time in a forked child.  A child writes its buffers to a pipe,
-    back to back, and exits 0, or exits _DECLINED if its task declines;
-    ``take`` then gets the bytes read from the pipe, as a list of bytes
-    objects that may split them elsewhere.  A span whose child exits
-    otherwise, is killed or cannot be started is done here with ``task``,
-    so the bytes ``take`` gets do not depend on how the work was split.  A
-    declined span stops the run, and False is returned.  Every child has
-    been reaped when this returns or raises.
+    same time in a forked child, with a pipe of its own for each output.
+    A child writes text k to pipe k and closes that pipe before it writes
+    text k + 1, and exits 0, or exits _DECLINED if its task declines.  The
+    pipes are read here in the same order, and ``take`` gets a list of
+    bytes objects per output, which may split its text elsewhere.  A span
+    whose child exits otherwise, is killed or cannot be started is done
+    here with ``task``, so the bytes ``take`` gets do not depend on how the
+    work was split.  A declined span stops the run, and False is returned.
+    Every child has been reaped when this returns or raises.
     """
-    children = []  # (read end of its pipe, pid) of each child not yet reaped
+    children = []  # (read ends of its pipes, pid) of each child not yet reaped
     try:
         for span in spans[1:]:
-            ends = ()
+            ends = []
             try:
-                ends = fd, write_fd = os.pipe()
+                for _ in range(outputs):
+                    ends += os.pipe()
                 pid = os.fork()
             except OSError:  # no pipe or process to spare: the later spans are done here
                 for end in ends:
@@ -437,39 +437,42 @@ def _in_parts(task, spans, take) -> bool:
             if pid == 0:  # the child: write the part and leave, whatever happens
                 code = 1
                 try:
-                    for other in (fd, *(other for other, _ in children)):
-                        os.close(other)
-                    part = task(span)
-                    for view in map(memoryview, part or ()):
-                        while view:
-                            view = view[os.write(write_fd, view):]
-                    code = _DECLINED if part is None else 0
+                    for fd in itertools.chain(ends[::2], *(fds for fds, _ in children)):
+                        os.close(fd)
+                    texts = task(span)
+                    for fd, text in zip(ends[1::2], texts or ()):
+                        for view in map(memoryview, text):
+                            while view:
+                                view = view[os.write(fd, view):]
+                        os.close(fd)
+                    code = _DECLINED if texts is None else 0
                 finally:
                     os._exit(code)
-            os.close(write_fd)
-            children.append((fd, pid))
+            for fd in ends[1::2]:
+                os.close(fd)
+            children.append((ends[::2], pid))
         for k, span in enumerate(spans):
             code = None  # spans[0], and a span no child did, are done here
             if k and children:  # the children hold the first spans after spans[0]
-                fd, pid = children[0]
-                part = []
-                while chunk := os.read(fd, _READ_BYTES):
-                    part.append(chunk)
+                fds, pid = children[0]
+                texts = [list(iter(lambda: os.read(fd, _READ_BYTES), b"")) for fd in fds]
                 children.pop(0)
-                os.close(fd)
+                for fd in fds:
+                    os.close(fd)
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if code == _DECLINED:
                 return False
             if code != 0:
-                part = task(span)
-                if part is None:
+                texts = task(span)
+                if texts is None:
                     return False
-            take(part)
-            del part  # freed before the next part is read
+            take(texts)
+            del texts  # freed before the next part is read
         return True
     finally:
-        for fd, pid in children:
-            os.close(fd)
+        for fds, pid in children:
+            for fd in fds:
+                os.close(fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
@@ -585,34 +588,21 @@ def write_rows(out_dir: str, files: dict, n: int, cells: int, rows) -> dict:
             outs = [(stack.enter_context(output_file(paths[name], kind)).buffer, kind, paths[name])
                     for name, (kind, _, _) in files.items()]
 
-            def put(k, buffers):  # an OSError names the file it writes
-                out, kind, path = outs[k]
-                try:
-                    out.writelines(buffers)
-                except OSError as exc:
-                    raise ValidationError(f"cannot write {kind} file {path}: {exc}") from exc
+            def put(texts):  # each file's text, in order; an OSError names the file
+                for (out, kind, path), text in zip(outs, texts):
+                    try:
+                        out.writelines(text)
+                    except OSError as exc:
+                        raise ValidationError(f"cannot write {kind} file {path}: {exc}") from exc
 
-            def task(span):  # the size of each file's text, then the texts
-                texts = rows(*span)
-                sizes = [sum(memoryview(b).nbytes for b in text) for text in texts]
-                return [np.array(sizes, np.int64).tobytes(), *itertools.chain(*texts)]
-
-            def take(part):
-                views = deque(memoryview(b).cast("B") for b in part)
-                sizes = np.frombuffer(b"".join(_first_bytes(views, 8 * len(outs))), np.int64)
-                for k, size in enumerate(sizes.tolist()):
-                    put(k, _first_bytes(views, size))
-
-            for k, (_, head, _) in enumerate(files.values()):
-                put(k, [head.encode("utf-8")])
+            put([[head.encode("utf-8")] for _, head, _ in files.values()])
             step = max(1, min(n, n * _ROUND_CELLS // max(cells, 1)))
             for lo in range(0, n, step):
                 hi = min(lo + step, n)
                 parts = max(1, min(_part_count(cells * (hi - lo) // n, _PART_CELLS), hi - lo))
                 bounds = [lo + (hi - lo) * k // parts for k in range(parts + 1)]
-                _in_parts(task, list(zip(bounds, bounds[1:])), take)
-            for k, (_, _, tail) in enumerate(files.values()):
-                put(k, [tail.encode("utf-8")])
+                _in_parts(lambda span: rows(*span), list(zip(bounds, bounds[1:])), put, len(outs))
+            put([[tail.encode("utf-8")] for _, _, tail in files.values()])
     except BaseException:
         for path in missing:  # each is empty unless another process wrote there
             try:
@@ -621,20 +611,6 @@ def write_rows(out_dir: str, files: dict, n: int, cells: int, rows) -> dict:
                 break
         raise
     return paths
-
-
-def _first_bytes(views: deque, size: int) -> list:
-    """The first ``size`` bytes of the byte views in ``views``, which lose
-    them, as a list of views."""
-    out = []
-    while size:
-        view = views.popleft()
-        if len(view) > size:
-            views.appendleft(view[size:])
-            view = view[:size]
-        out.append(view)
-        size -= len(view)
-    return out
 
 
 def write_matrix_csv(path: str, classes, ids, values) -> None:
@@ -729,8 +705,8 @@ def _read_plain_csv(path: str):
         values = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1])).reshape(shape)
         ids = []
 
-        def take(part):
-            ids.extend(b"".join(part).decode("utf-8").split("\n"))
+        def take(texts):
+            ids.extend(b"".join(texts[0]).decode("utf-8").split("\n"))
 
         def task(span):
             return _plain_rows(path, len(classes), limit, values, *span)
@@ -803,9 +779,9 @@ def _count_bytes(data: bytes, byte: bytes) -> int:
 def _plain_rows(path: str, n_classes: int, limit: int, values, lo: int, hi: int, row: int,
                 stop: int):
     """Read, check and parse the lines in bytes ``lo:hi`` of ``path`` into
-    rows ``row:stop`` of ``values``: the ids, as one buffer of UTF-8 text
-    joined by ``\\n``, or None if a line is not plain (see
-    :func:`_read_plain_csv`)."""
+    rows ``row:stop`` of ``values``: the ids, as the one output of
+    :func:`_in_parts`, one buffer of UTF-8 text joined by ``\\n``, or None
+    if a line is not plain (see :func:`_read_plain_csv`)."""
     fd = _open_bytes(path)
     try:
         ids = []  # the ids of each chunk, as one str
@@ -842,7 +818,7 @@ def _plain_rows(path: str, n_classes: int, limit: int, values, lo: int, hi: int,
             row += n
         if row != stop:
             return None
-        return ["\n".join(ids).encode("utf-8")]
+        return [["\n".join(ids).encode("utf-8")]]
     finally:
         os.close(fd)
 
@@ -976,9 +952,9 @@ def read_json(path: str, kind: str):
         ) from None
 
 
-def _append_json(obj, out: list, level: int, indent: int):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _append_json(obj, out: list, level: int):
+    pad = "  " * level
+    pad_in = pad + "  "
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -1003,7 +979,7 @@ def _append_json(obj, out: list, level: int, indent: int):
             out.append(pad_in)
             out.append(json.dumps(key))
             out.append(": ")
-            _append_json(val, out, level + 1, indent)
+            _append_json(val, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -1013,18 +989,19 @@ def _append_json(obj, out: list, level: int, indent: int):
         out.append("[\n")
         for i, val in enumerate(obj):
             out.append(pad_in)
-            _append_json(val, out, level + 1, indent)
+            _append_json(val, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "]")
     else:
         raise ValidationError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def dumps_canonical(obj, indent: int = 2) -> str:
-    """Deterministic JSON text: insertion-ordered keys, 17-significant-digit
-    floats (so float64 values survive a parse round trip bit-exactly)."""
+def dumps_canonical(obj) -> str:
+    """Deterministic JSON text: insertion-ordered keys, two-space indents,
+    17-significant-digit floats (so float64 values survive a parse round
+    trip bit-exactly)."""
     out: list = []
-    _append_json(obj, out, 0, indent)
+    _append_json(obj, out, 0)
     return "".join(out)
 
 
@@ -1070,17 +1047,10 @@ def read_predictions(path: str, inputs_are_probabilities: bool = False, eps: flo
     _check_eps(eps)
     classes, ids, values = _read_matrix_csv(path, "predictions")
     if inputs_are_probabilities:
-        bad = (values < 0.0) | (values > 1.0) | ~np.isfinite(values)
-    else:
-        bad = ~np.isfinite(values)
-    if np.any(bad):
-        i, c = np.unravel_index(int(np.argmax(bad)), values.shape)
-        where = f"(row {i}, class {classes[c]}) in {path}"
-        if inputs_are_probabilities:
-            raise ValidationError(f"probability outside [0, 1] {where}: {float(values[i, c])!r}")
-        raise ValidationError(f"non-finite value {where}")
-    if inputs_are_probabilities:
+        check_cells(~((values >= 0.0) & (values <= 1.0)), "probability outside [0, 1]", classes,
+                    values, where=f" in {path}")
         return classes, ids, inverse_sigmoid(values, eps), values
+    check_cells(~np.isfinite(values), "non-finite value", classes, where=f" in {path}")
     return classes, ids, values, None
 
 
@@ -1109,19 +1079,30 @@ def load_dataset(
         raise ValidationError(
             f"class header mismatch between {predictions_path} and {labels_path}"
         )
-    for i, (a, b) in enumerate(zip(p_ids, l_ids)):
-        if a != b:
-            raise ValidationError(
-                f"sample order mismatch at row {i}: {a!r} in {predictions_path} "
-                f"vs {b!r} in {labels_path}"
-            )
+    if mismatch := _first_mismatch(p_ids, predictions_path, l_ids, labels_path):
+        i, a, b = mismatch
+        raise ValidationError(
+            f"sample order mismatch at row {i}: {a!r} in {predictions_path} "
+            f"vs {b!r} in {labels_path}"
+        )
     meta = _read_manifest(manifest_path)
-    for i, (a, b) in enumerate(zip(p_ids, meta.sample_id)):
-        if a != b:
-            raise ValidationError(
-                f"unknown sample_id at row {i}: predictions say {a!r}, "
-                f"manifest says {b!r} ({manifest_path})"
-            )
+    if mismatch := _first_mismatch(p_ids, predictions_path, meta.sample_id, manifest_path):
+        i, a, b = mismatch
+        raise ValidationError(
+            f"unknown sample_id at row {i}: predictions say {a!r}, "
+            f"manifest says {b!r} ({manifest_path})"
+        )
     return EvalDataset(
         classes=p_classes, logits=logits, labels=l_vals, meta=meta, probs=probs
     )
+
+
+def _first_mismatch(ids, path, other, other_path):
+    """(row, id, other id) of the first row where the ids of two files
+    differ, or None; a different row count is an error that names both."""
+    if len(ids) != len(other):
+        raise ValidationError(f"row count mismatch: {len(ids)} rows in {path} "
+                              f"vs {len(other)} in {other_path}")
+    if tuple(ids) == tuple(other):
+        return None
+    return next((i, a, b) for i, (a, b) in enumerate(zip(ids, other)) if a != b)

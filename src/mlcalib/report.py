@@ -114,7 +114,6 @@ class Report:
     curves: tuple
     params: dict
     split_summary: dict | None = None
-    tool: str = "mlcalib"
     version: str = field(default_factory=tool_version)
 
 
@@ -188,7 +187,7 @@ def curve_from_dict(doc: dict) -> ReliabilityCurve:
 def report_to_dict(report: Report) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "tool": {"name": report.tool, "version": report.version},
+        "tool": {"name": "mlcalib", "version": report.version},
         "config": report.config,
         "split": report.split_summary,
         "params": report.params,

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EvalDataset, Manifest, ValidationError, csv_field, dumps_canonical, free_bytes,
-                   matrix_rows, ndtri, sigmoid, write_rows)
+from .core import (EvalDataset, Manifest, ValidationError, check_cells, csv_field, dumps_canonical,
+                   free_bytes, matrix_rows, ndtri, sigmoid, write_rows)
 
 _STREAM_LOGITS = 0
 _STREAM_LABELS = 1
@@ -188,10 +188,7 @@ def _rows(cfg: SynthConfig, plan: _Plan, start: int, stop: int):
     c, count = cfg.c, (stop - start) * cfg.c
     z = plan.means + plan.stddev * ndtri(
         _uniforms(cfg.seed, _STREAM_LOGITS, count, start * c).reshape(-1, c))
-    bad = ~np.isfinite(z)
-    if bad.any():
-        i, j = divmod(int(np.argmax(bad)), c)
-        raise ValidationError(f"non-finite value (row {start + i}, class {plan.classes[j]})")
+    check_cells(~np.isfinite(z), "non-finite value", plan.classes, row=start)
     with np.errstate(over="ignore"):  # z / T past the floats is +-inf, of sigmoid 1 or 0
         p_true = sigmoid(z / plan.true_t + plan.true_b)
     labels = _uniforms(cfg.seed, _STREAM_LABELS, count, start * c).reshape(-1, c) < p_true

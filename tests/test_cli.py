@@ -159,6 +159,18 @@ class TestEvaluateCommand:
         assert code == 2
         assert "probability outside [0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("short", ["labels", "manifest"])
+    def test_file_one_row_short_names_both_files(self, tmp_path, capsys, short):
+        paths = _synth(tmp_path / "fx", n=3, c=2)
+        path = pathlib.Path(paths[short])
+        if short == "labels":
+            path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        else:
+            path.write_text(json.dumps(json.loads(path.read_text())[:-1]))
+        assert main(["evaluate", *_data_flags(paths), "--out", str(tmp_path / "ev")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: row count mismatch: 3 rows in {paths['predictions']} vs 2 in {path}\n")
+
 
 class TestFitCommand:
     def test_recovers_generator_temperature(self, tmp_path):

@@ -34,6 +34,7 @@ from mlcalib.core import (
     pos_counts,
     sigmoid,
     write_matrix_csv,
+    write_rows,
 )
 
 from mlcalib.synth import SynthConfig, _uniforms, write_fixture
@@ -691,9 +692,9 @@ def test_fit_10k_fixture_pinned(tmp_path, monkeypatch, capsys, split, round_rows
     rounds = []
     in_parts = core._in_parts
 
-    def counted(task, spans, take):
+    def counted(task, spans, take, outputs=1):
         rounds.append(spans)
-        return in_parts(task, spans, take)
+        return in_parts(task, spans, take, outputs)
 
     monkeypatch.setattr(core, "_in_parts", counted)
     if round_rows:  # synth counts the work of a row as C + 2 float cells
@@ -736,9 +737,9 @@ class TestParts:
         counts = []
         in_parts = core._in_parts
 
-        def counted(task, spans, take):
+        def counted(task, spans, take, outputs=1):
             counts.append(len(spans))
-            return in_parts(task, spans, take)
+            return in_parts(task, spans, take, outputs)
 
         monkeypatch.setattr(core, "_in_parts", counted)
         path = str(tmp_path / "m.csv")
@@ -797,6 +798,36 @@ class TestParts:
         assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
         assert (classes, got_ids) == want[:2]
         assert got.tobytes() == want[2].tobytes()
+
+    def test_child_killed_between_two_outputs_is_redone_here(self, tmp_path):
+        """Three files, the last with no rows like truth.json, in 8 parts:
+        the child of rows 40:50 is killed after it writes its first output.
+        Its part is redone here, the files are those of a one-part run, and
+        no child or file descriptor is left behind."""
+        parent, done_here = os.getpid(), []
+        files = {"a.csv": ("CSV", "a\n", ""), "b.txt": ("text", "b\n", "end\n"),
+                 "c.json": ("truth", "{}\n", "")}
+
+        def second(start, stop):  # runs once its first output is written
+            if os.getpid() != parent and start == 40:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if os.getpid() == parent:
+                done_here.append(start)
+            yield "".join(f"b{i}\n" for i in range(start, stop)).encode()
+
+        def rows(start, stop):
+            return [["".join(f"a{i},{i}\n" for i in range(start, stop)).encode()],
+                    second(start, stop), []]
+
+        for run, split in (("one", 1), ("parts", _MAX_PARTS)):
+            with _split_into(split), _same_descriptors():
+                write_rows(str(tmp_path / run), files, 80, 80, rows)
+                _assert_no_child_left()
+        assert done_here == [0, 0, 40]
+        for name in files:
+            assert (tmp_path / "parts" / name).read_bytes() == (
+                tmp_path / "one" / name).read_bytes()
+        assert (tmp_path / "one" / "b.txt").read_bytes().endswith(b"b79\nend\n")
 
     def test_declining_part_stops_and_reaps_the_others(self, tmp_path):
         path = _matrix_file(tmp_path / "m.csv", 400, bad_row=0, bad_line='"s0",1,2')
