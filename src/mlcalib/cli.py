@@ -8,8 +8,9 @@ report and, with --svg, one reliability diagram per scope, after checking
 that every one of them can be written.  The diagrams of --svg and of plot
 are drawn from a report document, the one report.emit_report returns or
 the one plot reads, so plot on a saved report reproduces the --svg bytes.
-apply writes calibrated.csv with core.write_matrix_csv, through the row
-writer that also writes synth's fixture: a run that fails leaves an
+apply writes calibrated.csv through core.write_rows, the row writer that
+also writes synth's fixture: each row part scales and formats its own rows,
+so no process holds the calibrated matrix, and a run that fails leaves an
 existing file as it was.
 
 Exit codes: 0 on success, 2 on input or validation errors, 3 on numerical
@@ -27,10 +28,12 @@ from .core import (
     NumericalError,
     ValidationError,
     load_dataset,
+    matrix_head,
+    matrix_rows,
     output_file,
     output_paths,
     read_predictions,
-    write_matrix_csv,
+    write_rows,
 )
 from .metrics import check_bins
 from .protocol import FIRST_MINUTES, HELD_OUT, SplitSpec, check_target_fraction, run_benchmark
@@ -243,7 +246,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    classes, ids, logits, _ = read_predictions(args.predictions, args.probabilities, args.eps)
+    classes, ids, logits = read_predictions(args.predictions, args.probabilities, args.eps)[:3]
     params = load_params(args.params)
     if params.scope == PER_CLASS and params.classes != classes:
         if len(params.classes) != len(classes):
@@ -252,16 +255,19 @@ def cmd_apply(args) -> int:
             j = next(j for j, (a, b) in enumerate(zip(params.classes, classes)) if a != b)
             why = f"at position {j} ({params.classes[j]!r} vs {classes[j]!r})"
         raise ValidationError(f"params classes do not match predictions classes {why}")
-    conf = apply_scaling(logits, params)
-    del logits  # freed before the write, whose parts start as copies of this process
-    write_matrix_csv(os.path.join(args.out, "calibrated.csv"), classes, ids, conf)
+
+    def rows(start, stop):  # each part scales and formats its own rows
+        return [matrix_rows(ids[start:stop], apply_scaling(logits[start:stop], params))]
+
+    write_rows(args.out, {"calibrated.csv": ("CSV", matrix_head(classes), "")}, len(ids),
+               logits.size, rows)
     return 0
 
 
 def _scalar_or_list(text: str, name: str):
-    parts = [p.strip() for p in str(text).split(",") if p.strip()]
-    if not parts:
-        raise ValidationError(f"{name} must be a number or comma-separated numbers")
+    parts = [p.strip() for p in str(text).split(",")]
+    if "" in parts:
+        raise ValidationError(f"{name} has an empty item, got {text!r}")
     try:
         values = [float(p) for p in parts]
     except ValueError:
@@ -272,8 +278,7 @@ def _scalar_or_list(text: str, name: str):
 def cmd_synth(args) -> int:
     means = None
     if args.latent_means is not None:
-        parsed = _scalar_or_list(args.latent_means, "--latent-means")
-        means = (parsed,) if isinstance(parsed, float) else parsed
+        means = _scalar_or_list(args.latent_means, "--latent-means")
     cfg = SynthConfig(
         n=args.n,
         c=args.classes,

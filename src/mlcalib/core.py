@@ -14,20 +14,21 @@ that writes several checks them all first with :func:`output_paths`.
 Every JSON field that the manifest, params and report loaders read is
 checked against one table of kinds, through :func:`json_field`.
 
-Row text files (matrix CSVs and ``synth``'s fixture) are formatted
-(:func:`write_rows`) and matrix CSVs parsed (:func:`_read_plain_csv`) in
-contiguous row parts, one per CPU the process may run on, above a floor of
-work per part.  :func:`_in_parts` runs the first part in the caller and
-each other part in a forked child, the only processes the package starts.
-A child's exit status says whether its part is done, declined or failed
-(and then redone in the caller).  Parsed rows land in place in one matrix
-shared with the children.  A part's text, each file's formatted rows or
-the parsed ids, comes back raw, each output through a pipe of its own, and
-the pipes are written and read in order.  The writer takes the rows in
-rounds of bounded size, one round of parts at a time, so its memory does
-not grow with the number of rows, and it stages every file until the last
-round is written.  The bytes written and the values read do not depend on
-how many parts or rounds there are.
+Row text files (``apply``'s calibrated.csv and ``synth``'s fixture, with
+:func:`matrix_head` and :func:`matrix_rows` for matrix CSVs) are computed
+and formatted (:func:`write_rows`) and matrix CSVs parsed
+(:func:`_read_plain_csv`) in contiguous row parts, one per CPU the process
+may run on, above a floor of work per part.  :func:`_in_parts` runs the
+first part in the caller and each other part in a forked child, the only
+processes the package starts.  A child's exit status says whether its part
+is done, declined or failed (and then redone in the caller).  Parsed rows
+land in place in one matrix shared with the children.  A part's text, each
+file's formatted rows or the parsed ids, comes back raw, each output
+through a pipe of its own, and the pipes are written and read in order.
+The writer takes the rows in rounds of bounded size, one round of parts at
+a time, so its memory does not grow with the number of rows, and it stages
+every file until the last round is written.  The bytes written and the
+values read do not depend on how many parts or rounds there are.
 """
 
 from __future__ import annotations
@@ -516,9 +517,10 @@ def output_file(path: str, kind: str):
 
 
 def output_dir(path: str) -> str:
-    """Create the output directory ``path`` (and its parents) if needed."""
+    """Create the output directory ``path`` (and its parents) if needed;
+    an empty ``path`` is the working directory."""
     try:
-        os.makedirs(path, exist_ok=True)
+        os.makedirs(path or os.curdir, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot create output directory {path}: {exc}") from exc
     return path
@@ -613,25 +615,17 @@ def write_rows(out_dir: str, files: dict, n: int, cells: int, rows) -> dict:
     return paths
 
 
-def write_matrix_csv(path: str, classes, ids, values) -> None:
-    """Write a `sample_id,<class...>` CSV, one row per id, that
-    :func:`_read_matrix_csv` reads back exactly: ids and class names are
-    quoted as csv.writer quotes them, and each cell is the ``repr`` of its
-    value (floats round-trip bit for bit, ints print bare), or ``0`` or
-    ``1`` in a bool matrix.  The rows go through :func:`write_rows`, so the
-    directory of ``path`` is created if needed and a write that fails leaves
-    an existing file as it was."""
-    # a row of 0 and 1 cells formats in about the time of one float cell
-    cells = len(ids) if values.dtype == bool else values.size
-    head = ",".join(map(csv_field, ("sample_id", *classes))) + "\n"
-    write_rows(os.path.dirname(path) or os.curdir, {os.path.basename(path): ("CSV", head, "")},
-               len(ids), cells, lambda start, stop: [matrix_rows(ids[start:stop],
-                                                                 values[start:stop])])
+def matrix_head(classes) -> str:
+    """The header line of a matrix CSV, `sample_id,<class...>`, quoted as
+    csv.writer quotes it."""
+    return ",".join(map(csv_field, ("sample_id", *classes))) + "\n"
 
 
 def matrix_rows(ids, values) -> list:
-    """The UTF-8 text of the rows of a matrix CSV, one per id, as
-    :func:`write_matrix_csv` writes them, as a list of bytes objects."""
+    """The UTF-8 text of the rows of a matrix CSV, one per id, as a list of
+    bytes objects that :func:`_read_matrix_csv` reads back exactly: ids
+    quoted as by :func:`matrix_head`, and each cell the ``repr`` of its
+    value (floats round-trip bit for bit), or ``0`` or ``1`` if bool."""
     if _NEEDS_QUOTES.search("".join(map(str, ids))):  # one scan for the usual plain ids
         ids = [csv_field(str(sample_id)) for sample_id in ids]
     return (_flag_rows if values.dtype == bool else _csv_rows)(ids, values)

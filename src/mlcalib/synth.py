@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EvalDataset, Manifest, ValidationError, check_cells, csv_field, dumps_canonical,
-                   free_bytes, matrix_rows, ndtri, sigmoid, write_rows)
+from .core import (EvalDataset, Manifest, ValidationError, check_cells, dumps_canonical, free_bytes,
+                   matrix_head, matrix_rows, ndtri, sigmoid, write_rows)
 
 _STREAM_LOGITS = 0
 _STREAM_LABELS = 1
@@ -71,13 +71,13 @@ _DRAW_ENDS = np.array([2.0**-54, 1.0 - 2.0**-52])
 class LatentSpec:
     """Per-class normal logit distribution.
 
-    ``means`` is one mean per class; None derives means deterministically
-    from the seed, uniform in [-3, 1], which yields the long-tailed
-    prevalence profile typical of multi-label benchmarks.  ``stddev`` is a
-    scalar or per-class vector.
+    ``means`` and ``stddev`` are each a scalar or a per-class vector.
+    ``means`` of None derives means deterministically from the seed,
+    uniform in [-3, 1], which yields the long-tailed prevalence profile
+    typical of multi-label benchmarks.
     """
 
-    means: tuple | None = None
+    means: float | tuple | None = None
     stddev: float = 2.0
 
 
@@ -138,7 +138,7 @@ def _per_class(value, c: int, name: str) -> np.ndarray:
 def latent_means(cfg: SynthConfig) -> np.ndarray:
     """Resolved per-class latent means (explicit or seed-derived)."""
     if cfg.latent.means is not None:
-        return _per_class(tuple(cfg.latent.means), cfg.c, "latent means")
+        return _per_class(cfg.latent.means, cfg.c, "latent means")
     u = _uniforms(cfg.seed, _STREAM_MEANS, cfg.c)
     return -3.0 + 4.0 * u
 
@@ -243,7 +243,7 @@ def write_fixture(cfg: SynthConfig, out_dir: str) -> dict:
     before anything is generated.
     """
     plan = _plan(cfg)
-    head = ",".join(map(csv_field, ("sample_id", *plan.classes))) + "\n"
+    head = matrix_head(plan.classes)
     dataset_text, duration = json.dumps(cfg.dataset_id), float(cfg.clip_duration_s)
     need = _least_bytes(cfg, plan, head, dataset_text)
     free = free_bytes(out_dir)

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlcalib import core, report, synth
+from mlcalib import cli, core, report, synth
 from mlcalib.cli import main
-from mlcalib.core import _read_matrix_csv, sigmoid
+from mlcalib.core import _read_matrix_csv, matrix_head, matrix_rows, read_predictions, sigmoid
 from mlcalib.metrics import MAX_BINS
 from mlcalib.report import load_report
 from mlcalib.scaling import T_MAX, T_MIN, ScalingParams, apply_scaling, fit, load_params, save_params
@@ -73,6 +73,22 @@ class TestSynthCommand:
         assert main(["evaluate", *_data_flags(paths), "--out", str(tmp_path / "ev")]) == 0
         rows = load_report(str(tmp_path / "ev" / "report.json"))["rows"]
         assert [r["scope"] for r in rows] == ["a,b"]
+
+    def test_one_latent_mean_spreads_to_every_class(self, tmp_path):
+        out = tmp_path / "fx"
+        assert main(["synth", "--n", "10", "--classes", "3", "--latent-means", "0.5",
+                     "--out", str(out)]) == 0
+        truth = json.loads((out / "truth.json").read_text())
+        assert truth["latent_means"] == [0.5, 0.5, 0.5]
+
+    @pytest.mark.parametrize("flag", ["--true-t", "--true-b", "--latent-means"])
+    @pytest.mark.parametrize("value", ["2,,3", "2,", ",2", ""])
+    def test_empty_item_exits_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "fx"
+        assert main(["synth", "--n", "10", "--classes", "2", f"{flag}={value}",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {flag} has an empty item, got {value!r}\n"
+        assert not out.exists()
 
     def test_bad_true_t_exits_2(self, tmp_path, capsys):
         code = main(["synth", "--n", "10", "--classes", "2",
@@ -372,6 +388,69 @@ class TestApplyCommand:
         classes, ids, got = _read_matrix_csv(str(out / "calibrated.csv"), "calibrated")
         assert classes == ("a", "b,c") and ids == ["s,0", 'q"1', "plain"]
         assert np.array_equal(got, sigmoid(np.array([[1.5, -2.0], [0.0, 3.0], [-1.0, 0.5]])))
+
+
+@pytest.fixture(scope="module")
+def apply_inputs(tmp_path_factory):
+    """A 203 x 3 predictions file, the same rows as probabilities (some
+    exactly 0 or 1), and global and per-class ps params."""
+    root = tmp_path_factory.mktemp("apply")
+    paths = _synth(root / "fx", n=203, c=3)
+    classes, ids, logits, _ = read_predictions(paths["predictions"])
+    probs = sigmoid(logits)
+    probs[5, 0], probs[6, 2] = 0.0, 1.0
+    with open(root / "probabilities.csv", "wb") as fh:
+        fh.write(matrix_head(classes).encode())
+        fh.writelines(matrix_rows(ids, probs))
+    params = {
+        "global": ScalingParams(method="ps", scope="global", tau=math.log(2.0), bias=-0.3),
+        "per-class": ScalingParams(method="ps", scope="per-class", tau=np.array([-0.5, 0.2, 1.1]),
+                                   bias=np.array([0.4, -0.7, 0.05]), classes=classes),
+    }
+    for scope, p in params.items():
+        save_params(p, None, str(root / f"{scope}.json"))
+    return {"logits": paths["predictions"], "probabilities": str(root / "probabilities.csv"),
+            "params": params, "root": root}
+
+
+class TestApplyInParts:
+    """Each row part of calibrated.csv scales and formats its own rows: the
+    file is the header and the rows of the whole matrix scaled at once,
+    byte for byte, at any part count and round size."""
+
+    @pytest.mark.parametrize("split", [1, 2, 8], ids=lambda k: f"{k}-parts")
+    @pytest.mark.parametrize("round_rows", [None, 1, 25], ids=["one-round", "1-row-rounds",
+                                                                "25-row-rounds"])
+    @pytest.mark.parametrize("scope", ["global", "per-class"])
+    @pytest.mark.parametrize("inputs", ["logits", "probabilities"])
+    def test_file_equals_the_whole_matrix_scaled(self, tmp_path, monkeypatch, apply_inputs,
+                                                 split, round_rows, scope, inputs):
+        params = apply_inputs["params"][scope]
+        classes, ids, logits, _ = read_predictions(apply_inputs[inputs], inputs == "probabilities")
+        want = b"".join([matrix_head(classes).encode(),
+                         *matrix_rows(ids, apply_scaling(logits, params))])
+        scaled_here = []  # the rows of each apply_scaling call in this process
+
+        def counted(z, p):
+            scaled_here.append(len(z))
+            return apply_scaling(z, p)
+
+        monkeypatch.setattr(cli, "apply_scaling", counted)
+        monkeypatch.setattr(core, "_PART_CELLS", 1)
+        monkeypatch.setattr(core, "_PART_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(split)))
+        if round_rows:
+            monkeypatch.setattr(core, "_ROUND_CELLS", round_rows * len(classes))
+        flags = ["--probabilities"] if inputs == "probabilities" else []
+        assert main(["apply", "--predictions", apply_inputs[inputs], *flags,
+                     "--params", str(apply_inputs["root"] / f"{scope}.json"),
+                     "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "calibrated.csv").read_bytes() == want
+        # this process scales its own part of each round, and no more
+        assert max(scaled_here) <= -(-(round_rows or len(ids)) // split)
+        if split == 1:
+            assert sum(scaled_here) == len(ids)
+
 
 class TestPlotCommand:
     def test_renders_from_report(self, tmp_path, capsys):
@@ -851,6 +930,15 @@ class TestInputBoundaries:
         assert main(_argv(command, small, taken)) == 2
         assert f"error: cannot create output directory {taken}" in capsys.readouterr().err
         assert taken.read_text() == ""
+
+
+    @pytest.mark.parametrize("command", ["evaluate", "fit", "apply", "synth", "plot"])
+    def test_empty_out_is_the_working_directory(self, tmp_path, monkeypatch, small, command):
+        monkeypatch.chdir(tmp_path)
+        assert main(_argv(command, small, "")) == 0
+        name = {"evaluate": "report.json", "fit": "params.json", "apply": "calibrated.csv",
+                "synth": "truth.json", "plot": "reliability_synth.svg"}[command]
+        assert (tmp_path / name).is_file()
 
 
 class TestOutputs:

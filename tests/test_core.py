@@ -30,10 +30,11 @@ from mlcalib.core import (
     confidences,
     inverse_sigmoid,
     load_dataset,
+    matrix_head,
+    matrix_rows,
     ndtri,
     pos_counts,
     sigmoid,
-    write_matrix_csv,
     write_rows,
 )
 
@@ -597,11 +598,17 @@ _ANY_IDS = st.lists(
 _ANY_CLASSES = st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=3, unique=True)
 
 
+def _rows_of(ids, values):
+    """The ``rows`` of write_rows for one matrix CSV of these rows."""
+    return lambda start, stop: [matrix_rows(ids[start:stop], values[start:stop])]
+
+
 def _round_trip(path, ids, classes):
     # the writer quotes as csv.writer does, and the reader gives back the
     # ids, classes and value bits it was handed
     values = np.random.default_rng(len(ids)).normal(size=(len(ids), len(classes)))
-    write_matrix_csv(str(path), classes, ids, values)
+    write_rows(str(path.parent), {path.name: ("CSV", matrix_head(classes), "")}, len(ids),
+               values.size, _rows_of(ids, values))
     rows = [[sid, *map(repr, row)] for sid, row in zip(ids, values.tolist())]
     lines = []
     for cells in [["sample_id", *classes], *rows]:
@@ -636,7 +643,8 @@ def test_matrix_csv_spans_row_blocks(tmp_path):
     values = np.random.default_rng(7).normal(size=(n, 2))
     values[_CSV_BLOCK_ROWS - 1 : _CSV_BLOCK_ROWS + 1] = [[-0.0, np.inf], [5e-324, np.nan]]
     path = tmp_path / "blocks.csv"
-    write_matrix_csv(str(path), ("a", "b"), ids, values)
+    write_rows(str(tmp_path), {"blocks.csv": ("CSV", matrix_head("ab"), "")}, n, values.size,
+               _rows_of(ids, values))
     want = io.StringIO(newline="")
     writer = csv.writer(want, lineterminator="\n")
     writer.writerow(["sample_id", "a", "b"])
@@ -742,11 +750,12 @@ class TestParts:
             return in_parts(task, spans, take, outputs)
 
         monkeypatch.setattr(core, "_in_parts", counted)
-        path = str(tmp_path / "m.csv")
+        files = {"m.csv": ("CSV", matrix_head("ab"), "")}
+        rows = _rows_of([f"s{i}" for i in range(100)], np.ones((100, 2)))
         for cpus in (1, 2, 64):
             with _split_into(cpus):
-                write_matrix_csv(path, "ab", [f"s{i}" for i in range(100)], np.ones((100, 2)))
-                _read_matrix_csv(path, "predictions")
+                write_rows(str(tmp_path), files, 100, 200, rows)
+                _read_matrix_csv(str(tmp_path / "m.csv"), "predictions")
         assert counts == [1, 1, 2, 2, _MAX_PARTS, _MAX_PARTS]
 
     def test_small_files_are_one_part(self, monkeypatch):
@@ -764,7 +773,8 @@ class TestParts:
         n = 3 * _CSV_BLOCK_ROWS
         ids = [f"s{i}" for i in range(n)]
         values = np.random.default_rng(3).normal(size=(n, 3))
-        write_matrix_csv(str(tmp_path / "one.csv"), "abc", ids, values)
+        head, rows = ("CSV", matrix_head("abc"), ""), _rows_of(ids, values)
+        write_rows(str(tmp_path), {"one.csv": head}, n, values.size, rows)
         want = _read_matrix_csv(str(tmp_path / "one.csv"), "predictions")
         parent = os.getpid()
 
@@ -791,7 +801,7 @@ class TestParts:
             monkeypatch.setattr(core, "_csv_rows", failing(core._csv_rows))
             monkeypatch.setattr(core, "_plain_rows", failing(core._plain_rows))
         with _split_into(_MAX_PARTS), _same_descriptors():
-            write_matrix_csv(str(tmp_path / "parts.csv"), "abc", ids, values)
+            write_rows(str(tmp_path), {"parts.csv": head}, n, values.size, rows)
             _assert_no_child_left()
             classes, got_ids, got = _read_matrix_csv(str(tmp_path / "parts.csv"), "predictions")
             _assert_no_child_left()
@@ -849,7 +859,8 @@ class TestParts:
 
         monkeypatch.setattr(core, "_csv_rows", fail_here)
         with _split_into(_MAX_PARTS), _same_descriptors(), pytest.raises(MemoryError):
-            write_matrix_csv(str(tmp_path / "m.csv"), "ab", ids, values)
+            write_rows(str(tmp_path), {"m.csv": ("CSV", matrix_head("ab"), "")}, n, values.size,
+                       _rows_of(ids, values))
         _assert_no_child_left()
 
     def test_synth_above_the_floor_prints_once(self, tmp_path):
