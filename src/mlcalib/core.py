@@ -20,15 +20,15 @@ and formatted (:func:`write_rows`) and matrix CSVs parsed
 (:func:`_read_plain_csv`) in contiguous row parts, one per CPU the process
 may run on, above a floor of work per part.  :func:`_in_parts` runs the
 first part in the caller and each other part in a forked child, the only
-processes the package starts.  A child's exit status says whether its part
-is done, declined or failed (and then redone in the caller).  Parsed rows
-land in place in one matrix shared with the children.  A part's text, each
-file's formatted rows or the parsed ids, comes back raw, each output
-through a pipe of its own, and the pipes are written and read in order.
-The writer takes the rows in rounds of bounded size, one round of parts at
-a time, so its memory does not grow with the number of rows, and it stages
-every file until the last round is written.  The bytes written and the
-values read do not depend on how many parts or rounds there are.
+processes the package starts.  A child exits 0 only once its part is done;
+any other part is redone in the caller.  Parsed rows land in place in one
+matrix shared with the children.  A part's text, each file's formatted
+rows or the parsed ids, comes back raw, each output through a pipe of its
+own, and the pipes are written and read in order.  The writer takes the
+rows in rounds of bounded size, one round of parts at a time, so its
+memory does not grow with the number of rows, and it stages every file
+until the last round is written.  The bytes written and the values read do
+not depend on how many parts or rounds there are.
 """
 
 from __future__ import annotations
@@ -394,9 +394,6 @@ _MAX_PARTS = 8
 _PART_CELLS = 100_000
 _PART_BYTES = 2 << 20
 
-# the exit status of a forked part whose task declines its span
-_DECLINED = 3
-
 
 def _part_count(work: int, floor: int) -> int:
     """How many parts ``work`` cells or bytes are split into, each of at
@@ -415,13 +412,13 @@ def _in_parts(task, spans, take, outputs: int = 1) -> bool:
     The first span's task runs here, and every other span's task at the
     same time in a forked child, with a pipe of its own for each output.
     A child writes text k to pipe k and closes that pipe before it writes
-    text k + 1, and exits 0, or exits _DECLINED if its task declines.  The
-    pipes are read here in the same order, and ``take`` gets a list of
-    bytes objects per output, which may split its text elsewhere.  A span
-    whose child exits otherwise, is killed or cannot be started is done
-    here with ``task``, so the bytes ``take`` gets do not depend on how the
-    work was split.  A declined span stops the run, and False is returned.
-    Every child has been reaped when this returns or raises.
+    text k + 1, and exits 0 once it has written them all.  The pipes are
+    read here in the same order, and ``take`` gets a list of bytes objects
+    per output, which may split its text elsewhere.  A span whose child
+    exits otherwise (it declined, failed or was killed) or could not start
+    is done here with ``task``, so the bytes ``take`` gets do not depend on
+    how the work was split; a task that declines here stops the run with
+    False.  Every child has been reaped when this returns or raises.
     """
     children = []  # (read ends of its pipes, pid) of each child not yet reaped
     try:
@@ -446,7 +443,7 @@ def _in_parts(task, spans, take, outputs: int = 1) -> bool:
                             while view:
                                 view = view[os.write(fd, view):]
                         os.close(fd)
-                    code = _DECLINED if texts is None else 0
+                    code = 1 if texts is None else 0
                 finally:
                     os._exit(code)
             for fd in ends[1::2]:
@@ -461,8 +458,6 @@ def _in_parts(task, spans, take, outputs: int = 1) -> bool:
                 for fd in fds:
                     os.close(fd)
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code == _DECLINED:
-                return False
             if code != 0:
                 texts = task(span)
                 if texts is None:
@@ -1059,16 +1054,19 @@ def load_dataset(
 
     The three files must agree on sample order; predictions and labels must
     list identical class headers.  Those are the checks across files; each
-    file's own content is checked by its reader, :class:`Manifest` and
-    :class:`EvalDataset`.  With ``inputs_are_probabilities`` the
-    prediction cells are read as probabilities in [0, 1]: logits are
-    recovered via :func:`inverse_sigmoid` with the given ``eps`` and the
-    verbatim probabilities are retained on the dataset.
+    file's own content is checked by its reader (the labels here, so that a
+    bad one names the file), :class:`Manifest` and :class:`EvalDataset`.
+    With ``inputs_are_probabilities`` the prediction cells are read as
+    probabilities in [0, 1]: logits are recovered via
+    :func:`inverse_sigmoid` with the given ``eps`` and the verbatim
+    probabilities are retained on the dataset.
     """
     p_classes, p_ids, logits, probs = read_predictions(
         predictions_path, inputs_are_probabilities, eps
     )
     l_classes, l_ids, l_vals = _read_matrix_csv(labels_path, "labels")
+    check_cells((l_vals != 0.0) & (l_vals != 1.0), "non-binary label", l_classes, l_vals,
+                where=f" in {labels_path}")
     if p_classes != l_classes:
         raise ValidationError(
             f"class header mismatch between {predictions_path} and {labels_path}"

@@ -16,9 +16,9 @@ to rounding.  Multi-label aggregation weights per-class scores by each
 class's positive-label count.
 
 All scoring runs through one kernel, ``score_scopes``.  Its input is a
-list of (classes, labels, rows) chunks of evaluation rows, each method's
-confidence blocks for them, and scopes, each a run of consecutive chunks;
-a pooled scope runs over every chunk and a dataset scope over its own.
+list of (classes, labels, confidences) chunks of evaluation rows, with a
+confidence block per method, and scopes, each a run of consecutive chunks;
+a pooled scope runs over every chunk, a dataset scope over its own.
 
 Binning (``_bin_sums``) takes each method's chunks once.  A chunk's cells
 are binned once, by binary search over the M+1 edges, and added to every
@@ -275,9 +275,9 @@ def _curve(counts, conf_sums, pos_sums, scope: str) -> ReliabilityCurve:
     return ReliabilityCurve(bins=tuple(bins), n=int(counts.sum()), scope=scope)
 
 
-def _scope_aps(columns, rows, label_blocks, confs, scopes) -> list:
-    """AP of every (method, scope, class): ``aps[i][s][class]``.  Method
-    i's confidences of chunk k are ``confs[i][k][rows[k]]``.
+def _scope_aps(columns, labels, confs, scopes) -> list:
+    """AP of every (method, scope, class): ``aps[i][s][class]``.  Chunk k
+    has labels ``labels[k]`` and method i's confidences ``confs[i][k]``.
 
     Each scope ranks its own column of a class, the class's chunks in the
     scope concatenated, with :func:`_descending`.  A later method keeps the
@@ -290,10 +290,10 @@ def _scope_aps(columns, rows, label_blocks, confs, scopes) -> list:
             mine = [(k, j) for k, j in cols if start <= k < stop]
             if not mine:
                 continue
-            y = np.concatenate([label_blocks[k][:, j] for k, j in mine], dtype=np.float64)
+            y = np.concatenate([labels[k][:, j] for k, j in mine], dtype=np.float64)
             first_order = None
             for i, conf in enumerate(confs):
-                col = np.concatenate([conf[k][rows[k], j] for k, j in mine], dtype=np.float64)
+                col = np.concatenate([conf[k][:, j] for k, j in mine], dtype=np.float64)
                 if first_order is not None and _keeps_order(col, first_order):
                     aps[i][s][name] = aps[0][s][name]
                     continue
@@ -304,35 +304,31 @@ def _scope_aps(columns, rows, label_blocks, confs, scopes) -> list:
     return aps
 
 
-def score_scopes(blocks, confs, scopes, m_bins: int) -> list:
+def score_scopes(chunks, scopes, m_bins: int) -> list:
     """Per-class metrics and pooled curve of every (method, scope) pair.
 
-    ``blocks`` lists one (classes, labels, rows) triple per chunk of
-    evaluation rows: the chunk's labels are ``labels[rows]``, N_k x C_k,
-    and method i's confidences ``confs[i][k][rows]``.  ``scopes`` lists
-    (name, start, stop) triples; a scope is the run of chunks
-    ``blocks[start:stop]``.  Returns ``out[i][s]``, the (per_class, curve)
-    pair that :func:`score_scope` gives for method i's chunks of scope s.
-    Each method's chunks are binned once for all scopes, and each scope
-    ranks its own class columns (see :func:`_scope_aps`).
+    ``chunks`` lists one (classes, labels, confidences) triple per chunk of
+    evaluation rows: N_k x C_k labels and one N_k x C_k block per method.
+    ``scopes`` lists (name, start, stop) triples; a scope is the run of
+    chunks ``chunks[start:stop]``.  Returns ``out[i][s]``, the (per_class,
+    curve) pair that :func:`score_scope` gives for method i's chunks of
+    scope s.  Each method's chunks are binned once for all scopes, and each
+    scope ranks its own class columns (see :func:`_scope_aps`).
     """
     columns: dict = {}
-    for k, (classes, _, _) in enumerate(blocks):
+    for k, (classes, _, _) in enumerate(chunks):
         for j, name in enumerate(classes):
             columns.setdefault(name, []).append((k, j))
     code = {name: c for c, name in enumerate(columns)}
-    codes = [np.array([code[n] for n in classes]) for classes, _, _ in blocks]
-    rows = [r for _, _, r in blocks]
-    label_blocks = [labels[r] for (_, labels, _), r in zip(blocks, rows)]
+    codes = [np.array([code[n] for n in classes]) for classes, _, _ in chunks]
+    labels = [y for _, y, _ in chunks]
+    confs = list(zip(*(conf for _, _, conf in chunks)))  # confs[i][k]: method i, chunk k
     runs = [(start, stop) for _, start, stop in scopes]
-    binned = []
-    for conf in confs:
-        chunks = ((codes[k], conf[k][r], label_blocks[k]) for k, r in enumerate(rows))
-        binned.append(_bin_sums(chunks, len(code), m_bins, runs))
-    aps = _scope_aps(columns, rows, label_blocks, confs, scopes)
+    binned = [_bin_sums(zip(codes, conf, labels), len(code), m_bins, runs) for conf in confs]
+    aps = _scope_aps(columns, labels, confs, scopes)
     # each scope's classes in first-seen order
     names = [
-        list(dict.fromkeys(n for classes, _, _ in blocks[start:stop] for n in classes))
+        list(dict.fromkeys(n for classes, _, _ in chunks[start:stop] for n in classes))
         for _, start, stop in scopes
     ]
     out = []
@@ -370,9 +366,8 @@ def score_scope(chunks, m_bins: int, scope: str = "pooled"):
     the concatenation of their columns in chunk order, and the returned
     ClassMetrics list follows first-seen class order.
     """
-    blocks = [(classes, labels, slice(None)) for classes, _, labels in chunks]
-    confs = [[conf for _, conf, _ in chunks]]
-    return score_scopes(blocks, confs, [(scope, 0, len(blocks))], m_bins)[0][0]
+    chunks = [(classes, labels, [conf]) for classes, conf, labels in chunks]
+    return score_scopes(chunks, [(scope, 0, len(chunks))], m_bins)[0][0]
 
 
 def bin_class(confidences, labels, m_bins: int, scope: str = "class") -> ReliabilityCurve:

@@ -12,12 +12,13 @@ and each of its steps happens once:
 2. each fit gets its calibration input: per-class scope stacks the row
    blocks (all datasets must share one class tuple), global scope
    concatenates the ravelled blocks into one column;
-3. each method's confidences are computed once per whole dataset (Base:
-   the file's probabilities or sigmoid of the logits; a fit: its scaling);
-4. evaluation rows are grouped into parts once, one per (dataset_id,
+3. evaluation rows are grouped into parts once, one per (dataset_id,
    dataset) pair, sorted by dataset_id; a scope is a run of parts, one per
    dataset_id plus a pooled "All" scope over every part when there is more
    than one;
+4. each part takes its rows of each method's confidences, built over one
+   whole dataset at a time (Base: the file's probabilities or sigmoid of
+   the logits; a fit: its scaling), and then its rows of the labels;
 5. metrics.score_scopes scores every (scope, method) pair in one call: it
    bins each method's parts once for all scopes, each scope ranks its own
    class columns, and a fitted method reuses Base's order of a column
@@ -101,8 +102,9 @@ def split_first_minutes(d: EvalDataset, minutes: float):
     n_eval = np.bincount(codes[~cal], minlength=len(m.datasets))
     if not n_eval.all():
         raise ValidationError(
-            f"calibration window consumes entire dataset {m.datasets[int(np.argmin(n_eval))]!r} "
-            f"({minutes:g} minutes >= total duration)"
+            f"calibration window consumes entire dataset {m.datasets[int(np.argmin(n_eval))]!r}: "
+            f"a clip calibrates while the clips before it last less than {minutes:g} minutes "
+            "in total, and here every clip does"
         )
     return np.sort(order[cal]), np.sort(order[~cal])
 
@@ -308,35 +310,37 @@ def run_benchmark(
             "n_evaluation": int(sum(s.size for s in eval_sel)),
         }
 
+    def part_rows(matrix):  # each part's rows of matrix(d), one whole dataset at a time
+        out = {}
+        for k, d in enumerate(datasets):
+            whole = matrix(d)
+            out.update((p, whole[sel]) for p, (owner, sel) in enumerate(parts) if owner == k)
+            del whole  # freed before the next dataset's is built
+        return [out[p] for p in range(len(parts))]
+
     fitted: dict = {}
-    # each method's confidences over whole datasets; scaling is elementwise,
-    # so a scope's rows of it equal scaling that scope's logits
-    conf_mats = {BASE: [confidences(d) for d in datasets]}
+    part_confs = {BASE: part_rows(confidences)}
     for method, scope in methods:
         classes, z_cal, y_cal = _calibration_input(datasets, calib_sel, scope)
         label = f"{method}/{scope}"
-        params, trace = fit(
-            z_cal,
-            y_cal,
-            method=method,
-            scope=scope,
-            cfg=fit_cfg,
-            classes=classes,
+        fitted[label] = fit(
+            z_cal, y_cal, method=method, scope=scope, cfg=fit_cfg, classes=classes,
             fitted_on=split.describe(),
         )
-        fitted[label] = (params, trace)
-        conf_mats[label] = [apply_scaling(d.logits, params) for d in datasets]
+        del z_cal, y_cal  # freed before the fit's confidences are built
+        part_confs[label] = part_rows(lambda d: apply_scaling(d.logits, fitted[label][0]))
 
-    blocks = [(datasets[k].classes, datasets[k].labels, sel) for k, sel in parts]
-    scored = score_scopes(
-        blocks, [[mats[k] for k, _ in parts] for mats in conf_mats.values()], scopes, m_bins
-    )
+    chunks = [
+        (datasets[k].classes, datasets[k].labels[sel], confs)
+        for (k, sel), confs in zip(parts, zip(*part_confs.values()))
+    ]
+    scored = score_scopes(chunks, scopes, m_bins)
     rows: list = []
     curves: list = []
     for s, (scope_name, start, stop) in enumerate(scopes):
         n_samples = sum(sel.size for _, sel in parts[start:stop])
         base_mcs = None
-        for label, by_scope in zip(conf_mats, scored):
+        for label, by_scope in zip(part_confs, scored):
             per_class, pooled = by_scope[s]
             row = _scope_row(
                 per_class, scope_name, label, n_samples, base_mcs, target_fraction,

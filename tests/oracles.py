@@ -233,7 +233,8 @@ def oracle_split_first_minutes(d, minutes):
             cum += meta[i].duration_s
         if n_eval == 0:
             raise ValidationError(
-                f"calibration window consumes entire dataset {ds_id!r} "
-                f"({minutes:g} minutes >= total duration)"
+                f"calibration window consumes entire dataset {ds_id!r}: "
+                f"a clip calibrates while the clips before it last less than {minutes:g} "
+                "minutes in total, and here every clip does"
             )
     return np.array(sorted(cal), dtype=np.intp), np.array(sorted(ev), dtype=np.intp)

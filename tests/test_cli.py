@@ -187,6 +187,15 @@ class TestEvaluateCommand:
         assert capsys.readouterr().err == (
             f"error: row count mismatch: 3 rows in {paths['predictions']} vs 2 in {path}\n")
 
+    def test_non_binary_label_names_the_file(self, tmp_path, capsys):
+        paths = _synth(tmp_path / "fx", n=3, c=2)
+        lines = pathlib.Path(paths["labels"]).read_text().splitlines(keepends=True)
+        lines[3] = lines[3][: lines[3].rindex(",")] + ",2\n"
+        pathlib.Path(paths["labels"]).write_text("".join(lines))
+        assert main(["evaluate", *_data_flags(paths), "--out", str(tmp_path / "ev")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: non-binary label (row 2, class class_001) in {paths['labels']}: 2.0\n")
+
 
 class TestFitCommand:
     def test_recovers_generator_temperature(self, tmp_path):
@@ -232,6 +241,18 @@ class TestFitCommand:
         params = load_params(str(out / "params.json"))
         assert params.scope == "per-class"
         assert params.tau.shape == (3,) and params.classes is not None
+
+    def test_window_over_every_clip_states_the_rule(self, tmp_path, capsys):
+        # one 5 s clip: the 0.6 s window is shorter than the dataset, but
+        # no clip comes before the only one, so it calibrates
+        paths = _synth(tmp_path / "fx", n=1)
+        code = main(["fit", *_data_flags(paths), "--method", "ts",
+                     "--first-minutes", "0.01", "--out", str(tmp_path / "fit")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: calibration window consumes entire dataset 'synth': a clip calibrates "
+            "while the clips before it last less than 0.01 minutes in total, and here every "
+            "clip does\n")
 
     def test_unknown_calib_dataset_exits_2(self, tmp_path, capsys):
         paths = _synth(tmp_path / "fx")

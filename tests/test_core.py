@@ -387,8 +387,9 @@ class TestLoaders:
         )
         lab2 = tmp_path / "l2.csv"
         lab2.write_text("sample_id,a\ns0,0.5\n")
-        with pytest.raises(ValidationError, match=r"non-binary label \(row 0, class a\): 0\.5$"):
+        with pytest.raises(ValidationError) as err:
             load_dataset(pred, str(lab2), man)
+        assert str(err.value) == f"non-binary label (row 0, class a) in {lab2}: 0.5"
 
     def test_manifest_integer_ids_read_as_text(self, tmp_path):
         pred, lab, _ = write_triple(

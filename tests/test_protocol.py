@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,26 @@ class TestRunBenchmarkBasics:
         got = result.curves[0].curve
         for a, b in zip(got.bins, direct.bins):
             assert (a.count, a.conf, a.acc) == (b.count, b.conf, b.acc)
+
+    @pytest.mark.parametrize(
+        "kwargs, bound",
+        [({}, 4.5),
+         ({"split": SplitSpec("first-minutes", 200), "methods": [("ps", "per-class")]}, 5.0)],
+        ids=["base", "ps-per-class"],
+    )
+    def test_peak_holds_one_whole_matrix_at_a_time(self, kwargs, bound):
+        d, _ = generate(SynthConfig(n=20000, c=20, true_t=2.0, true_b=0.5, seed=1))
+        tracemalloc.start()
+        try:
+            run_benchmark(d, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # each part's rows of every method's confidences and of the labels,
+        # and the binning's temporaries: about 4.1 and 4.5 times the logits;
+        # a run that also keeps every method's whole-dataset matrix for the
+        # scoring peaks at 5.1 and 5.9 times
+        assert peak < bound * d.logits.nbytes
 
     def test_methods_without_split_rejected(self):
         with pytest.raises(ValidationError, match="requires a calibration split"):
