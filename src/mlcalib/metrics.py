@@ -228,7 +228,8 @@ def _bin_sums(chunks, n_classes: int, m_bins: int, runs):
             np.bincount(bins.ravel(), weights=w, minlength=m_bins)
             for w in (None, flat_conf, flat_labels)
         ]
-        cells = (bins + codes * m_bins).ravel()
+        bins += codes * m_bins  # each cell's (class, bin) index, in place
+        cells = bins.ravel()
         cell_counts = np.bincount(cells, minlength=size)
         for r, (start, stop) in enumerate(runs):
             if start <= k < stop:

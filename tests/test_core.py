@@ -529,6 +529,20 @@ def parts(request):
         yield request.param
 
 
+@pytest.fixture
+def part_counts(monkeypatch):
+    """The number of spans of each later _in_parts call, in order."""
+    counts = []
+    in_parts = core._in_parts
+
+    def counted(task, spans, take, outputs=1):
+        counts.append(len(spans))
+        return in_parts(task, spans, take, outputs)
+
+    monkeypatch.setattr(core, "_in_parts", counted)
+    return counts
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -742,29 +756,32 @@ class TestParts:
         assert want in str(got.value)
         assert str(got.value) == _outcome(oracle_read_matrix_csv, path)[2]
 
-    def test_parts_follow_the_cpus_up_to_the_cap(self, tmp_path, monkeypatch):
-        counts = []
-        in_parts = core._in_parts
-
-        def counted(task, spans, take, outputs=1):
-            counts.append(len(spans))
-            return in_parts(task, spans, take, outputs)
-
-        monkeypatch.setattr(core, "_in_parts", counted)
+    def test_parts_follow_the_cpus_up_to_the_cap(self, tmp_path, part_counts):
         files = {"m.csv": ("CSV", matrix_head("ab"), "")}
         rows = _rows_of([f"s{i}" for i in range(100)], np.ones((100, 2)))
         for cpus in (1, 2, 64):
             with _split_into(cpus):
                 write_rows(str(tmp_path), files, 100, 200, rows)
                 _read_matrix_csv(str(tmp_path / "m.csv"), "predictions")
-        assert counts == [1, 1, 2, 2, _MAX_PARTS, _MAX_PARTS]
+        assert part_counts == [1, 1, 2, 2, _MAX_PARTS, _MAX_PARTS]
 
     def test_small_files_are_one_part(self, monkeypatch):
-        # a 1-2 MB labels file reads more slowly when split, whatever the CPUs
+        # a 1-2 MB labels file reads no faster when split, whatever the CPUs
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         assert core._part_count(2_200_000, core._PART_BYTES) == 1
         assert core._part_count(core._PART_CELLS - 1, core._PART_CELLS) == 1
+        assert core._part_count(2 * core._PART_CELLS - 1, core._PART_CELLS) == 1
         assert core._part_count(2 * core._PART_CELLS, core._PART_CELLS) == 2
+
+    def test_site_sized_synth_uses_every_cpu(self, tmp_path, monkeypatch, part_counts):
+        # one 1,000-row, 64-class site of a multi-site fixture, 66,000
+        # cells as write_rows counts them, forks a part for a second CPU
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            write_fixture(SynthConfig(n=1000, c=64, seed=5), str(tmp_path / f"{cpus}"))
+        assert part_counts == [1, 2]
+        for name in ("predictions.csv", "labels.csv", "manifest.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     @pytest.mark.parametrize("fault", ["raises", "killed", "no-fork"])
     def test_failed_child_is_redone_here(self, tmp_path, monkeypatch, fault):
