@@ -73,7 +73,9 @@ report = Report(
     split_summary=result.split_summary,
 )
 report_path = os.path.join(out_dir, "report.json")
-emit_report(report, "json", report_path)
+_, text = emit_report(report, "json")  # the document and its JSON text
+with open(report_path, "w", encoding="utf-8", newline="") as fh:
+    fh.write(text)
 
 all_entries = [c for c in result.curves if c.scope == "All"]
 all_rows = {r.method: r for r in result.rows if r.scope == "All"}

@@ -3,15 +3,16 @@
 The front end parses flags, loads inputs and routes output paths; the
 report document is report's alone.  evaluate and fit share one body:
 check the flags, load the file triple, run protocol.run_benchmark (fit
-adds its split and method), then write params.json for the fit, the
-report and, with --svg, one reliability diagram per scope, after checking
-that every one of them can be written.  The diagrams of --svg and of plot
-are drawn from a report document, the one report.emit_report returns or
-the one plot reads, so plot on a saved report reproduces the --svg bytes.
-apply writes calibrated.csv through core.write_rows, the row writer that
-also writes synth's fixture: each row part scales and formats its own rows,
-so no process holds the calibrated matrix, and a run that fails leaves an
-existing file as it was.
+adds its split and method), then build the text of params.json for the
+fit, of the report and, with --svg, of one reliability diagram per scope.
+The diagrams of --svg and of plot are drawn from a report document, the
+one report.emit_report returns or the one plot reads, so plot on a saved
+report reproduces the --svg bytes.  Every command writes all its files in
+one core.write_rows call, which checks every path first and replaces the
+files together once the last is written, so a run that fails leaves the
+existing files as they were.  Each of write_rows's row parts scales and
+formats its own rows of apply's calibrated.csv, so no process holds the
+calibrated matrix.
 
 Exit codes: 0 on success, 2 on input or validation errors, 3 on numerical
 failures.  Every subcommand is deterministic given identical inputs and
@@ -30,8 +31,6 @@ from .core import (
     load_dataset,
     matrix_head,
     matrix_rows,
-    output_file,
-    output_paths,
     read_predictions,
     write_rows,
 )
@@ -45,7 +44,7 @@ from .report import (
     render_reliability_svg,
     scope_curves,
 )
-from .scaling import PER_CLASS, FitConfig, apply_scaling, load_params, save_params
+from .scaling import PER_CLASS, FitConfig, apply_scaling, dump_params, load_params
 from .synth import LatentSpec, SynthConfig, write_fixture
 
 
@@ -210,14 +209,11 @@ def _benchmark(args, split=None, methods=(), fit_cfg=None) -> int:
                     f"scopes {other!r} and {scope!r} would both be drawn to "
                     f"reliability_{_slug(scope)}.svg"
                 )
-    files = {"params.json": "params"} if result.params else {}
-    files[f"report.{args.format}"] = "report"
-    files.update(dict.fromkeys(svgs, "SVG"))
-    paths = output_paths(args.out, files)
-    params_docs = {}
+    files, params_docs = {}, {}  # file name -> (kind, text, ""), as write_rows takes them
     if result.params:
         [(label, (params, trace))] = result.params.items()
-        params_docs[label] = save_params(params, trace, paths["params.json"])
+        params_docs[label], text = dump_params(params, trace)
+        files["params.json"] = ("params", text, "")
     report = Report(
         config=_echo(args),
         rows=result.rows,
@@ -225,10 +221,11 @@ def _benchmark(args, split=None, methods=(), fit_cfg=None) -> int:
         params=params_docs,
         split_summary=result.split_summary,
     )
-    doc = emit_report(report, args.format, paths[f"report.{args.format}"])
+    doc, text = emit_report(report, args.format)
+    files[f"report.{args.format}"] = ("report", text, "")
     for name, scope in svgs.items():
-        with output_file(paths[name], "SVG") as fh:
-            fh.write(render_reliability_svg(*scope_curves(doc, scope), title=scope))
+        files[name] = ("SVG", render_reliability_svg(*scope_curves(doc, scope), title=scope), "")
+    write_rows(args.out, files)
     return 0
 
 
@@ -299,9 +296,7 @@ def cmd_plot(args) -> int:
     scope = plot_scope(doc, args.scope, args.report)
     svg = render_reliability_svg(*scope_curves(doc, scope), title=scope)
     name = _svg_name(scope)
-    path = output_paths(args.out, {name: "SVG"})[name]
-    with output_file(path, "SVG") as fh:
-        fh.write(svg)
+    path = write_rows(args.out, {name: ("SVG", svg, "")})[name]
     print(f"wrote {path}")
     return 0
 

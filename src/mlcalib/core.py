@@ -8,9 +8,10 @@ The elementwise primitives (:func:`sigmoid`, :func:`inverse_sigmoid` and
 the normal quantile :func:`ndtri`, a port of Cephes ndtri that gives
 scipy's bits) work in blocks, so their temporaries stay one block long.
 
-Files are read and written as UTF-8 whatever the locale; every output
-goes through :func:`output_file` and :func:`output_dir`, and a command
-that writes several checks them all first with :func:`output_paths`.
+Files are read and written as UTF-8 whatever the locale.  Every output
+goes through :func:`write_rows`, the one writer: a command hands it all
+its files at once, and it checks every path before the first write and
+replaces the files together once the last byte is written.
 Every JSON field that the manifest, params and report loaders read is
 checked against one table of kinds, through :func:`json_field`.
 
@@ -43,7 +44,7 @@ import re
 import signal
 import stat
 import sys
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -486,44 +487,8 @@ def csv_field(text: str) -> str:
     return text
 
 
-# names the temporary files of output_file apart within one process
+# names the temporary files of write_rows apart within one process
 _STAGED = itertools.count()
-
-
-@contextmanager
-def output_file(path: str, kind: str):
-    """Open ``path``, a ``kind`` file, for writing text: UTF-8 whatever the
-    locale, with no newline translation.  The text goes to a temporary file
-    in the same directory, which replaces ``path`` when the block ends and
-    is removed if it raises, so a write that fails leaves an existing file
-    as it was.  As a plain open would, it writes through a symbolic link
-    and keeps an existing file's mode.  An OSError from the open, a write
-    or the replace is a ValidationError that names ``path``."""
-    target = os.path.realpath(path)
-    temp = os.path.join(os.path.dirname(target), f".mlcalib-{os.getpid()}-{next(_STAGED)}.tmp")
-    try:
-        try:
-            with open(temp, "w", encoding="utf-8", newline="") as fh:
-                yield fh
-            with suppress(FileNotFoundError):
-                os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
-            os.replace(temp, target)
-        except BaseException:
-            with suppress(OSError):
-                os.remove(temp)
-            raise
-    except OSError as exc:
-        raise ValidationError(f"cannot write {kind} file {path}: {exc}") from exc
-
-
-def output_dir(path: str) -> str:
-    """Create the output directory ``path`` (and its parents) if needed;
-    an empty ``path`` is the working directory."""
-    try:
-        os.makedirs(path or os.curdir, exist_ok=True)
-    except OSError as exc:
-        raise ValidationError(f"cannot create output directory {path}: {exc}") from exc
-    return path
 
 
 def _missing_dirs(path: str) -> list:
@@ -547,55 +512,54 @@ def free_bytes(path: str):
     return st.f_bavail * st.f_frsize
 
 
-def output_paths(out_dir: str, files: dict) -> dict:
-    """The path in ``out_dir``, created if needed, of each of a command's
-    output ``files`` (name -> kind).  Each is checked before the first
-    write: a directory, a file that cannot be written and a name too long
-    for the file system fail here, so a run that cannot write all its
-    outputs writes none."""
-    output_dir(out_dir)
-    paths = {}
-    for name, kind in files.items():
-        path = paths[name] = os.path.join(out_dir, name)
-        try:
-            os.stat(path)
-        except FileNotFoundError:
-            continue
-        except OSError as exc:
-            raise ValidationError(f"cannot write {kind} file {path}: {exc}") from exc
-        if os.path.isdir(path) or not os.access(path, os.W_OK):
-            why = "is a directory" if os.path.isdir(path) else "not writable"
-            raise ValidationError(f"cannot write {kind} file {path}: {why}")
-    return paths
-
-
-def write_rows(out_dir: str, files: dict, n: int, cells: int, rows) -> dict:
+def write_rows(out_dir: str, files: dict, n: int = 0, cells: int = 0, rows=None) -> dict:
     """Write text files into ``out_dir``, created if needed, and return the
     path of each.  ``files`` maps each file name to its (kind, head, tail),
-    and each file holds its head, its text of rows ``0:n`` and its tail.
-    ``rows(start, stop)`` returns, for each file in order, the UTF-8 text
-    of rows ``start:stop`` as a list of bytes-like buffers; ``cells``
-    counts the work of all ``n`` rows in float cells of a matrix CSV.
+    and each file holds its head, its text of rows ``0:n`` and its tail; a
+    file with no rows is its head and tail alone.  ``rows(start, stop)``
+    returns, for each file in order, the UTF-8 text of rows ``start:stop``
+    as a list of bytes-like buffers; ``cells`` counts the work of all ``n``
+    rows in float cells of a matrix CSV.
 
+    Every path is checked before the first write: a directory, a file that
+    cannot be written and a name too long for the file system fail there.
     The rows go in rounds of at most _ROUND_CELLS cells (and at least one
     row), and each round in parts, one per CPU and each of at least
     _PART_CELLS cells (see :func:`_in_parts`), whose text is appended to
-    each file in order.  Every file is staged by :func:`output_file` until
-    the last round is written: a run that fails leaves the existing files
-    as they were, and removes ``out_dir`` if it created it."""
+    each file in order.  Each file is staged as UTF-8, whatever the locale,
+    in a temporary file beside it, and the files are replaced only once
+    the last byte of all of them is written: a run that fails leaves the
+    existing files as they were, and removes ``out_dir`` if it created it.
+    As a plain open would, a file is written through a symbolic link and
+    keeps an existing file's mode.  An OSError is a ValidationError that
+    names the directory or the file."""
     missing = _missing_dirs(out_dir)
+    paths = {name: os.path.join(out_dir, name) for name in files}
+    named = [(kind, paths[name]) for name, (kind, _, _) in files.items()]
+    outs, staged = [], []  # each file's open temporary file; (temporary path, target) of each
+    at = 0  # an OSError names the file named[at]
     try:
-        paths = output_paths(out_dir, {name: kind for name, (kind, _, _) in files.items()})
-        with ExitStack() as stack:
-            outs = [(stack.enter_context(output_file(paths[name], kind)).buffer, kind, paths[name])
-                    for name, (kind, _, _) in files.items()]
+        try:
+            os.makedirs(out_dir or os.curdir, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot create output directory {out_dir}: {exc}") from exc
+        try:
+            for at, (_, path) in enumerate(named):
+                with suppress(FileNotFoundError):
+                    os.stat(path)
+                    if os.path.isdir(path) or not os.access(path, os.W_OK):  # named below
+                        raise OSError("is a directory" if os.path.isdir(path) else "not writable")
+            for at, (_, path) in enumerate(named):
+                target = os.path.realpath(path)
+                temp = os.path.join(os.path.dirname(target),
+                                    f".mlcalib-{os.getpid()}-{next(_STAGED)}.tmp")
+                staged.append((temp, target))
+                outs.append(open(temp, "w", encoding="utf-8", newline=""))
 
-            def put(texts):  # each file's text, in order; an OSError names the file
-                for (out, kind, path), text in zip(outs, texts):
-                    try:
-                        out.writelines(text)
-                    except OSError as exc:
-                        raise ValidationError(f"cannot write {kind} file {path}: {exc}") from exc
+            def put(texts):  # each file's text, in order
+                nonlocal at
+                for at, (out, text) in enumerate(zip(outs, texts)):
+                    out.buffer.writelines(text)
 
             put([[head.encode("utf-8")] for _, head, _ in files.values()])
             step = max(1, min(n, n * _ROUND_CELLS // max(cells, 1)))
@@ -605,7 +569,22 @@ def write_rows(out_dir: str, files: dict, n: int, cells: int, rows) -> dict:
                 bounds = [lo + (hi - lo) * k // parts for k in range(parts + 1)]
                 _in_parts(lambda span: rows(*span), list(zip(bounds, bounds[1:])), put, len(outs))
             put([[tail.encode("utf-8")] for _, _, tail in files.values()])
+            for at, out in enumerate(outs):  # every file is flushed before the first replace
+                out.close()
+            for at, (temp, target) in enumerate(staged):
+                with suppress(FileNotFoundError):
+                    os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
+                os.replace(temp, target)
+        except OSError as exc:
+            kind, path = named[at]
+            raise ValidationError(f"cannot write {kind} file {path}: {exc}") from exc
     except BaseException:
+        for out in outs:
+            with suppress(OSError):
+                out.close()
+        for temp, _ in staged:  # a file already replaced has no temporary file left
+            with suppress(OSError):
+                os.remove(temp)
         for path in missing:  # each is empty unless another process wrote there
             try:
                 os.rmdir(path)

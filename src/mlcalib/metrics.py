@@ -37,10 +37,9 @@ position) and redone as a stable sort when the check fails.  A later
 method reuses the first method's order of the same column when the same
 check proves it is its own, and is sorted again when it fails.
 
-``score_scope`` is the kernel on one scope and one method;
 ``average_precision``, ``bin_class``, ``calibration_scores``,
-``per_class_scores`` and ``pooled_reliability`` share its sorting,
-binning and accumulation.
+``per_class_scores`` and ``pooled_reliability`` share the kernel's
+sorting, binning and accumulation.
 """
 
 from __future__ import annotations
@@ -201,7 +200,7 @@ def _bin_edges(m_bins: int) -> np.ndarray:
 def _bin_sums(chunks, n_classes: int, m_bins: int, runs):
     """Bin sums of runs of chunks, per class and pooled.
 
-    ``chunks`` yields (codes, confidences, labels) blocks, N_k x C_k, with
+    ``chunks`` yields (codes, labels, confidences) blocks, N_k x C_k, with
     one class code per column; ``runs`` lists (start, stop) ranges of chunk
     indices.  A cell goes to the bin of the last edge not above its
     confidence, the last bin closed at 1.  Each chunk is binned once, and
@@ -217,7 +216,7 @@ def _bin_sums(chunks, n_classes: int, m_bins: int, runs):
     size = n_classes * m_bins
     sums = [(np.zeros(size, dtype=np.int64), np.zeros(size), np.zeros(size)) for _ in runs]
     pooled = [None] * len(runs)
-    for k, (codes, conf, labels) in enumerate(chunks):
+    for k, (codes, labels, conf) in enumerate(chunks):
         # a NaN makes min and max NaN, which fails both comparisons
         if conf.size and not (conf.min() >= 0.0 and conf.max() <= 1.0):
             raise ValidationError("confidences must lie in [0, 1]")
@@ -311,10 +310,13 @@ def score_scopes(chunks, scopes, m_bins: int) -> list:
     ``chunks`` lists one (classes, labels, confidences) triple per chunk of
     evaluation rows: N_k x C_k labels and one N_k x C_k block per method.
     ``scopes`` lists (name, start, stop) triples; a scope is the run of
-    chunks ``chunks[start:stop]``.  Returns ``out[i][s]``, the (per_class,
-    curve) pair that :func:`score_scope` gives for method i's chunks of
-    scope s.  Each method's chunks are binned once for all scopes, and each
-    scope ranks its own class columns (see :func:`_scope_aps`).
+    chunks ``chunks[start:stop]``.  Returns ``out[i][s]``, the per-class
+    metrics and pooled reliability curve of method i on scope s.  A class
+    named by several chunks of a scope is one class: its column is their
+    columns concatenated in chunk order, and the ClassMetrics list follows
+    first-seen class order.  Each method's chunks are binned once for all
+    scopes, and each scope ranks its own class columns (see
+    :func:`_scope_aps`).
     """
     columns: dict = {}
     for k, (classes, _, _) in enumerate(chunks):
@@ -325,7 +327,7 @@ def score_scopes(chunks, scopes, m_bins: int) -> list:
     labels = [y for _, y, _ in chunks]
     confs = list(zip(*(conf for _, _, conf in chunks)))  # confs[i][k]: method i, chunk k
     runs = [(start, stop) for _, start, stop in scopes]
-    binned = [_bin_sums(zip(codes, conf, labels), len(code), m_bins, runs) for conf in confs]
+    binned = [_bin_sums(zip(codes, labels, conf), len(code), m_bins, runs) for conf in confs]
     aps = _scope_aps(columns, labels, confs, scopes)
     # each scope's classes in first-seen order
     names = [
@@ -359,18 +361,6 @@ def _class_metrics(names, sums, aps) -> list:
     return out
 
 
-def score_scope(chunks, m_bins: int, scope: str = "pooled"):
-    """Per-class metrics and pooled reliability curve of one scope.
-
-    ``chunks`` is a sequence of (classes, confidences, labels) blocks, each
-    N_k x C_k.  A class named by several chunks is one class: its column is
-    the concatenation of their columns in chunk order, and the returned
-    ClassMetrics list follows first-seen class order.
-    """
-    chunks = [(classes, labels, [conf]) for classes, conf, labels in chunks]
-    return score_scopes(chunks, [(scope, 0, len(chunks))], m_bins)[0][0]
-
-
 def bin_class(confidences, labels, m_bins: int, scope: str = "class") -> ReliabilityCurve:
     """Partition one class's confidences into M equal-width bins.
 
@@ -383,7 +373,7 @@ def bin_class(confidences, labels, m_bins: int, scope: str = "class") -> Reliabi
     if conf.shape != y.shape or conf.ndim != 1:
         raise ValidationError(f"length mismatch: conf {conf.shape}, labels {y.shape}")
     [(_, pooled)] = _bin_sums(
-        [(np.zeros(1, dtype=int), conf[:, None], y[:, None])], 1, m_bins, [(0, 1)]
+        [(np.zeros(1, dtype=int), y[:, None], conf[:, None])], 1, m_bins, [(0, 1)]
     )
     return _curve(*pooled, scope=scope)
 
@@ -407,7 +397,8 @@ def calibration_scores(curve: ReliabilityCurve, weight: float = 0.0) -> Calibrat
 
 def per_class_scores(d: EvalDataset, probs: np.ndarray, m_bins: int) -> list:
     """Bin and score every class column; weight = positive count."""
-    return score_scope([(d.classes, _check_shape(d, probs), d.labels)], m_bins)[0]
+    chunks = [(d.classes, d.labels, [_check_shape(d, probs)])]
+    return score_scopes(chunks, [("pooled", 0, 1)], m_bins)[0][0][0]
 
 
 def aggregate_multilabel(per_class, scope: str = "weighted") -> CalibrationScores:
@@ -441,5 +432,5 @@ def pooled_reliability(
     scores remain the tabulated numbers.
     """
     probs = _check_shape(d, probs)
-    [(_, pooled)] = _bin_sums([(np.zeros(d.c, dtype=int), probs, d.labels)], 1, m_bins, [(0, 1)])
+    [(_, pooled)] = _bin_sums([(np.zeros(d.c, dtype=int), d.labels, probs)], 1, m_bins, [(0, 1)])
     return _curve(*pooled, scope=scope)

@@ -1,9 +1,10 @@
-"""The report document: the one module that builds, writes, reads and
+"""The report document: the one module that builds, renders, reads and
 draws it.
 
-:func:`emit_report` builds a run's document once, writes it as JSON or
-CSV and returns it; :func:`plot_scope` and :func:`scope_curves` read a
-scope's diagram back from a document, for --svg and for plot alike.
+:func:`emit_report` builds a run's document once and returns it with its
+JSON or CSV text, which the caller writes; :func:`plot_scope` and
+:func:`scope_curves` read a scope's diagram back from a document, for
+--svg and for plot alike.
 Every output is byte-deterministic: JSON is ``core.dumps_canonical`` text
 (17 significant digits, a lossless float64 round trip), a CSV cell comes
 from a row document through ``CSV_COLUMNS`` and is quoted by
@@ -18,7 +19,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .core import ValidationError, csv_field, dumps_canonical, json_field, output_file, read_json
+from .core import ValidationError, csv_field, dumps_canonical, json_field, read_json
 from .metrics import BinStats, CalibrationScores, ReliabilityCurve, calibration_scores
 
 
@@ -207,9 +208,9 @@ def _csv_cell(row: dict, column: str) -> str:
     return format(float(value), ".4f")
 
 
-def emit_report(report: Report, fmt: str, path: str) -> dict:
-    """Write the report as schema-versioned JSON or as flat CSV, one line
-    per row, and return its document, which both are made from."""
+def emit_report(report: Report, fmt: str):
+    """The report's document and its text, schema-versioned JSON or flat
+    CSV with one line per row; both texts are made from the document."""
     doc = report_to_dict(report)
     if fmt == "json":
         text = dumps_canonical(doc) + "\n"
@@ -219,9 +220,7 @@ def emit_report(report: Report, fmt: str, path: str) -> dict:
         text = "".join(",".join(map(csv_field, line)) + "\n" for line in lines)
     else:
         raise ValidationError(f"unknown report format {fmt!r}")
-    with output_file(path, "report") as fh:
-        fh.write(text)
-    return doc
+    return doc, text
 
 
 def load_report(path: str) -> dict:

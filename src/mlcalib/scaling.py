@@ -16,12 +16,13 @@ solve depends on the scope.  A params document's fields are read through
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (NumericalError, ValidationError, dumps_canonical, json_field, output_file,
-                   read_json, sigmoid)
+from .core import (NumericalError, ValidationError, dumps_canonical, json_field, read_json,
+                   sigmoid, write_rows)
 
 TS = "ts"
 PS = "ps"
@@ -476,14 +477,21 @@ def fit(
     return params, trace
 
 
-def save_params(params: ScalingParams, trace: FitTrace | None, path: str) -> dict:
-    """Write a params JSON document and return it; floats carry 17
-    significant digits so the round trip is bit-exact."""
+def dump_params(params: ScalingParams, trace: FitTrace | None):
+    """The params JSON document of ``params`` and its fit ``trace``, and
+    its text; floats carry 17 significant digits so the round trip is
+    bit-exact."""
     doc = params.to_json_dict()
     if trace is not None:
         doc["trace"] = trace.to_json_dict()
-    with output_file(path, "params") as fh:
-        fh.write(dumps_canonical(doc) + "\n")
+    return doc, dumps_canonical(doc) + "\n"
+
+
+def save_params(params: ScalingParams, trace: FitTrace | None, path: str) -> dict:
+    """Write the document of :func:`dump_params` to ``path``, its directory
+    created if needed, and return it."""
+    doc, text = dump_params(params, trace)
+    write_rows(os.path.dirname(path), {os.path.basename(path): ("params", text, "")})
     return doc
 
 

@@ -962,6 +962,23 @@ class TestInputBoundaries:
         assert (tmp_path / name).is_file()
 
 
+def _disk_full_from(monkeypatch, nth):
+    """From the ``nth`` file on (counted from 1) that core opens for
+    writing, the file is made but its text goes to /dev/full, where a
+    write fails with ENOSPC."""
+    opened = []
+
+    def open_on_a_full_disk(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            opened.append(file)
+            if len(opened) >= nth:
+                open(file, mode, *args, **kwargs).close()
+                file = "/dev/full"
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(core, "open", open_on_a_full_disk, raising=False)
+
+
 class TestOutputs:
     """Every output goes through one writer: UTF-8, csv.writer quoting, and
     exit 2 naming the path when the file cannot be written."""
@@ -1077,7 +1094,37 @@ class TestOutputs:
         assert main([*_argv("evaluate", paths, out), "--svg"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write SVG file ") and "too long" in err
-        assert os.listdir(out) == []
+        assert not out.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_disk_full_at_the_fifth_file_keeps_every_file(self, tmp_path, capsys, monkeypatch,
+                                                          small):
+        """A two-site fit --svg writes params.json, the report and three
+        diagrams; the disk is full when the last diagram is written.  Every
+        file of the run before keeps its bytes and no temporary file is
+        left."""
+        paths = _two_datasets(tmp_path, small, "north", "south")
+        out = tmp_path / "out"
+        argv = [*_argv("fit", paths, out), "--svg"]
+        assert main(argv) == 0
+        old = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        assert len(old) == 5
+        _disk_full_from(monkeypatch, 5)
+        assert main([*argv, "--bins", "10"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write SVG file {out / 'reliability_south.svg'}: "
+            f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == old
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["evaluate", "fit", "plot"])
+    def test_failed_write_into_a_new_out_leaves_no_directory(self, tmp_path, capsys,
+                                                             monkeypatch, small, command):
+        _disk_full_from(monkeypatch, 1)
+        out = tmp_path / "new" / "out"
+        assert main(_argv(command, small, out)) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+        assert not (tmp_path / "new").exists()
 
     def test_report_csv_reads_back_any_scope_name(self, tmp_path, small):
         names = ["a\nb", "c\rd", "e,f", 'g"h']

@@ -1,8 +1,8 @@
 """Layering rules of the package, read from the AST of src/mlcalib/*.py.
 
 Imports between modules sit at module level and name only public
-attributes, files reach the disk only through core's output helpers,
-with an explicit encoding, and only core's parts helper starts processes.
+attributes, files reach the disk only through core's one writer, with an
+explicit encoding, and only core's parts helper starts processes.
 """
 
 import ast
@@ -12,8 +12,8 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mlcalib"
 
-# the only functions that may write to the file system
-WRITERS = {("core.py", "output_file"), ("core.py", "output_dir")}
+# the only function that may write to the file system
+WRITERS = {("core.py", "write_rows")}
 
 
 def _nodes(tree):
@@ -76,7 +76,7 @@ def test_no_private_name_imported_from_a_sibling(module):
     assert private == []
 
 
-def test_only_core_output_helpers_write(module):
+def test_only_the_core_writer_writes(module):
     name, tree = module
     writes = [f"{name}:{node.lineno} in {func}" for func, node in _nodes(tree)
               if _writes(node) and (name, func) not in WRITERS]
@@ -90,10 +90,10 @@ def test_every_open_names_an_encoding(module):
     assert bare == []
 
 
-def test_each_output_helper_writes_once():
+def test_the_core_writer_creates_and_opens_once():
     # keeps the write rule from passing on a walker that finds nothing
-    found = sorted(func for func, node in _nodes(_parse(SRC / "core.py")) if _writes(node))
-    assert found == ["output_dir", "output_file"]
+    found = [func for func, node in _nodes(_parse(SRC / "core.py")) if _writes(node)]
+    assert found == ["write_rows", "write_rows"]
 
 
 # the one function that may fork: its children send their bytes back

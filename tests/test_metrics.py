@@ -16,7 +16,7 @@ from mlcalib.metrics import (
     cmap,
     per_class_scores,
     pooled_reliability,
-    score_scope,
+    score_scopes,
 )
 
 import oracles
@@ -80,7 +80,7 @@ class TestBinning:
             bin_class([1.2], [0], 5)
 
     @pytest.mark.parametrize("call", ["bin_class", "per_class_scores", "pooled_reliability",
-                                      "score_scope"])
+                                      "score_scopes"])
     def test_rejects_nan_confidence(self, call):
         # NaN fails every comparison, so a range test written as "below 0 or
         # above 1" would let it through to count toward n and no bin's gap
@@ -93,7 +93,8 @@ class TestBinning:
             "bin_class": lambda: bin_class(probs[:, 0], labels[:, 0], 5),
             "per_class_scores": lambda: per_class_scores(d, probs, 5),
             "pooled_reliability": lambda: pooled_reliability(d, probs, 5),
-            "score_scope": lambda: score_scope([(d.classes, probs, labels)], 5),
+            "score_scopes": lambda: score_scopes([(d.classes, labels, [probs])],
+                                                 [("pooled", 0, 1)], 5),
         }
         with pytest.raises(ValidationError, match=r"confidences must lie in \[0, 1\]"):
             binning[call]()
@@ -285,7 +286,8 @@ class TestOracleAgreement:
                 labels = (rng.random((n, len(classes))) < 0.4).astype(float)
                 chunks.append((classes, conf, labels))
             m = int(rng.choice([1, 2, 5, 15]))
-            per_class, pooled = score_scope(chunks, m)
+            [[(per_class, pooled)]] = score_scopes([(cl, y, [c]) for cl, c, y in chunks],
+                                                   [("pooled", 0, len(chunks))], m)
             for got in per_class:
                 cols = [(c[:, cl.index(got.class_id)], y[:, cl.index(got.class_id)])
                         for cl, c, y in chunks if got.class_id in cl]

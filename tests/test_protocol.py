@@ -361,7 +361,7 @@ class TestScopes:
         want = pathlib.Path(GOLDEN, "pipeline_fit_reports.json").read_bytes()
         assert _fitted_reports() == want
 
-    def test_mixed_class_csv_golden(self, tmp_path):
+    def test_mixed_class_csv_golden(self):
         # the --format csv rendering of the mixed-class run, plus a row whose
         # frequent and rare cells are null and whose improvement is a marker
         report = _mixed_class_run()
@@ -370,10 +370,9 @@ class TestScopes:
             scores=CalibrationScores.from_components(0.1, 0.0, scope="s", weight=10.0),
             rel_improvement_mcs=NOT_APPLICABLE,
         )
-        path = str(tmp_path / "report.csv")
-        emit_report(dataclasses.replace(report, rows=(*report.rows, marker)), "csv", path)
+        _, text = emit_report(dataclasses.replace(report, rows=(*report.rows, marker)), "csv")
         want = pathlib.Path(GOLDEN, "report.csv").read_bytes()
-        assert pathlib.Path(path).read_bytes() == want
+        assert text.encode("utf-8") == want
 
 
 def _fitted_reports() -> bytes:

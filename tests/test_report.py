@@ -123,9 +123,9 @@ class TestCanonicalJson:
 class TestEmitReport:
     def test_json_round_trip(self, tmp_path):
         report = _fixed_report()
-        path = str(tmp_path / "report.json")
-        emit_report(report, "json", path)
-        doc = load_report(path)
+        path = tmp_path / "report.json"
+        path.write_bytes(emit_report(report, "json")[1].encode("utf-8"))
+        doc = load_report(str(path))
         assert doc["schema_version"] == 1
         assert doc["tool"]["name"] == "mlcalib"
         assert doc["config"]["bins"] == 5
@@ -138,11 +138,9 @@ class TestEmitReport:
         assert base["mcs_rel_improvement_pct"] is None
         assert doc["rows"][1]["params_ref"] == "ts/global"
 
-    def test_csv_layout(self, tmp_path):
+    def test_csv_layout(self):
         report = _fixed_report()
-        path = str(tmp_path / "report.csv")
-        emit_report(report, "csv", path)
-        lines = pathlib.Path(path).read_bytes().decode("utf-8").splitlines()
+        lines = emit_report(report, "csv")[1].splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         cells = lines[1].split(",")
         row = dict(zip(CSV_COLUMNS, cells))
@@ -153,20 +151,18 @@ class TestEmitReport:
         row2 = dict(zip(CSV_COLUMNS, lines[2].split(",")))
         assert row2["mcs_rel_improvement_pct"] == "88.8889"
 
-    def test_not_applicable_marker_passes_through(self, tmp_path):
+    def test_not_applicable_marker_passes_through(self):
         base, _ = _fixed_curves()
         row = ReportRow(
             model="m", scope="s", method="ts/global", n_samples=6, cmap=None,
             scores=_scores(0.1, 0.0), rel_improvement_mcs=NOT_APPLICABLE,
         )
         report = Report(config={}, rows=(row,), curves=(), params={}, version="0.0.0-test")
-        path = str(tmp_path / "r.csv")
-        emit_report(report, "csv", path)
-        assert NOT_APPLICABLE in pathlib.Path(path).read_bytes().decode("utf-8")
+        assert NOT_APPLICABLE in emit_report(report, "csv")[1]
 
-    def test_unknown_format_rejected(self, tmp_path):
+    def test_unknown_format_rejected(self):
         with pytest.raises(ValidationError):
-            emit_report(_fixed_report(), "xml", str(tmp_path / "r.xml"))
+            emit_report(_fixed_report(), "xml")
 
     def test_curve_round_trip(self):
         for curve in _fixed_curves():
@@ -185,7 +181,8 @@ class TestEmitReport:
 
 class TestReadBack:
     def test_document_draws_the_golden_diagram(self, tmp_path):
-        doc = emit_report(_fixed_report(), "json", str(tmp_path / "report.json"))
+        doc, text = emit_report(_fixed_report(), "json")
+        (tmp_path / "report.json").write_bytes(text.encode("utf-8"))
         assert doc == load_report(str(tmp_path / "report.json"))
         svg = render_reliability_svg(*scope_curves(doc, "All"), title="All")
         assert svg == pathlib.Path(GOLDEN, "reliability.svg").read_bytes().decode("utf-8")

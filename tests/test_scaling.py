@@ -79,6 +79,12 @@ class TestParams:
         assert q.classes == p.classes and q.fitted_on == p.fitted_on
         assert (q.method, q.scope) == (p.method, p.scope)
 
+    def test_save_into_a_missing_directory_creates_it(self, tmp_path):
+        path = tmp_path / "new" / "deeper" / "params.json"
+        doc = save_params(ScalingParams.identity("ps"), None, str(path))
+        assert path.read_bytes() == (dumps_canonical(doc) + "\n").encode("utf-8")
+        assert os.listdir(path.parent) == ["params.json"]
+
 
 class TestApply:
     def test_scalar_evaluation(self):
