@@ -410,10 +410,10 @@ def _part_count(work: int, floor: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), _MAX_PARTS, work // floor))
 
 
-def _in_parts(task, spans, take, outputs: int = 1) -> bool:
+def _in_parts(task, spans, take, outputs: int = 1):
     """Call ``take(task(span))`` for each of ``spans`` in order, where a
     task returns ``outputs`` texts, each a list of bytes-like buffers, or
-    None to decline its span.
+    raises.
 
     The first span's task runs here, and every other span's task at the
     same time in a forked child, with a pipe of its own for each output.
@@ -421,10 +421,10 @@ def _in_parts(task, spans, take, outputs: int = 1) -> bool:
     text k + 1, and exits 0 once it has written them all.  The pipes are
     read here in the same order, and ``take`` gets a list of bytes objects
     per output, which may split its text elsewhere.  A span whose child
-    exits otherwise (it declined, failed or was killed) or could not start
-    is done here with ``task``, so the bytes ``take`` gets do not depend on
-    how the work was split; a task that declines here stops the run with
-    False.  Every child has been reaped when this returns or raises.
+    exits otherwise (it raised or was killed) or could not start is done
+    here with ``task``, so the bytes ``take`` gets do not depend on how the
+    work was split, and a task that raises here raises from this call.
+    Every child has been reaped when this returns or raises.
     """
     children = []  # (read ends of its pipes, pid) of each child not yet reaped
     try:
@@ -443,13 +443,12 @@ def _in_parts(task, spans, take, outputs: int = 1) -> bool:
                 try:
                     for fd in itertools.chain(ends[::2], *(fds for fds, _ in children)):
                         os.close(fd)
-                    texts = task(span)
-                    for fd, text in zip(ends[1::2], texts or ()):
+                    for fd, text in zip(ends[1::2], task(span)):
                         for view in map(memoryview, text):
                             while view:
                                 view = view[os.write(fd, view):]
                         os.close(fd)
-                    code = 1 if texts is None else 0
+                    code = 0
                 finally:
                     os._exit(code)
             for fd in ends[1::2]:
@@ -466,11 +465,8 @@ def _in_parts(task, spans, take, outputs: int = 1) -> bool:
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if code != 0:
                 texts = task(span)
-                if texts is None:
-                    return False
             take(texts)
             del texts  # freed before the next part is read
-        return True
     finally:
         for fds, pid in children:
             for fd in fds:
@@ -634,6 +630,10 @@ def _flag_rows(ids, values) -> list:
             .encode("utf-8")]
 
 
+class _NotPlain(Exception):
+    """A span of a matrix CSV that :func:`_read_plain_csv` declines."""
+
+
 def _read_plain_csv(path: str):
     """The C-parser read of :func:`_read_matrix_csv`, or None to decline.
 
@@ -684,10 +684,9 @@ def _read_plain_csv(path: str):
         def task(span):
             return _plain_rows(path, len(classes), limit, values, *span)
 
-        if not _in_parts(task, spans, take):
-            return None
+        _in_parts(task, spans, take)
         return classes, ids, values
-    except OSError:
+    except (OSError, _NotPlain):
         return None
     finally:
         os.close(fd)
@@ -753,8 +752,8 @@ def _plain_rows(path: str, n_classes: int, limit: int, values, lo: int, hi: int,
                 stop: int):
     """Read, check and parse the lines in bytes ``lo:hi`` of ``path`` into
     rows ``row:stop`` of ``values``: the ids, as the one output of
-    :func:`_in_parts`, one buffer of UTF-8 text joined by ``\\n``, or None
-    if a line is not plain (see :func:`_read_plain_csv`)."""
+    :func:`_in_parts`, one buffer of UTF-8 text joined by ``\\n``.  A line
+    that is not plain (see :func:`_read_plain_csv`) raises _NotPlain."""
     fd = _open_bytes(path)
     try:
         ids = []  # the ids of each chunk, as one str
@@ -763,34 +762,34 @@ def _plain_rows(path: str, n_classes: int, limit: int, values, lo: int, hi: int,
             if lo + len(chunk) < hi:  # up to the last whole line
                 chunk = chunk[: chunk.rfind(b"\n") + 1]
             if not chunk:  # a line longer than _READ_BYTES, or the file shrank
-                return None
+                raise _NotPlain
             lo += len(chunk)
             try:
                 text = chunk.decode("utf-8")
             except UnicodeDecodeError:
-                return None
+                raise _NotPlain from None
             lines = text.split("\n")
             if text.endswith("\n"):
                 lines.pop()
             n = len(lines)
             if ('"' in text or "\r" in text or _count_bytes(chunk, b",") != n * n_classes
                     or max(map(len, lines)) >= limit or row + n > stop):
-                return None
+                raise _NotPlain
             try:
                 block = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
                                    usecols=range(1, n_classes + 1), dtype=np.float64, ndmin=2)
             except ValueError:
-                return None
+                raise _NotPlain from None
             # loadtxt skips a blank line and takes at least C + 1 fields from
             # each other one: n rows from n lines holding n x C commas mean
             # exactly one comma per class on every line
             if block.shape[0] != n:
-                return None
+                raise _NotPlain
             values[row : row + n] = block
             ids.append("\n".join([line.partition(",")[0] for line in lines]))
             row += n
         if row != stop:
-            return None
+            raise _NotPlain
         return [["\n".join(ids).encode("utf-8")]]
     finally:
         os.close(fd)
@@ -902,9 +901,10 @@ def read_json(path: str, kind: str):
     report).  Each way a file can fail to load is a ValidationError that
     names the file: it cannot be read, it is not UTF-8 or not JSON, it
     escapes a lone surrogate, it holds an integer over Python's 4300-digit
-    limit, or it nests deeper than the interpreter's recursion limit."""
+    limit, or it nests deeper than the interpreter's recursion limit.  A
+    leading UTF-8 byte order mark is skipped, as in the CSV inputs."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
         doc = json.loads(text)
         if _SURROGATE_ESCAPE.search(text):  # a pair encodes, a lone half raises

@@ -5,9 +5,11 @@ a bias, sigmoid(z / T + b).  Parameters are stored as tau = ln T, so
 T > 0 by construction.  The fit is damped Newton with Armijo backtracking
 on the inverse temperature a = 1/T and b, in which binary cross-entropy
 is convex (Platt 1999; Lin, Lin & Weng 2007); it stops on convergence,
-usually within ten iterations.  One kernel, ``_slopes``, gives each
-column's BCE gradient and Hessian in (a, b): the solver steps on it and
-:func:`gradients` is its chain rule into (tau, b).  Global parameters are
+usually within ten iterations.  One kernel, ``_column_losses``, gives
+each column's BCE, which the solver minimizes and :func:`bce_nll` and the
+fit's trace report; one, ``_slopes``, gives its gradient and Hessian in
+(a, b): the solver steps on it and :func:`gradients` is its chain rule
+into (tau, b).  Global parameters are
 0-d arrays and per-class ones vectors, so only the choice of columns to
 solve depends on the scope.  A params document's fields are read through
 ``core.json_field``.  Everything is deterministic.
@@ -28,8 +30,6 @@ TS = "ts"
 PS = "ps"
 GLOBAL = "global"
 PER_CLASS = "per-class"
-
-_LOG_CLAMP = 1e-12
 
 # Newton confines T to [T_MIN, T_MAX]: a separable column has no finite
 # optimum (T -> 0) and an anti-correlated one none with T > 0.
@@ -162,8 +162,9 @@ class FitTrace:
     ``classes`` for per-class scope; global scope fits one column, 0):
     fallback columns lack positives or negatives and keep identity
     parameters, clamped columns end with T on an edge of [T_MIN, T_MAX].
-    ``nll_history``, when recorded, holds the NLL before the first and
-    after every iteration.
+    The NLLs are :func:`bce_nll`, the loss the solver minimizes, and
+    ``nll_history``, when recorded, holds it before the first and after
+    every iteration.
     """
 
     steps: int
@@ -246,20 +247,18 @@ def apply_scaling(logits, params: ScalingParams) -> np.ndarray:
 
 
 def bce_nll(logits, labels, params: ScalingParams) -> float:
-    """Mean binary cross-entropy of scaled confidences against labels.
-
-    Probabilities are clamped to [1e-12, 1 - 1e-12] inside the logs so
-    saturated logits cannot produce infinities.
-    """
+    """Mean binary cross-entropy of scaled confidences against labels: the
+    fit's own loss, ``_column_losses`` over ``z.size`` cells, which stays
+    finite and free of cancellation on saturated logits."""
     z, y = _matched(logits, labels)
-    p = apply_scaling(z, params)
-    p = np.clip(p, _LOG_CLAMP, 1.0 - _LOG_CLAMP)
-    ll = y * np.log(p) + (1.0 - y) * np.log(1.0 - p)
-    return float(np.mean(-ll))
+    _check_dims(z, params)
+    losses = _column_losses(_columns(z, params.scope), _columns(y, params.scope),
+                            np.exp(-params.tau), params.bias)
+    return float(np.sum(losses) / z.size)
 
 
 def gradients(logits, labels, params: ScalingParams):
-    """Analytic gradients of bce_nll (unclamped) with respect to (tau, bias).
+    """Analytic gradients of bce_nll with respect to (tau, bias).
 
     The chain rule of the solver's own slopes (``_slopes``): with
     a = 1/T = exp(-tau) and n = N*C cells, d/dtau = -a * g_a / n and

@@ -632,6 +632,23 @@ def _two_datasets(tmp_path, paths, first, second):
     return dict(paths, manifest=str(manifest))
 
 
+@pytest.mark.parametrize("which", ["manifest", "params", "report"])
+def test_json_input_with_a_bom_reads_as_without(tmp_path, monkeypatch, small, which):
+    """A JSON input that starts with a UTF-8 byte order mark gives the
+    outputs of the same file without it, as a CSV input does."""
+    command = {"manifest": "evaluate", "params": "apply", "report": "plot"}[which]
+    text = pathlib.Path(small[which]).read_bytes()
+    for run, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)  # the same relative paths echo the same config
+        pathlib.Path("in.json").write_bytes(bom + text)
+        assert main(_argv(command, dict(small, **{which: "in.json"}), "out")) == 0
+    plain, bom = tmp_path / "plain" / "out", tmp_path / "bom" / "out"
+    assert sorted(os.listdir(bom)) == sorted(os.listdir(plain))
+    for name in os.listdir(plain):
+        assert (bom / name).read_bytes() == (plain / name).read_bytes()
+
+
 class TestInputBoundaries:
     """Each of these inputs ends in exit 2 and a message naming its cause."""
 

@@ -863,6 +863,24 @@ class TestParts:
             assert _read_plain_csv(path) is None
             _assert_no_child_left()
 
+    @pytest.mark.parametrize("split", [1, _MAX_PARTS])
+    def test_part_without_text_raises_and_leaves_no_directory(self, tmp_path, monkeypatch,
+                                                               split):
+        """A rows callback that returns None for rows 5:10 of 10, in two
+        rounds of five rows: a TypeError, and the new directory is gone."""
+        monkeypatch.setattr(core, "_ROUND_CELLS", 5)
+
+        def rows(start, stop):
+            if start >= 5:
+                return None
+            return [["".join(f"r{i}\n" for i in range(start, stop)).encode()]]
+
+        out = tmp_path / "new"
+        with _split_into(split), _same_descriptors(), pytest.raises(TypeError):
+            write_rows(str(out), {"m.txt": ("text", "head\n", "tail\n")}, 10, 10, rows)
+        _assert_no_child_left()
+        assert not out.exists()
+
     def test_parent_part_that_raises_reaps_every_child(self, tmp_path, monkeypatch):
         n = 2000
         ids = [f"s{i}" for i in range(n)]

@@ -2,7 +2,8 @@
 
 Imports between modules sit at module level and name only public
 attributes, files reach the disk only through core's one writer, with an
-explicit encoding, and only core's parts helper starts processes.
+explicit encoding, only core's parts helper starts processes, and only
+the solver's loss computes a binary cross-entropy.
 """
 
 import ast
@@ -178,3 +179,27 @@ def test_each_document_owner_reads_json_fields():
     # keeps the reader rule from passing on a walker that finds nothing
     for name in JSON_READERS:
         assert any(_uses_json_field(node) for _, node in _nodes(_parse(SRC / name))), name
+
+
+# the one function that may compute a binary cross-entropy: every loss the
+# package reports is the loss its solver minimizes
+LOSSES = {("scaling.py", "_column_losses")}
+
+
+def _is_logaddexp(node):
+    """True for np.logaddexp, called or not, and for a bare logaddexp."""
+    return ((isinstance(node, ast.Attribute) and node.attr == "logaddexp")
+            or (isinstance(node, ast.Name) and node.id == "logaddexp"))
+
+
+def test_only_the_solver_loss_calls_logaddexp(module):
+    name, tree = module
+    calls = [f"{name}:{node.lineno} in {func}" for func, node in _nodes(tree)
+             if _is_logaddexp(node) and (name, func) not in LOSSES]
+    assert calls == []
+
+
+def test_the_solver_loss_calls_logaddexp():
+    # keeps the loss rule from passing on a walker that finds nothing
+    found = {func for func, node in _nodes(_parse(SRC / "scaling.py")) if _is_logaddexp(node)}
+    assert found == {"_column_losses"}

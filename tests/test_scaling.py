@@ -148,7 +148,8 @@ class TestNll:
         assert a == b == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_clamp_prevents_infinite_loss(self):
-        # saturated AND wrong: only the log clamp keeps this finite
+        # saturated AND wrong: the loss is softplus(800) = 800, and it stays
+        # finite because softplus is computed without forming sigmoid(800)
         nll = bce_nll(np.array([[800.0]]), np.array([[0.0]]), ScalingParams.identity())
         assert np.isfinite(nll)
 
@@ -206,6 +207,21 @@ class TestGradients:
                     if method == "ps":
                         fd_b = (nll_at(tau, bias + e) - nll_at(tau, bias - e)) / (2 * h)
                         assert g_b[j] == pytest.approx(fd_b, abs=1e-6)
+
+    def test_matches_central_differences_at_saturated_logits(self):
+        # the sigmoid saturates at +-40 logits, where a copy of the loss
+        # that clamps p has no slope in tau; the solver's loss does
+        z = np.array([[40.0], [-35.0], [0.3], [-0.2]])
+        y = np.array([[0.0], [1.0], [1.0], [0.0]])
+        h = 1e-5
+        g_tau, g_b = gradients(z, y, _global_params(tau=0.0, bias=0.1))
+        fd_tau = (bce_nll(z, y, _global_params(tau=h, bias=0.1))
+                  - bce_nll(z, y, _global_params(tau=-h, bias=0.1))) / (2 * h)
+        fd_b = (bce_nll(z, y, _global_params(tau=0.0, bias=0.1 + h))
+                - bce_nll(z, y, _global_params(tau=0.0, bias=0.1 - h))) / (2 * h)
+        assert float(g_tau) == pytest.approx(fd_tau, abs=1e-6)
+        assert float(g_b) == pytest.approx(fd_b, abs=1e-6)
+        assert float(g_tau) == pytest.approx(-18.696, abs=1e-3)
 
 
 class TestFit:
@@ -269,6 +285,18 @@ class TestFit:
         assert trace.nll_history[-1] == trace.nll_final
         steps = np.diff(trace.nll_history)
         assert np.all(steps <= 1e-15), steps  # never increases, up to rounding
+
+    def test_history_is_the_minimized_loss_on_saturated_logits(self):
+        # saturated logits, and a fit that ends with T on its upper edge:
+        # the history must be the loss the solver decreases, not a copy of
+        # it that saturates
+        z = np.array([[101.4], [-116.4], [24.6], [69.8], [77.5], [20.6], [-85.5]])
+        y = np.array([[0.0], [1.0], [0.0], [0.0], [1.0], [0.0], [0.0]])
+        _, trace = fit(z, y, method="ps", scope="global", cfg=FitConfig(record_history=True))
+        assert trace.nll_history[0] == trace.nll_initial
+        assert trace.nll_history[-1] == trace.nll_final
+        steps = np.diff(trace.nll_history)
+        assert np.all(steps <= 0.0), steps
 
     def test_deterministic(self, rng):
         z = rng.normal(size=(100, 2))
