@@ -13,7 +13,6 @@ from .core import (
     ValidationError,
     confidences,
     inverse_sigmoid,
-    load_dataset,
     pos_counts,
     sigmoid,
 )
@@ -49,6 +48,7 @@ from .report import (
     render_reliability_svg,
     tool_version,
 )
+from .rowfiles import load_dataset
 from .scaling import (
     FitConfig,
     FitTrace,

@@ -8,7 +8,7 @@ fit, of the report and, with --svg, of one reliability diagram per scope.
 The diagrams of --svg and of plot are drawn from a report document, the
 one report.emit_report returns or the one plot reads, so plot on a saved
 report reproduces the --svg bytes.  Every command writes all its files in
-one core.write_rows call, which checks every path first and replaces the
+one rowfiles.write_rows call, which checks every path first and replaces the
 files together once the last is written, so a run that fails leaves the
 existing files as they were.  Each of write_rows's row parts scales and
 formats its own rows of apply's calibrated.csv, so no process holds the
@@ -25,15 +25,7 @@ import argparse
 import os
 import sys
 
-from .core import (
-    NumericalError,
-    ValidationError,
-    load_dataset,
-    matrix_head,
-    matrix_rows,
-    read_predictions,
-    write_rows,
-)
+from .core import NumericalError, ValidationError
 from .metrics import check_bins
 from .protocol import FIRST_MINUTES, HELD_OUT, SplitSpec, check_target_fraction, run_benchmark
 from .report import (
@@ -44,6 +36,7 @@ from .report import (
     render_reliability_svg,
     scope_curves,
 )
+from .rowfiles import load_dataset, matrix_head, matrix_rows, read_predictions, write_rows
 from .scaling import PER_CLASS, FitConfig, apply_scaling, dump_params, load_params
 from .synth import LatentSpec, SynthConfig, write_fixture
 
@@ -161,8 +154,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _shown(text: str) -> str:
+    """``text`` as a report shows it: an argv byte that is not UTF-8, which
+    Python holds as a lone surrogate, as its ``\\x`` escape."""
+    return os.fsencode(text).decode("utf-8", "backslashreplace")
+
+
 def _echo(args: argparse.Namespace) -> dict:
-    return dict(sorted(vars(args).items()))
+    return {key: _shown(value) if isinstance(value, str) else value
+            for key, value in sorted(vars(args).items())}
 
 
 def _slug(text: str) -> str:
@@ -171,8 +171,8 @@ def _slug(text: str) -> str:
 
 def _model_tag(args) -> str:
     if getattr(args, "tag", None):
-        return args.tag
-    stem = os.path.basename(args.predictions)
+        return _shown(args.tag)
+    stem = _shown(os.path.basename(args.predictions))
     return stem.rsplit(".", 1)[0] if "." in stem else stem
 
 

@@ -8,7 +8,7 @@ JSON or CSV text, which the caller writes; :func:`plot_scope` and
 Every output is byte-deterministic: JSON is ``core.dumps_canonical`` text
 (17 significant digits, a lossless float64 round trip), a CSV cell comes
 from a row document through ``CSV_COLUMNS`` and is quoted by
-``core.csv_field``, and the SVG comes from format strings with no
+``rowfiles.csv_field``, and the SVG comes from format strings with no
 timestamps or environment-dependent content.  Each field read back is
 checked by ``core.json_field``, as the writer writes it.
 """
@@ -19,8 +19,9 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .core import ValidationError, csv_field, dumps_canonical, json_field, read_json
+from .core import ValidationError, dumps_canonical, json_field, read_json
 from .metrics import BinStats, CalibrationScores, ReliabilityCurve, calibration_scores
+from .rowfiles import csv_field
 
 
 @functools.cache

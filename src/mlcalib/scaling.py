@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (NumericalError, ValidationError, dumps_canonical, json_field, read_json,
-                   sigmoid, write_rows)
+from .core import NumericalError, ValidationError, dumps_canonical, json_field, read_json, sigmoid
+from .rowfiles import write_rows
 
 TS = "ts"
 PS = "ps"

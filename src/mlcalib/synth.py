@@ -10,7 +10,7 @@ latent is mean + stddev * ``core.ndtri(u)`` of one uniform draw u: the
 inverse normal CDF, ported from Cephes with the same bits as
 ``scipy.special.ndtri``, so the package needs only numpy.
 
-:func:`write_fixture` writes the four files through ``core.write_rows``,
+:func:`write_fixture` writes the four files through ``rowfiles.write_rows``,
 in rounds of row parts.  Each part draws the uniforms of its own rows
 [a, b), at the counters [a * C, b * C), builds their logits and labels,
 and formats its text of every file, so no process holds an N x C matrix.
@@ -32,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EvalDataset, Manifest, ValidationError, check_cells, dumps_canonical, free_bytes,
-                   matrix_head, matrix_rows, ndtri, sigmoid, write_rows)
+from .core import (EvalDataset, Manifest, ValidationError, check_cells, dumps_canonical, ndtri,
+                   sigmoid)
+from .rowfiles import free_bytes, matrix_head, matrix_rows, write_rows
 
 _STREAM_LOGITS = 0
 _STREAM_LABELS = 1
@@ -238,7 +239,7 @@ def write_fixture(cfg: SynthConfig, out_dir: str) -> dict:
     Creates predictions.csv (logits), labels.csv, manifest.json, and
     truth.json under out_dir; returns the path map.  Each part generates
     and formats its own rows, and every file is replaced only once all of
-    them are written (see ``core.write_rows``).  Settings whose logits
+    them are written (see ``rowfiles.write_rows``).  Settings whose logits
     overflow, and files larger than the free space under out_dir, fail
     before anything is generated.
     """

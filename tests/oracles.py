@@ -146,7 +146,7 @@ def oracle_read_matrix_csv(path, kind):
     """The matrix CSV reader as ``csv.reader`` plus ``float()`` per cell.
 
     Defines the accepted inputs, the parsed values and every error message
-    of ``core._read_matrix_csv``, whose C-parser path must agree with it.
+    of ``rowfiles._read_matrix_csv``, whose C-parser path must agree with it.
     A leading UTF-8 byte order mark is skipped.
     """
     try:

@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlcalib import cli, core, report, synth
+from mlcalib import cli, report, rowfiles, synth
 from mlcalib.cli import main
-from mlcalib.core import _read_matrix_csv, matrix_head, matrix_rows, read_predictions, sigmoid
+from mlcalib.core import sigmoid
+from mlcalib.rowfiles import _read_matrix_csv, matrix_head, matrix_rows, read_predictions
 from mlcalib.metrics import MAX_BINS
 from mlcalib.report import load_report
 from mlcalib.scaling import T_MAX, T_MIN, ScalingParams, apply_scaling, fit, load_params, save_params
@@ -457,11 +458,11 @@ class TestApplyInParts:
             return apply_scaling(z, p)
 
         monkeypatch.setattr(cli, "apply_scaling", counted)
-        monkeypatch.setattr(core, "_PART_CELLS", 1)
-        monkeypatch.setattr(core, "_PART_BYTES", 1)
+        monkeypatch.setattr(rowfiles, "_PART_CELLS", 1)
+        monkeypatch.setattr(rowfiles, "_PART_BYTES", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(split)))
         if round_rows:
-            monkeypatch.setattr(core, "_ROUND_CELLS", round_rows * len(classes))
+            monkeypatch.setattr(rowfiles, "_ROUND_CELLS", round_rows * len(classes))
         flags = ["--probabilities"] if inputs == "probabilities" else []
         assert main(["apply", "--predictions", apply_inputs[inputs], *flags,
                      "--params", str(apply_inputs["root"] / f"{scope}.json"),
@@ -647,6 +648,38 @@ def test_json_input_with_a_bom_reads_as_without(tmp_path, monkeypatch, small, wh
     assert sorted(os.listdir(bom)) == sorted(os.listdir(plain))
     for name in os.listdir(plain):
         assert (bom / name).read_bytes() == (plain / name).read_bytes()
+
+
+def _not_utf8_name(tmp_path, small):
+    """``small`` with its predictions copied to a file named ``p\\xff.csv``,
+    a name that is not UTF-8."""
+    pred = tmp_path / os.fsdecode(b"p\xff.csv")
+    pred.write_bytes(pathlib.Path(small["predictions"]).read_bytes())
+    return dict(small, predictions=str(pred))
+
+
+def test_csv_report_shows_a_name_that_is_not_utf8_escaped(tmp_path, small):
+    paths = _not_utf8_name(tmp_path, small)
+    assert main([*_argv("evaluate", paths, tmp_path / "ev"), "--format", "csv"]) == 0
+    models = {row["model"] for row in csv.DictReader(io.StringIO(
+        (tmp_path / "ev" / "report.csv").read_text(encoding="utf-8")))}
+    assert models == {"p\\xff"}
+
+
+@pytest.mark.parametrize("command, where", [("evaluate", "name"), ("fit", "tag")])
+def test_argv_that_is_not_utf8_reaches_the_report_escaped(tmp_path, small, command, where):
+    """A predictions name or a --tag that is not UTF-8 shows in the report
+    as its \\x escape, and plot draws that report."""
+    if where == "name":
+        paths, tag, model = _not_utf8_name(tmp_path, small), [], "p\\xff"
+    else:
+        paths, tag, model = small, ["--tag", os.fsdecode(b"m\xff")], "m\\xff"
+    assert main([*_argv(command, paths, tmp_path / "out"), *tag]) == 0
+    report = str(tmp_path / "out" / "report.json")
+    doc = load_report(report)
+    assert {row["model"] for row in doc["rows"]} == {model}
+    assert model in doc["config"]["predictions" if where == "name" else "tag"]
+    assert main(_argv("plot", dict(paths, report=report), tmp_path / "plot")) == 0
 
 
 class TestInputBoundaries:
@@ -980,7 +1013,7 @@ class TestInputBoundaries:
 
 
 def _disk_full_from(monkeypatch, nth):
-    """From the ``nth`` file on (counted from 1) that core opens for
+    """From the ``nth`` file on (counted from 1) that rowfiles opens for
     writing, the file is made but its text goes to /dev/full, where a
     write fails with ENOSPC."""
     opened = []
@@ -993,7 +1026,7 @@ def _disk_full_from(monkeypatch, nth):
                 file = "/dev/full"
         return open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(core, "open", open_on_a_full_disk, raising=False)
+    monkeypatch.setattr(rowfiles, "open", open_on_a_full_disk, raising=False)
 
 
 class TestOutputs:
@@ -1056,10 +1089,10 @@ class TestOutputs:
         for name in names:
             (out / name).write_bytes(f"old {name}\n".encode())
         # 200 x 3 logits in rounds of 50 rows; 10 synth rows in rounds of 2
-        monkeypatch.setattr(core, "_ROUND_CELLS", 150 if command == "apply" else 8)
+        monkeypatch.setattr(rowfiles, "_ROUND_CELLS", 150 if command == "apply" else 8)
         calls = []
         if command == "apply":
-            rows = core._csv_rows
+            rows = rowfiles._csv_rows
 
             def second_fails(*args):
                 calls.append(None)
@@ -1067,7 +1100,7 @@ class TestOutputs:
                     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
                 return rows(*args)
 
-            monkeypatch.setattr(core, "_csv_rows", second_fails)
+            monkeypatch.setattr(rowfiles, "_csv_rows", second_fails)
             want = (f"cannot write CSV file {out / 'calibrated.csv'}: "
                     f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")
         else:

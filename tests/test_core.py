@@ -17,24 +17,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlcalib import core
+from mlcalib import rowfiles
 from mlcalib.cli import main
 from mlcalib.core import (
     EvalDataset,
     Manifest,
     ValidationError,
-    _CSV_BLOCK_ROWS,
-    _MAX_PARTS,
-    _read_matrix_csv,
-    _read_plain_csv,
     confidences,
     inverse_sigmoid,
-    load_dataset,
-    matrix_head,
-    matrix_rows,
     ndtri,
     pos_counts,
     sigmoid,
+)
+from mlcalib.rowfiles import (
+    _CSV_BLOCK_ROWS,
+    _MAX_PARTS,
+    _read_matrix_csv,
+    load_dataset,
+    matrix_head,
+    matrix_rows,
     write_rows,
 )
 
@@ -517,8 +518,8 @@ def _split_into(parts):
     """Cut every matrix CSV read or write into up to ``parts`` parts,
     however small, as on a host with ``parts`` CPUs."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_PART_CELLS", 1)
-        mp.setattr(core, "_PART_BYTES", 1)
+        mp.setattr(rowfiles, "_PART_CELLS", 1)
+        mp.setattr(rowfiles, "_PART_BYTES", 1)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
         yield
 
@@ -533,13 +534,13 @@ def parts(request):
 def part_counts(monkeypatch):
     """The number of spans of each later _in_parts call, in order."""
     counts = []
-    in_parts = core._in_parts
+    in_parts = rowfiles._in_parts
 
     def counted(task, spans, take, outputs=1):
         counts.append(len(spans))
         return in_parts(task, spans, take, outputs)
 
-    monkeypatch.setattr(core, "_in_parts", counted)
+    monkeypatch.setattr(rowfiles, "_in_parts", counted)
     return counts
 
 
@@ -559,6 +560,14 @@ def _same_descriptors():
     before = set(os.listdir("/proc/self/fd"))
     yield
     assert set(os.listdir("/proc/self/fd")) == before
+
+
+def _read_plain_csv(path):
+    """The plain read of ``_read_matrix_csv`` alone: the file as it reads
+    it, or None where it declines and the reference read would follow."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rowfiles, "_read_csv_cells", lambda path, kind: None)
+        return _read_matrix_csv(path, "predictions")
 
 
 def _agrees_with_reference(path):
@@ -689,7 +698,7 @@ def test_synth_fixture_golden_in_parts(tmp_path, split):
 
 
 def test_synth_fixture_golden_in_one_row_rounds(tmp_path, monkeypatch):
-    monkeypatch.setattr(core, "_ROUND_CELLS", 1)
+    monkeypatch.setattr(rowfiles, "_ROUND_CELLS", 1)
     test_synth_fixture_golden_in_parts(tmp_path, _MAX_PARTS)
 
 
@@ -713,15 +722,15 @@ _FIT_10K_SHA256 = {
                          ids=["1-part", "2-parts", "100-row-rounds"])
 def test_fit_10k_fixture_pinned(tmp_path, monkeypatch, capsys, split, round_rows):
     rounds = []
-    in_parts = core._in_parts
+    in_parts = rowfiles._in_parts
 
     def counted(task, spans, take, outputs=1):
         rounds.append(spans)
         return in_parts(task, spans, take, outputs)
 
-    monkeypatch.setattr(core, "_in_parts", counted)
+    monkeypatch.setattr(rowfiles, "_in_parts", counted)
     if round_rows:  # synth counts the work of a row as C + 2 float cells
-        monkeypatch.setattr(core, "_ROUND_CELLS", round_rows * (20 + 2))
+        monkeypatch.setattr(rowfiles, "_ROUND_CELLS", round_rows * (20 + 2))
     with _split_into(split):
         assert main([*_FIT_10K, "--out", str(tmp_path)]) == 0
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -768,10 +777,10 @@ class TestParts:
     def test_small_files_are_one_part(self, monkeypatch):
         # a 1-2 MB labels file reads no faster when split, whatever the CPUs
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-        assert core._part_count(2_200_000, core._PART_BYTES) == 1
-        assert core._part_count(core._PART_CELLS - 1, core._PART_CELLS) == 1
-        assert core._part_count(2 * core._PART_CELLS - 1, core._PART_CELLS) == 1
-        assert core._part_count(2 * core._PART_CELLS, core._PART_CELLS) == 2
+        assert rowfiles._part_count(2_200_000, rowfiles._PART_BYTES) == 1
+        assert rowfiles._part_count(rowfiles._PART_CELLS - 1, rowfiles._PART_CELLS) == 1
+        assert rowfiles._part_count(2 * rowfiles._PART_CELLS - 1, rowfiles._PART_CELLS) == 1
+        assert rowfiles._part_count(2 * rowfiles._PART_CELLS, rowfiles._PART_CELLS) == 2
 
     def test_site_sized_synth_uses_every_cpu(self, tmp_path, monkeypatch, part_counts):
         # one 1,000-row, 64-class site of a multi-site fixture, 66,000
@@ -816,8 +825,8 @@ class TestParts:
 
             monkeypatch.setattr(os, "fork", fork_once)
         else:
-            monkeypatch.setattr(core, "_csv_rows", failing(core._csv_rows))
-            monkeypatch.setattr(core, "_plain_rows", failing(core._plain_rows))
+            monkeypatch.setattr(rowfiles, "_csv_rows", failing(rowfiles._csv_rows))
+            monkeypatch.setattr(rowfiles, "_plain_rows", failing(rowfiles._plain_rows))
         with _split_into(_MAX_PARTS), _same_descriptors():
             write_rows(str(tmp_path), {"parts.csv": head}, n, values.size, rows)
             _assert_no_child_left()
@@ -868,7 +877,7 @@ class TestParts:
                                                                split):
         """A rows callback that returns None for rows 5:10 of 10, in two
         rounds of five rows: a TypeError, and the new directory is gone."""
-        monkeypatch.setattr(core, "_ROUND_CELLS", 5)
+        monkeypatch.setattr(rowfiles, "_ROUND_CELLS", 5)
 
         def rows(start, stop):
             if start >= 5:
@@ -881,19 +890,44 @@ class TestParts:
         _assert_no_child_left()
         assert not out.exists()
 
+    @pytest.mark.parametrize("split", [1, _MAX_PARTS])
+    @pytest.mark.parametrize("texts", [1, 3], ids=["short", "long"])
+    def test_part_with_a_text_too_few_or_too_many_raises(self, tmp_path, split, texts):
+        """Two files, and a rows callback that returns one text or three for
+        the part that ends at row 10, in one part or in a child: a
+        ValueError, the files already there keep their bytes, and the new
+        directory is gone."""
+        files = {"a.txt": ("text", "A\n", ""), "b.txt": ("text", "B\n", "end\n")}
+
+        def rows(start, stop):
+            text = ["".join(f"r{i}\n" for i in range(start, stop)).encode()]
+            return [text] * (texts if stop == 10 else 2)
+
+        old, new = tmp_path / "old", tmp_path / "new" / "out"
+        old.mkdir()
+        for name in files:
+            (old / name).write_bytes(b"kept\n")
+        for out in (old, new):
+            with _split_into(split), _same_descriptors(), pytest.raises(ValueError):
+                write_rows(str(out), files, 10, 10, rows)
+            _assert_no_child_left()
+        assert sorted(os.listdir(old)) == sorted(files)
+        assert all((old / name).read_bytes() == b"kept\n" for name in files)
+        assert not (tmp_path / "new").exists()
+
     def test_parent_part_that_raises_reaps_every_child(self, tmp_path, monkeypatch):
         n = 2000
         ids = [f"s{i}" for i in range(n)]
         values = np.zeros((n, 2))
         parent = os.getpid()
-        rows = core._csv_rows
+        rows = rowfiles._csv_rows
 
         def fail_here(*args):
             if os.getpid() == parent:
                 raise MemoryError
             return rows(*args)
 
-        monkeypatch.setattr(core, "_csv_rows", fail_here)
+        monkeypatch.setattr(rowfiles, "_csv_rows", fail_here)
         with _split_into(_MAX_PARTS), _same_descriptors(), pytest.raises(MemoryError):
             write_rows(str(tmp_path), {"m.csv": ("CSV", matrix_head("ab"), "")}, n, values.size,
                        _rows_of(ids, values))
@@ -903,7 +937,7 @@ class TestParts:
         """A synth run large enough to split its CSVs, as one subprocess:
         every line it prints appears once, and the files are those written
         in one part."""
-        n, c = 2 * core._PART_CELLS // 10 + 1, 10
+        n, c = 2 * rowfiles._PART_CELLS // 10 + 1, 10
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
         out = tmp_path / "fx"

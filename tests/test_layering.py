@@ -1,9 +1,10 @@
 """Layering rules of the package, read from the AST of src/mlcalib/*.py.
 
 Imports between modules sit at module level and name only public
-attributes, files reach the disk only through core's one writer, with an
-explicit encoding, only core's parts helper starts processes, and only
-the solver's loss computes a binary cross-entropy.
+attributes, core imports no other module of the package, files reach the
+disk only through the one writer of rowfiles, with an explicit encoding,
+only rowfiles' parts helper starts processes, and only the solver's loss
+computes a binary cross-entropy.
 """
 
 import ast
@@ -14,7 +15,7 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mlcalib"
 
 # the only function that may write to the file system
-WRITERS = {("core.py", "write_rows")}
+WRITERS = {("rowfiles.py", "write_rows")}
 
 
 def _nodes(tree):
@@ -68,6 +69,29 @@ def test_no_relative_import_inside_a_function(module):
     assert lazy == []
 
 
+def _package_imports(tree):
+    """The modules of the package that ``tree`` imports, relatively or by
+    the package's name."""
+    found = set()
+    for _, node in _nodes(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("mlcalib")):
+            module = (node.module or "").removeprefix("mlcalib").lstrip(".")
+            found |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names if alias.name.startswith("mlcalib")}
+    return found
+
+
+def test_core_imports_no_sibling():
+    # rowfiles and the other modules build on core: an import back is a cycle
+    assert _package_imports(_parse(SRC / "core.py")) == set()
+
+
+def test_the_row_engine_imports_core():
+    # keeps the rule above from passing on a walker that finds nothing
+    assert "core" in _package_imports(_parse(SRC / "rowfiles.py"))
+
+
 def test_no_private_name_imported_from_a_sibling(module):
     name, tree = module
     private = [f"{name}:{node.lineno} {alias.name}" for _, node in _nodes(tree)
@@ -77,7 +101,7 @@ def test_no_private_name_imported_from_a_sibling(module):
     assert private == []
 
 
-def test_only_the_core_writer_writes(module):
+def test_only_the_row_writer_writes(module):
     name, tree = module
     writes = [f"{name}:{node.lineno} in {func}" for func, node in _nodes(tree)
               if _writes(node) and (name, func) not in WRITERS]
@@ -91,15 +115,15 @@ def test_every_open_names_an_encoding(module):
     assert bare == []
 
 
-def test_the_core_writer_creates_and_opens_once():
+def test_the_row_writer_creates_and_opens_once():
     # keeps the write rule from passing on a walker that finds nothing
-    found = [func for func, node in _nodes(_parse(SRC / "core.py")) if _writes(node)]
+    found = [func for func, node in _nodes(_parse(SRC / "rowfiles.py")) if _writes(node)]
     assert found == ["write_rows", "write_rows"]
 
 
 # the one function that may fork: its children send their bytes back
 # through pipes with os.write, which the write rule above leaves alone
-FORKERS = {("core.py", "_in_parts")}
+FORKERS = {("rowfiles.py", "_in_parts")}
 FORK_CALLS = {"fork", "_exit", "pipe"}
 
 
@@ -120,7 +144,7 @@ def test_only_the_parts_helper_forks(module):
 
 def test_the_parts_helper_forks():
     # keeps the fork rule from passing on a walker that finds nothing
-    found = {node.attr for func, node in _nodes(_parse(SRC / "core.py"))
+    found = {node.attr for func, node in _nodes(_parse(SRC / "rowfiles.py"))
              if _forks(node) and func == "_in_parts"}
     assert found == FORK_CALLS
 

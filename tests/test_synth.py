@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlcalib import synth
-from mlcalib.core import (Manifest, ValidationError, confidences, dumps_canonical, load_dataset,
-                          sigmoid)
+from mlcalib.core import Manifest, ValidationError, confidences, dumps_canonical, sigmoid
 from mlcalib.metrics import aggregate_multilabel, per_class_scores, pooled_reliability, calibration_scores
+from mlcalib.rowfiles import load_dataset
 from mlcalib.synth import LatentSpec, SynthConfig, generate, latent_means, write_fixture
 
 
