@@ -6,6 +6,8 @@ over-, and under-confidence variants), and fits temperature or Platt scaling
 on a held-out calibration split to shrink the miscalibration it found.
 """
 
+__version__ = "0.1.0"
+
 from .core import (
     EvalDataset,
     Manifest,
@@ -46,7 +48,6 @@ from .report import (
     load_report,
     relative_improvement,
     render_reliability_svg,
-    tool_version,
 )
 from .rowfiles import load_dataset
 from .scaling import (
@@ -112,9 +113,3 @@ __all__ = [
     "split_first_minutes",
     "write_fixture",
 ]
-
-
-def __getattr__(name):
-    if name == "__version__":  # looked up on first use, not at import
-        return tool_version()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

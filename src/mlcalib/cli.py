@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .core import NumericalError, ValidationError
@@ -156,7 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _shown(text: str) -> str:
     """``text`` as a report shows it: an argv byte that is not UTF-8, which
-    Python holds as a lone surrogate, as its ``\\x`` escape."""
+    Python holds as a lone surrogate in U+DC80..U+DCFF, as its ``\\x``
+    escape, and any other lone surrogate, which only a caller of main can
+    pass, as its ``\\u`` escape."""
+    text = re.sub(r"[\ud800-\udc7f\udd00-\udfff]", lambda m: f"\\u{ord(m[0]):04x}", text)
     return os.fsencode(text).decode("utf-8", "backslashreplace")
 
 

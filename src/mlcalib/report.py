@@ -15,26 +15,13 @@ checked by ``core.json_field``, as the writer writes it.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from . import __version__
 from .core import ValidationError, dumps_canonical, json_field, read_json
 from .metrics import BinStats, CalibrationScores, ReliabilityCurve, calibration_scores
 from .rowfiles import csv_field
-
-
-@functools.cache
-def tool_version() -> str:
-    """The installed mlcalib version, or 0.0.0 in an uninstalled source
-    tree.  It is looked up when first asked for, not when the package is
-    imported, so only a command that builds a report pays for it."""
-    import importlib.metadata
-
-    try:
-        return importlib.metadata.version("mlcalib")
-    except importlib.metadata.PackageNotFoundError:
-        return "0.0.0"
 
 
 SCHEMA_VERSION = 1
@@ -116,7 +103,7 @@ class Report:
     curves: tuple
     params: dict
     split_summary: dict | None = None
-    version: str = field(default_factory=tool_version)
+    version: str = __version__
 
 
 def _scores_dict(s: CalibrationScores, keys=("ece", "mcs", "ocs", "ucs", "weight")) -> dict:

@@ -142,6 +142,55 @@ def oracle_pooled_curve(prob_matrix, label_matrix, m_bins):
     return oracle_curve(conf, labels, m_bins)
 
 
+def oracle_weighted_scores(classes, scope):
+    """The positive-count weighted quadruple of ``classes``, (n_pos, ocs,
+    ucs) triples in the row's class order, as a CalibrationScores field
+    dict.  Each weighted term is multiplied out one class at a time and the
+    terms are finished with np.sum, as the library sums them; ECE and MCS
+    are rebuilt from the averaged OCS and UCS."""
+    weight = 0
+    ocs_terms = []
+    ucs_terms = []
+    for n_pos, ocs, ucs in classes:
+        weight += n_pos
+        ocs_terms.append(float(n_pos) * ocs)
+        ucs_terms.append(float(n_pos) * ucs)
+    ocs = float(np.sum(ocs_terms)) / weight
+    ucs = float(np.sum(ucs_terms)) / weight
+    return {"ece": ocs + ucs, "mcs": ocs - ucs, "ocs": ocs, "ucs": ucs, "scope": scope,
+            "weight": float(weight)}
+
+
+def oracle_frequent_rare(n_pos, target_fraction):
+    """(frequent, rare, k, mass fraction) by repeated selection: the
+    frequent side takes the class with the most positives (ties: the
+    smallest name) until it holds ``target_fraction`` of all positives, and
+    the rest, in the same order, are rare.  Classes without positives are
+    on neither side."""
+    left = {name: cnt for name, cnt in n_pos.items() if cnt > 0}
+    total = sum(left.values())
+    taken = []
+    while left:
+        name = min(left, key=lambda n: (-left[n], n))
+        taken.append((name, left.pop(name)))
+    frequent = []
+    mass = 0
+    for name, cnt in taken:
+        if mass >= target_fraction * total:
+            break
+        frequent.append(name)
+        mass += cnt
+    rare = tuple(name for name, _ in taken[len(frequent):])
+    return tuple(frequent), rare, len(frequent), mass / total
+
+
+def oracle_relative_improvement(base_mcs, new_mcs):
+    """100 * (|base| - |new|) / |base|, or None where Base's MCS is 0."""
+    if base_mcs == 0.0:
+        return None
+    return 100.0 * (abs(base_mcs) - abs(new_mcs)) / abs(base_mcs)
+
+
 def oracle_read_matrix_csv(path, kind):
     """The matrix CSV reader as ``csv.reader`` plus ``float()`` per cell.
 

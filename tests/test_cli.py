@@ -10,12 +10,14 @@ import stat
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mlcalib
 from mlcalib import cli, report, rowfiles, synth
 from mlcalib.cli import main
 from mlcalib.core import sigmoid
@@ -666,14 +668,18 @@ def test_csv_report_shows_a_name_that_is_not_utf8_escaped(tmp_path, small):
     assert models == {"p\\xff"}
 
 
-@pytest.mark.parametrize("command, where", [("evaluate", "name"), ("fit", "tag")])
+@pytest.mark.parametrize("command, where", [("evaluate", "name"), ("fit", "tag"),
+                                            ("evaluate", "\ud800")])
 def test_argv_that_is_not_utf8_reaches_the_report_escaped(tmp_path, small, command, where):
     """A predictions name or a --tag that is not UTF-8 shows in the report
-    as its \\x escape, and plot draws that report."""
+    as its \\x escape, a --tag holding a lone surrogate that no argv byte
+    makes as its \\u escape, and plot draws that report."""
     if where == "name":
         paths, tag, model = _not_utf8_name(tmp_path, small), [], "p\\xff"
-    else:
+    elif where == "tag":
         paths, tag, model = small, ["--tag", os.fsdecode(b"m\xff")], "m\\xff"
+    else:
+        paths, tag, model = small, ["--tag", where], "\\ud800"
     assert main([*_argv(command, paths, tmp_path / "out"), *tag]) == 0
     report = str(tmp_path / "out" / "report.json")
     doc = load_report(report)
@@ -1240,21 +1246,36 @@ class TestImports:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] None False"
 
-    def test_version_is_looked_up_only_for_a_report(self):
-        """Importing the CLI does not load importlib.metadata; the package
-        version and a report's version are the same lookup."""
+    def test_a_report_names_the_package_version(self, tmp_path):
+        """evaluate writes mlcalib.__version__ into its report, installed or
+        not, and nothing on the way loads importlib.metadata."""
+        paths = _synth(tmp_path / "fx", n=60, c=2)
         code = (
-            "import sys, mlcalib.cli\n"
-            "print('importlib.metadata' in sys.modules)\n"
-            "import mlcalib\n"
-            "print(mlcalib.__version__ == mlcalib.Report({}, (), (), {}).version)\n"
+            "import sys\n"
+            "from mlcalib.cli import main\n"
+            "code = main(['evaluate', *sys.argv[1:]])\n"
+            "print(code, 'importlib.metadata' in sys.modules)\n"
         )
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
+        done = subprocess.run([sys.executable, "-c", code, *_data_flags(paths),
+                               "--out", str(tmp_path / "ev")],
+                              env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines() == ["False", "True"]
+        assert done.stdout.splitlines()[-1] == "0 False"
+        doc = load_report(str(tmp_path / "ev" / "report.json"))
+        assert doc["tool"] == {"name": "mlcalib", "version": mlcalib.__version__}
+
+    def test_pyproject_reads_the_package_version(self):
+        """The build takes its version from mlcalib.__version__, the one
+        place it is written."""
+        pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+        root = pathlib.Path(__file__).resolve().parent.parent
+        with warnings.catch_warnings():
+            # setuptools before 68 calls [tool.setuptools] beta
+            warnings.simplefilter("ignore", UserWarning)
+            config = pyprojecttoml.read_configuration(root / "pyproject.toml")
+        assert config["project"]["version"] == mlcalib.__version__
 
 
 # values a fuzzed JSON field is set to; _DELETE removes the field instead

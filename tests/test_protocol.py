@@ -39,7 +39,10 @@ from oracles import (
     oracle_average_precision,
     oracle_bin_sums,
     oracle_bin_sums_scores,
+    oracle_frequent_rare,
+    oracle_relative_improvement,
     oracle_split_first_minutes,
+    oracle_weighted_scores,
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -604,7 +607,11 @@ def _check_against_oracles(datasets, result, m_bins):
     """Every row and curve of a per-class run_benchmark result against the
     loop oracles, computed scope by scope from the datasets: a dataset_id
     scope holds its rows in dataset order, "All" holds the dataset_id
-    scopes in sorted order, and a class's column concatenates its rows."""
+    scopes in sorted order, and a class's column concatenates its rows.
+    A row's aggregates come from the oracle's per-class numbers in the
+    row's class order, its subsets from run_benchmark's default target
+    fraction, 0.5, and a fit's |MCS| improvement from the oracle's Base
+    MCS of the same scope; every comparison is exact."""
     held_out = result.split_summary["calib_dataset"] if result.split_summary else None
     by_id = {}
     for k, d in enumerate(datasets):
@@ -620,6 +627,7 @@ def _check_against_oracles(datasets, result, m_bins):
     want_order = [(scope, label) for scope, _ in scopes for label in confs]
     assert [(r.scope, r.method) for r in result.rows] == want_order
     assert [(c.scope, c.method) for c in result.curves] == want_order
+    base_mcs = {}  # scope -> the oracle's MCS of its Base row, which comes first
     for row, entry in zip(result.rows, result.curves):
         parts = dict(scopes)[row.scope]
         chunks = [
@@ -630,6 +638,7 @@ def _check_against_oracles(datasets, result, m_bins):
         names = list(dict.fromkeys(n for classes, _, _ in chunks for n in classes))
         assert [m.class_id for m in row.per_class] == names
         aps = []
+        classes = {}  # class_id -> the oracle's (n_pos, ocs, ucs), in row order
         for got in row.per_class:
             cols = [(c[:, cl.index(got.class_id)], y[:, cl.index(got.class_id)])
                     for cl, c, y in chunks if got.class_id in cl]
@@ -638,10 +647,30 @@ def _check_against_oracles(datasets, result, m_bins):
             want, _ = oracle_bin_sums_scores(conf, labels, m_bins)
             assert (got.scores.ocs, got.scores.ucs) == (want["ocs"], want["ucs"])
             assert got.ap == oracle_average_precision(conf, labels)
-            assert got.n_pos == int(labels.sum())
+            n_pos = int(labels.sum())
+            assert got.n_pos == n_pos
+            classes[got.class_id] = (n_pos, want["ocs"], want["ucs"])
             if got.ap is not None:
                 aps.append(got.ap)
         assert row.cmap == (float(np.mean(aps)) if aps else None)
+        overall = oracle_weighted_scores(classes.values(), row.scope)
+        assert dataclasses.asdict(row.scores) == overall
+        frequent, rare, k, mass = oracle_frequent_rare(
+            {name: n_pos for name, (n_pos, _, _) in classes.items()}, 0.5)
+        assert (row.frequent_classes, row.frequent_k, row.frequent_mass_fraction,
+                row.rare_classes) == (frequent, k, mass, rare)
+        subset = {side: oracle_weighted_scores(
+            [t for name, t in classes.items() if name in picked], f"{row.scope}:{side}")
+            for side, picked in (("frequent", frequent), ("rare", rare)) if picked}
+        assert dataclasses.asdict(row.frequent_scores) == subset["frequent"]
+        assert (row.rare_scores and dataclasses.asdict(row.rare_scores)) == subset.get("rare")
+        if row.method == "base":
+            base_mcs[row.scope] = overall["mcs"]
+            assert (row.rel_improvement_mcs, row.params_ref) == (None, None)
+        else:
+            rel = oracle_relative_improvement(base_mcs[row.scope], overall["mcs"])
+            assert row.rel_improvement_mcs == (NOT_APPLICABLE if rel is None else rel)
+            assert row.params_ref == row.method
         # the pooled curve adds each chunk's row-major sums in chunk order
         sums = [oracle_bin_sums(c.ravel(), y.ravel(), m_bins) for _, c, y in chunks]
         for m, b in enumerate(entry.curve.bins):
