@@ -10,13 +10,19 @@ blocks, so their temporaries stay one block long.
 
 JSON files are read as UTF-8 whatever the locale, and every JSON field
 that the manifest, params and report loaders read is checked against one
-table of kinds, through :func:`json_field`.  The matrix CSVs, the file
-triple's loader and every output are :mod:`mlcalib.rowfiles`'s, which
-builds on this module; this module imports no other of the package.
+table of kinds, through :func:`json_field`.  JSON text is this module's
+alone: :func:`dumps_canonical` writes every document, and
+:func:`manifest_rows` writes the same bytes for manifest rows, from plain
+ids and times and without building the row objects; it and
+:func:`read_manifest` take the manifest's fields from one table.  The
+matrix CSVs, the file triple's loader and every output are
+:mod:`mlcalib.rowfiles`'s, which builds on this module; this module
+imports no other of the package.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -464,6 +470,25 @@ def dumps_canonical(obj) -> str:
 
 # each manifest field and its JSON kind; ids are read as their decimal text
 _MANIFEST_KINDS = dict(sample_id="id", dataset_id="id", start_s="number", duration_s="number")
+# per kind, the type of a Manifest column's values and the text of a value
+# in a manifest row: an id's JSON string, a time's 17 significant digits
+_MANIFEST_VALUES = {"id": (str, "{}"), "number": (float, "{:.17g}")}
+# one manifest row as dumps_canonical writes it in a list, and the list's ends
+_MANIFEST_ROW = "  {{\n" + ",\n".join(f'    "{name}": {_MANIFEST_VALUES[kind][1]}'
+                                      for name, kind in _MANIFEST_KINDS.items()) + "\n  }}"
+MANIFEST_ENDS = ("[\n", "\n]\n")
+
+
+def manifest_rows(sample_ids, dataset_ids, start_s, duration_s, after: bool = False) -> list:
+    """The UTF-8 text of manifest rows, as a list of at most one bytes: the
+    bytes dumps_canonical gives for these row objects in a list, between
+    MANIFEST_ENDS, without building them.  The columns are read lazily, up
+    to the end of the shortest, and each distinct dataset_id is encoded
+    once.  With ``after`` the rows follow others, and start with the comma
+    that ends the one before."""
+    text = ",\n".join(map(_MANIFEST_ROW.format, map(json.dumps, sample_ids),
+                          map(functools.cache(json.dumps), dataset_ids), start_s, duration_s))
+    return [((",\n" if after else "") + text).encode("utf-8")] if text else []
 
 
 def read_manifest(path: str) -> Manifest:
@@ -482,12 +507,8 @@ def read_manifest(path: str) -> Manifest:
             for name, kind in _MANIFEST_KINDS.items():
                 json_field(row, name, f"manifest file {path} row {i}", kind)
     try:
-        return Manifest(
-            sample_id=tuple(map(str, map(itemgetter("sample_id"), doc))),
-            dataset_id=tuple(map(str, map(itemgetter("dataset_id"), doc))),
-            start_s=list(map(float, map(itemgetter("start_s"), doc))),
-            duration_s=list(map(float, map(itemgetter("duration_s"), doc))),
-        )
+        return Manifest(**{name: tuple(map(_MANIFEST_VALUES[kind][0], map(itemgetter(name), doc)))
+                           for name, kind in _MANIFEST_KINDS.items()})
     except ValidationError as exc:
         raise ValidationError(f"manifest file {path} {exc}") from None
     except OverflowError:

@@ -418,8 +418,9 @@ def fit(
     column whose optimum lies outside T in [T_MIN, T_MAX] (anti-correlated
     scores, a* <= 0, or separable ones, a* -> inf, ties at the class
     boundary included) ends with T on that edge and b refitted.  Both
-    cases are recorded in the trace.  Non-finite logits raise
-    NumericalError.  Returns the fitted ScalingParams and a FitTrace.
+    cases are recorded in the trace.  Non-finite logits, and logits so
+    large that scaling them overflows, raise NumericalError.  Returns the
+    fitted ScalingParams and a FitTrace.
     """
     if cfg is None:
         cfg = FitConfig()
@@ -447,22 +448,25 @@ def fit(
         shape = start.tau.shape
         return replace(start, tau=np.reshape(tau_v, shape), bias=np.reshape(bias_v, shape))
 
-    nll_initial = bce_nll(z, y, start)
-    history = None
-    record = None
-    if cfg.record_history:
-        history = [nll_initial]
+    try:  # logits near the float maximum overflow once scaled: one error, no warnings
+        with np.errstate(over="raise", invalid="raise"):
+            nll_initial = bce_nll(z, y, start)
+            history = record = None
+            if cfg.record_history:
+                history = [nll_initial]
 
-        def record(tau_v, bias_v):
-            history.append(bce_nll(z, y, as_params(tau_v, bias_v)))
+                def record(tau_v, bias_v):
+                    history.append(bce_nll(z, y, as_params(tau_v, bias_v)))
 
-    a, bias, iterations, col_converged = _newton(
-        z_cols, y_cols, method == PS, fit_cols, cfg.steps, record
-    )
-    tau = -np.log(a) + 0.0  # +0.0 (not -0.0) for a = 1
+            a, bias, iterations, col_converged = _newton(
+                z_cols, y_cols, method == PS, fit_cols, cfg.steps, record
+            )
+            tau = -np.log(a) + 0.0  # +0.0 (not -0.0) for a = 1
+            params = as_params(tau, bias)
+            nll_final = bce_nll(z, y, params)
+    except FloatingPointError:
+        raise NumericalError("the calibration logits are too large to scale") from None
     at_edge = (a <= _A_MIN) | (a >= _A_MAX)
-    params = as_params(tau, bias)
-    nll_final = bce_nll(z, y, params)
     trace = FitTrace(
         steps=cfg.steps,
         nll_initial=nll_initial,

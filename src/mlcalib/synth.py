@@ -17,23 +17,21 @@ and formats its text of every file, so no process holds an N x C matrix.
 predictions.csv holds the ``repr`` of each logit.  labels.csv is written
 from a bool matrix, whose text comes from one uint8 matrix per part: a
 ``0`` or ``1`` byte per cell, with the commas and line ends between them.
-Each manifest row is one string template filled with the ``json.dumps``
-of its ids and the ``.17g`` text of its times: the bytes
-``dumps_canonical`` gives for the list of row objects, without building
-them.  :func:`generate` builds its dataset from the same rows.
+manifest.json's rows come from ``core.manifest_rows``, which gets the
+plain ids and times of each part's rows, so this module formats no JSON.
+:func:`generate` builds its dataset from the same rows, times included.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EvalDataset, Manifest, ValidationError, check_cells, dumps_canonical, ndtri,
-                   sigmoid)
+from .core import (MANIFEST_ENDS, EvalDataset, Manifest, ValidationError, check_cells,
+                   dumps_canonical, manifest_rows, ndtri, sigmoid)
 from .rowfiles import free_bytes, matrix_head, matrix_rows, write_rows
 
 _STREAM_LOGITS = 0
@@ -184,8 +182,8 @@ def _plan(cfg: SynthConfig) -> _Plan:
 
 def _rows(cfg: SynthConfig, plan: _Plan, start: int, stop: int):
     """Rows ``start:stop`` of the fixture, from the counters ``start * C``
-    to ``stop * C`` of each stream: (sample ids, logits, bool labels).  A
-    non-finite logit is an error that names its row and class."""
+    to ``stop * C`` of each stream: (sample ids, start times, logits, bool
+    labels).  A non-finite logit is an error that names its row and class."""
     c, count = cfg.c, (stop - start) * cfg.c
     z = plan.means + plan.stddev * ndtri(
         _uniforms(cfg.seed, _STREAM_LOGITS, count, start * c).reshape(-1, c))
@@ -194,7 +192,7 @@ def _rows(cfg: SynthConfig, plan: _Plan, start: int, stop: int):
         p_true = sigmoid(z / plan.true_t + plan.true_b)
     labels = _uniforms(cfg.seed, _STREAM_LABELS, count, start * c).reshape(-1, c) < p_true
     ids = [f"{cfg.dataset_id}-{i:0{plan.width}d}" for i in range(start, stop)]
-    return ids, z, labels
+    return ids, np.arange(start, stop) * float(cfg.clip_duration_s), z, labels
 
 
 def _truth(cfg: SynthConfig, plan: _Plan) -> dict:
@@ -221,13 +219,9 @@ def generate(cfg: SynthConfig):
     writes.
     """
     plan = _plan(cfg)
-    ids, z, labels = _rows(cfg, plan, 0, cfg.n)
-    meta = Manifest(
-        sample_id=tuple(ids),
-        dataset_id=(cfg.dataset_id,) * cfg.n,
-        start_s=np.arange(cfg.n) * float(cfg.clip_duration_s),
-        duration_s=np.full(cfg.n, cfg.clip_duration_s),
-    )
+    ids, start_s, z, labels = _rows(cfg, plan, 0, cfg.n)
+    meta = Manifest(sample_id=tuple(ids), dataset_id=(cfg.dataset_id,) * cfg.n,
+                    start_s=start_s, duration_s=np.full(cfg.n, cfg.clip_duration_s))
     dataset = EvalDataset(classes=plan.classes, logits=z, labels=labels.astype(np.float64),
                           meta=meta)
     return dataset, _truth(cfg, plan)
@@ -245,22 +239,20 @@ def write_fixture(cfg: SynthConfig, out_dir: str) -> dict:
     """
     plan = _plan(cfg)
     head = matrix_head(plan.classes)
-    dataset_text, duration = json.dumps(cfg.dataset_id), float(cfg.clip_duration_s)
-    need = _least_bytes(cfg, plan, head, dataset_text)
+    need = _least_bytes(cfg, plan, head)
     free = free_bytes(out_dir)
     if free is not None and need > free:
         raise ValidationError(f"N={cfg.n}, C={cfg.c} needs at least {need} bytes of files, "
                               f"but {out_dir} has {free} bytes free")
 
     def rows(start, stop):
-        ids, z, labels = _rows(cfg, plan, start, stop)
-        manifest = _manifest_rows(ids, itertools.repeat(dataset_text),
-                                  (np.arange(start, stop) * duration).tolist(),
-                                  itertools.repeat(duration), start > 0)
+        ids, start_s, z, labels = _rows(cfg, plan, start, stop)
+        manifest = manifest_rows(ids, itertools.repeat(cfg.dataset_id), start_s.tolist(),
+                                 itertools.repeat(float(cfg.clip_duration_s)), start > 0)
         return [matrix_rows(ids, z), matrix_rows(ids, labels), manifest, []]
 
     files = {"predictions.csv": ("CSV", head, ""), "labels.csv": ("CSV", head, ""),
-             "manifest.json": ("manifest", "[\n", "\n]\n"),
+             "manifest.json": ("manifest", *MANIFEST_ENDS),
              "truth.json": ("truth", dumps_canonical(_truth(cfg, plan)) + "\n", "")}
     # a row's labels and its manifest entry each format in about the time
     # of one float cell of its logits
@@ -268,29 +260,11 @@ def write_fixture(cfg: SynthConfig, out_dir: str) -> dict:
     return {name.split(".")[0]: path for name, path in paths.items()}
 
 
-def _least_bytes(cfg: SynthConfig, plan: _Plan, head: str, dataset_text: str) -> int:
+def _least_bytes(cfg: SynthConfig, plan: _Plan, head: str) -> int:
     """A lower bound on the size of a fixture's files: every sample id has
     the same length, every logit prints in at least 3 characters and every
     time in at least 1."""
     first = f"{cfg.dataset_id}-{0:0{plan.width}d}"
-    entry = _MANIFEST_ROW.format(json.dumps(first), dataset_text, 0, 0)
-    row = 2 * (len(first.encode("utf-8")) + 1) + 6 * cfg.c + len(entry.encode("utf-8")) + 2
+    [entry] = manifest_rows([first], [cfg.dataset_id], [0], [0])
+    row = 2 * (len(first.encode("utf-8")) + 1) + 6 * cfg.c + len(entry) + 2
     return 2 * len(head) + cfg.n * row
-
-
-# one manifest row as dumps_canonical writes it in a list: JSON strings for
-# the ids, 17 significant digits for the times
-_MANIFEST_ROW = ('  {{\n    "sample_id": {},\n    "dataset_id": {},\n'
-                 '    "start_s": {:.17g},\n    "duration_s": {:.17g}\n  }}')
-
-
-def _manifest_rows(sample_ids, dataset_texts, start_s, duration_s, after: bool) -> list:
-    """The text of manifest.json rows, the same bytes as dumps_canonical
-    gives for these row objects in a list.  ``dataset_texts`` holds the
-    JSON text of each row's dataset_id.  With ``after`` the rows follow
-    others, and start with the comma that ends the one before."""
-    text = ",\n".join(map(_MANIFEST_ROW.format, map(json.dumps, sample_ids), dataset_texts,
-                          start_s, duration_s))
-    if not text:
-        return []
-    return [((",\n" if after else "") + text).encode("utf-8")]

@@ -304,6 +304,29 @@ class TestFitCommand:
         assert main([*_argv("fit", small, tmp_path / "out"), "--svg"]) == 0
         assert len(calls) == 1
 
+    def test_logits_too_large_to_scale_exit_3(self, tmp_path, capsys):
+        # +-1e308 overflows once scaled: the first three clips calibrate, all
+        # their positives score 1e308 and so does one negative
+        paths = {key: str(tmp_path / name) for key, name in
+                 (("predictions", "p.csv"), ("labels", "l.csv"), ("manifest", "m.json"))}
+        logits = ["1e308,-1e308", "-1e308,1e308"] * 3
+        labels = ["1,0", "0,1", "0,0", "0,1", "1,0", "0,1"]
+        for key, cells in (("predictions", logits), ("labels", labels)):
+            pathlib.Path(paths[key]).write_text(
+                "sample_id,a,b\n" + "".join(f"s{i},{c}\n" for i, c in enumerate(cells)))
+        pathlib.Path(paths["manifest"]).write_text(json.dumps(
+            [{"sample_id": f"s{i}", "dataset_id": "d", "start_s": 5.0 * i, "duration_s": 5.0}
+             for i in range(6)]))
+        out = tmp_path / "fit"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", *_data_flags(paths), "--method", "ps", "--scope", "global",
+                         "--first-minutes", "0.2", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical error: the calibration logits are too large to scale\n")
+        assert not out.exists()
+
     def test_split_flags_are_exclusive(self, tmp_path):
         paths = _synth(tmp_path / "fx")
         with pytest.raises(SystemExit) as exc:
@@ -738,6 +761,28 @@ class TestInputBoundaries:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"{which} file {huge} is not valid JSON" in err and "4300" in err
+
+    @pytest.mark.parametrize("which, content, want", [
+        ("manifest", None, "cannot read manifest file {}: "),
+        ("manifest", "directory", "cannot read manifest file {}: "),
+        ("params", "[]", "params file {} must hold a JSON object"),
+        ("report", '{"curves": []}', "report file {} is not a report document"),
+        ("manifest", '[{"sample_id": "s0", "dataset_id": "d", "start_s": 1' + "0" * 399
+         + ', "duration_s": 5.0}]', "manifest file {}: a time is too large for a float"),
+    ], ids=["manifest-missing", "manifest-directory", "params-list", "report-without-rows",
+            "manifest-time-400-digits"])
+    def test_json_loader_refusal_exits_2(self, tmp_path, capsys, small, which, content, want):
+        path = tmp_path / "in.json"
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_text(content)
+        argv = _argv({"manifest": "evaluate", "params": "apply", "report": "plot"}[which],
+                     dict(small, **{which: str(path)}), tmp_path / "out")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + want.format(path)) and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "tau, b, want",

@@ -3,8 +3,8 @@
 Every import sits at module level, imports between modules name only
 public attributes, core imports no other module of the package, files
 reach the disk only through the one writer of rowfiles, with an explicit
-encoding, only rowfiles' parts helper starts processes, and only the
-solver's loss computes a binary cross-entropy.
+encoding, only rowfiles' parts helper starts processes, only the solver's
+loss computes a binary cross-entropy, and only core writes JSON text.
 """
 
 import ast
@@ -246,3 +246,33 @@ def test_the_solver_loss_calls_logaddexp():
     # keeps the loss rule from passing on a walker that finds nothing
     found = {func for func, node in _nodes(_parse(SRC / "scaling.py")) if _is_logaddexp(node)}
     assert found == {"_column_losses"}
+
+
+def _is_dumps(node):
+    """True for json.dumps, called or not, and for a bare dumps."""
+    return ((isinstance(node, ast.Attribute) and node.attr == "dumps"
+             and isinstance(node.value, ast.Name) and node.value.id == "json")
+            or (isinstance(node, ast.Name) and node.id == "dumps"))
+
+
+def _json_text(tree):
+    """The lines of ``tree`` that use json.dumps outside a raise statement."""
+    raised = {id(inner) for _, node in _nodes(tree) if isinstance(node, ast.Raise)
+              for inner in ast.walk(node)}
+    return [node.lineno for _, node in _nodes(tree) if _is_dumps(node) and id(node) not in raised]
+
+
+def test_only_core_writes_json_text(module):
+    # core owns the JSON layout; elsewhere json.dumps only quotes a value in an error
+    name, tree = module
+    assert name == "core.py" or [f"{name}:{line}" for line in _json_text(tree)] == []
+
+
+def test_the_json_text_walker_sees_dumps():
+    # keeps the rule above from passing on a walker that finds nothing: it
+    # sees core's uses, passes scaling's, which sit in a raise, and sees
+    # json.dumps passed to map inside a function
+    assert _json_text(_parse(SRC / "core.py"))
+    scaling = _parse(SRC / "scaling.py")
+    assert any(_is_dumps(node) for _, node in _nodes(scaling)) and _json_text(scaling) == []
+    assert _json_text(ast.parse("import json\ndef f(x):\n    return map(json.dumps, x)\n")) == [3]

@@ -606,17 +606,24 @@ class TestSplitSpecValidation:
 def _check_against_oracles(datasets, result, m_bins):
     """Every row and curve of a per-class run_benchmark result against the
     loop oracles, computed scope by scope from the datasets: a dataset_id
-    scope holds its rows in dataset order, "All" holds the dataset_id
+    scope holds its evaluation rows in dataset order (those of
+    oracle_split_first_minutes for a first-minutes split, the rows of
+    every other dataset_id for a held-out one), "All" holds the dataset_id
     scopes in sorted order, and a class's column concatenates its rows.
     A row's aggregates come from the oracle's per-class numbers in the
     row's class order, its subsets from run_benchmark's default target
     fraction, 0.5, and a fit's |MCS| improvement from the oracle's Base
     MCS of the same scope; every comparison is exact."""
-    held_out = result.split_summary["calib_dataset"] if result.split_summary else None
+    split = result.split_summary or {}
     by_id = {}
     for k, d in enumerate(datasets):
-        for ds_id in sorted(set(d.meta.dataset_id) - {held_out}):
-            rows = [i for i, name in enumerate(d.meta.dataset_id) if name == ds_id]
+        if split.get("kind") == "first-minutes":
+            evaluation = oracle_split_first_minutes(d, split["minutes"])[1].tolist()
+        else:
+            evaluation = [i for i, name in enumerate(d.meta.dataset_id)
+                          if name != split.get("calib_dataset")]
+        for ds_id in sorted({d.meta.dataset_id[i] for i in evaluation}):
+            rows = [i for i in evaluation if d.meta.dataset_id[i] == ds_id]
             by_id.setdefault(ds_id, []).append((k, rows))
     scopes = [(ds_id, by_id[ds_id]) for ds_id in sorted(by_id)]
     if len(scopes) > 1:
@@ -683,24 +690,38 @@ def _check_against_oracles(datasets, result, m_bins):
             assert (b.conf, b.acc) == want
 
 
+# clip durations and first-minutes windows, in multiples of 1/64 s: every
+# running total is exact, so clips often start right at a window's end
+_CLIP_GRID = [0.25, 0.46875, 0.9375, 1.875]
+_SPLITS = [SplitSpec("held-out-dataset", calib_dataset="cal"),
+           *(SplitSpec("first-minutes", minutes=m) for m in (1 / 64, 1 / 32, 1 / 16, 1 / 8))]
+
+
 @st.composite
 def _scoped_datasets(draw):
     """One to three datasets whose rows interleave one to four dataset_ids
-    plus the held-out "cal", with class tuples that differ.  Confidences
-    are verbatim probabilities from a grid with ties, 0.0, 1.0 and bin
-    edges.  With ``separable`` the "cal" rows are labelled by the sign of
-    their logits, so the fit ends at T_MIN and maps most evaluation cells
-    to exactly 0 or 1, creating ties that Base does not have."""
+    plus "cal", with class tuples that differ or, when so drawn, one tuple
+    that all share.  Confidences are verbatim probabilities from a grid
+    with ties, 0.0, 1.0 and bin edges.  With ``separable`` the "cal" rows
+    are labelled by the sign of their logits, so a held-out fit ends at
+    T_MIN and maps most evaluation cells to exactly 0 or 1, creating ties
+    that Base does not have.  Each dataset_id's rows end with an 8 s clip
+    and then one positive for the first class, which every split of
+    _SPLITS evaluates: every evaluation scope has a positive."""
     ids = draw(st.lists(st.sampled_from("pqrs"), min_size=1, max_size=4, unique=True))
     separable = draw(st.booleans())
+    shared = draw(st.booleans())
     grid = [0.0, 0.1, 0.2, 1 / 3, 0.4, 0.5, 2 / 3, 0.7, 0.8, 0.9, 1.0]
     datasets = []
     for k in range(draw(st.integers(1, 3))):
-        classes = tuple(draw(st.permutations("abcd"))[: draw(st.integers(1, 3))])
+        if k == 0 or not shared:
+            classes = tuple(draw(st.permutations("abcd"))[: draw(st.integers(1, 3))])
         rows = draw(st.lists(st.sampled_from([*ids, "cal"]), min_size=1, max_size=12))
         if k == 0:
             rows += ids + ["cal", "cal"]  # every id has rows, and the fit both labels
-        n, c = len(rows), len(classes)
+        names = sorted(set(rows))
+        rows += names + names  # each name's 8 s clip, then its last clip
+        n, c, tail = len(rows), len(classes), len(names)
         probs = np.array(draw(st.lists(st.sampled_from(grid), min_size=n * c, max_size=n * c)))
         probs = probs.reshape(n, c)
         labels = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n * c,
@@ -709,12 +730,14 @@ def _scoped_datasets(draw):
         cal = np.array(rows) == "cal"
         if separable:
             labels[cal] = (logits[cal] > 0).astype(float)
-        first = [rows.index(name) for name in set(rows)]
-        labels[first, 0] = 1.0  # a positive in every scope
+        labels[n - tail :, 0] = 1.0  # a positive in every scope
         if k == 0:
-            labels[-2:, 0], logits[-2:, 0], probs[-2:, 0] = (1.0, 0.0), (2.0, -2.0), (1.0, 0.0)
+            pair = slice(n - 2 * tail - 2, n - 2 * tail)  # the two "cal" rows added above
+            labels[pair, 0], logits[pair, 0], probs[pair, 0] = (1.0, 0.0), (2.0, -2.0), (1.0, 0.0)
+        durations = np.array(draw(st.lists(st.sampled_from(_CLIP_GRID), min_size=n, max_size=n)))
+        durations[n - 2 * tail : n - tail] = 8.0  # longer than any window of _SPLITS
         meta = Manifest(tuple(f"s{i}" for i in range(n)), tuple(rows),
-                        np.arange(n, dtype=float), np.ones(n))
+                        np.arange(n, dtype=float), durations)
         datasets.append(EvalDataset(classes, logits, labels, meta, probs=probs))
     return datasets
 
@@ -724,10 +747,14 @@ def _scoped_datasets(draw):
     datasets=_scoped_datasets(),
     m_bins=st.sampled_from([1, 2, 3, 5, 10]),
     method=st.sampled_from(["ts", "ps"]),
+    split=st.sampled_from(_SPLITS),
+    per_class=st.booleans(),
 )
-def test_run_benchmark_matches_oracles_scope_by_scope(datasets, m_bins, method):
-    split = SplitSpec(kind="held-out-dataset", calib_dataset="cal")
-    result = run_benchmark(datasets, m_bins=m_bins, split=split, methods=[(method, "global")],
+def test_run_benchmark_matches_oracles_scope_by_scope(datasets, m_bins, method, split,
+                                                      per_class):
+    # a per-class fit needs one class tuple across the datasets
+    scope = "per-class" if per_class and len({d.classes for d in datasets}) == 1 else "global"
+    result = run_benchmark(datasets, m_bins=m_bins, split=split, methods=[(method, scope)],
                            include_per_class=True)
     _check_against_oracles(datasets, result, m_bins)
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlcalib import synth
-from mlcalib.core import Manifest, ValidationError, confidences, dumps_canonical, sigmoid
+from mlcalib.core import (Manifest, ValidationError, confidences, dumps_canonical,
+                          manifest_rows, sigmoid)
 from mlcalib.metrics import aggregate_multilabel, per_class_scores, pooled_reliability, calibration_scores
 from mlcalib.rowfiles import load_dataset
 from mlcalib.synth import LatentSpec, SynthConfig, generate, latent_means, write_fixture
@@ -192,8 +193,8 @@ class TestManifestTemplate:
         cut = data.draw(st.integers(0, n))  # where a second part starts
 
         def rows(start, stop):
-            return synth._manifest_rows(
-                meta.sample_id[start:stop], map(json.dumps, meta.dataset_id[start:stop]),
+            return manifest_rows(
+                meta.sample_id[start:stop], meta.dataset_id[start:stop],
                 meta.start_s[start:stop].tolist(), meta.duration_s[start:stop].tolist(), start > 0)
 
         parts = rows(0, cut) + rows(cut, n)
