@@ -11,13 +11,13 @@ blocks, so their temporaries stay one block long.
 JSON files are read as UTF-8 whatever the locale, and every JSON field
 that the manifest, params and report loaders read is checked against one
 table of kinds, through :func:`json_field`.  JSON text is this module's
-alone: :func:`dumps_canonical` writes every document, and
-:func:`manifest_rows` writes the same bytes for manifest rows, from plain
-ids and times and without building the row objects; it and
-:func:`read_manifest` take the manifest's fields from one table.  The
-matrix CSVs, the file triple's loader and every output are
-:mod:`mlcalib.rowfiles`'s, which builds on this module; this module
-imports no other of the package.
+alone: :func:`dumps_canonical` writes every document by ``json.dumps``,
+each float as its repr as in the matrix CSVs, and :func:`manifest_rows`
+writes the same bytes for manifest rows, from plain ids and times and
+without building the row objects; it and :func:`read_manifest` take the
+manifest's fields from one table.  The matrix CSVs, the file triple's
+loader and every output are :mod:`mlcalib.rowfiles`'s, which builds on
+this module; this module imports no other of the package.
 """
 
 from __future__ import annotations
@@ -415,67 +415,33 @@ def read_json(path: str, kind: str):
         ) from None
 
 
-def _append_json(obj, out: list, level: int):
-    pad = "  " * level
-    pad_in = pad + "  "
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise NumericalError(f"non-finite value in report: {x!r}")
-        out.append(format(x, ".17g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise ValidationError(f"JSON object keys must be strings, got {key!r}")
-            out.append(pad_in)
-            out.append(json.dumps(key))
-            out.append(": ")
-            _append_json(val, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not len(obj):
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, val in enumerate(obj):
-            out.append(pad_in)
-            _append_json(val, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        raise ValidationError(f"cannot serialize {type(obj).__name__} to JSON")
+def _json_default(obj):  # a numpy scalar that is not a Python int, float or str
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise ValidationError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: insertion-ordered keys, two-space indents,
-    17-significant-digit floats (so float64 values survive a parse round
-    trip bit-exactly)."""
-    out: list = []
-    _append_json(obj, out, 0)
-    return "".join(out)
+    """Deterministic JSON text, ``json.dumps`` with insertion-ordered keys
+    and two-space indents: a float prints as its repr, as in the matrix
+    CSVs, which reads back as the same float64, an integral one with its
+    ``.0``.  A numpy scalar is written as its Python value."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False, default=_json_default)
+    except ValueError as exc:  # json's text ends in the value's repr
+        head, _, value = str(exc).rpartition(": ")
+        if head != "Out of range float values are not JSON compliant":  # a circular reference
+            raise
+        value = value.split("(")[-1].rstrip(")")  # numpy 2 prints np.float64(nan)
+        raise NumericalError(f"non-finite value in report: {value}") from None
 
 
 # each manifest field and its JSON kind; ids are read as their decimal text
 _MANIFEST_KINDS = dict(sample_id="id", dataset_id="id", start_s="number", duration_s="number")
-# per kind, the type of a Manifest column's values and the text of a value
-# in a manifest row: an id's JSON string, a time's 17 significant digits
-_MANIFEST_VALUES = {"id": (str, "{}"), "number": (float, "{:.17g}")}
-# one manifest row as dumps_canonical writes it in a list, and the list's ends
-_MANIFEST_ROW = "  {{\n" + ",\n".join(f'    "{name}": {_MANIFEST_VALUES[kind][1]}'
-                                      for name, kind in _MANIFEST_KINDS.items()) + "\n  }}"
+_MANIFEST_VALUES = {"id": str, "number": float}  # the type of a Manifest column's values
+# one manifest row as dumps_canonical writes it in a list, an id as its
+# JSON string and a time as its repr, and the list's ends
+_MANIFEST_ROW = "  {{\n" + ",\n".join(f'    "{name}": {{}}' for name in _MANIFEST_KINDS) + "\n  }}"
 MANIFEST_ENDS = ("[\n", "\n]\n")
 
 
@@ -507,7 +473,7 @@ def read_manifest(path: str) -> Manifest:
             for name, kind in _MANIFEST_KINDS.items():
                 json_field(row, name, f"manifest file {path} row {i}", kind)
     try:
-        return Manifest(**{name: tuple(map(_MANIFEST_VALUES[kind][0], map(itemgetter(name), doc)))
+        return Manifest(**{name: tuple(map(_MANIFEST_VALUES[kind], map(itemgetter(name), doc)))
                            for name, kind in _MANIFEST_KINDS.items()})
     except ValidationError as exc:
         raise ValidationError(f"manifest file {path} {exc}") from None

@@ -6,7 +6,7 @@ JSON or CSV text, which the caller writes; :func:`plot_scope` and
 :func:`scope_curves` read a scope's diagram back from a document, for
 --svg and for plot alike.
 Every output is byte-deterministic: JSON is ``core.dumps_canonical`` text
-(17 significant digits, a lossless float64 round trip), a CSV cell comes
+(each float its repr, a lossless float64 round trip), a CSV cell comes
 from a row document through ``CSV_COLUMNS`` and is quoted by
 ``rowfiles.csv_field``, and the SVG comes from format strings with no
 timestamps or environment-dependent content.  Each field read back is
@@ -24,7 +24,7 @@ from .metrics import BinStats, CalibrationScores, ReliabilityCurve, calibration_
 from .rowfiles import csv_field
 
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # 2: a float prints as its repr; a version-1 document still loads
 NOT_APPLICABLE = "n/a (already perfect)"
 
 ALL_SCOPE = "All"

@@ -57,6 +57,10 @@ _ROUND_CELLS = 1 << 20
 # bytes of a CSV file read, checked and parsed at a time
 _READ_BYTES = 1 << 18
 
+# the plain read declines a body chunk that holds one of these: a quote, a
+# \r, or U+001C-U+001F, which loadtxt strips around a number but float() refuses
+_NOT_PLAIN_CHARS = '"\r\x1c\x1d\x1e\x1f'
+
 # A matrix CSV is formatted or parsed in contiguous row parts, one per CPU
 # this process may run on and at most _MAX_PARTS.  A part formats at least
 # _PART_CELLS cells or reads at least _PART_BYTES bytes, so that a small
@@ -310,14 +314,15 @@ def _read_matrix_csv(path: str, kind: str):
 
     Cells follow ``csv.reader`` and Python ``float()``.  A plain file is
     parsed here by ``np.loadtxt``, which must agree with them on it: a
-    valid header, UTF-8 text, no quote character, no ``\\r``, no line over
-    the csv field size limit, and exactly one comma per class on every data
-    line (so no blank line).  Cells then split at the same commas, and both
-    parsers strip the same whitespace and hand the rest to
-    ``PyOS_string_to_double``.  A cell that only ``float()`` takes
-    (``1_0``, non-ASCII digits) makes loadtxt raise.  Every other file
-    declines the plain read by raising, _NotPlain or an OSError, and is
-    read by :func:`_read_csv_cells`, which gives every error message.
+    valid header, UTF-8 text, no quote character, no ``\\r`` and no
+    U+001C-U+001F in the body, no line over the csv field size limit, and
+    exactly one comma per class on every data line (so no blank line).
+    Cells then split at the same commas, and both parsers strip the same
+    whitespace and hand the rest to ``PyOS_string_to_double``.  A cell
+    that only ``float()`` takes (``1_0``, non-ASCII digits) makes loadtxt
+    raise.  Every other file declines the plain read by raising, _NotPlain
+    or an OSError, and is read by :func:`_read_csv_cells`, which gives
+    every error message.
 
     The header is read here.  The body is cut at line ends into parts
     (see :func:`_in_parts`); each part reads, checks and parses its own
@@ -435,7 +440,8 @@ def _plain_rows(path: str, n_classes: int, limit: int, values, lo: int, hi: int,
             if text.endswith("\n"):
                 lines.pop()
             n = len(lines)
-            if ('"' in text or "\r" in text or _count_bytes(chunk, b",") != n * n_classes
+            if (any(char in text for char in _NOT_PLAIN_CHARS)
+                    or _count_bytes(chunk, b",") != n * n_classes
                     or max(map(len, lines)) >= limit or row + n > stop):
                 raise _NotPlain
             try:

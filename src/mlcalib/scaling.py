@@ -241,7 +241,8 @@ def apply_scaling(logits, params: ScalingParams) -> np.ndarray:
     if z.ndim != 2:
         raise ValidationError(f"logits must be 2-d, got shape {z.shape}")
     _check_dims(z, params)
-    s = z / np.exp(params.tau)
+    with np.errstate(over="ignore"):  # z / T past the floats is +-inf, of sigmoid 1 or 0
+        s = z / np.exp(params.tau)
     s += params.bias  # in place: the scaled logits are one matrix
     return sigmoid(s)
 
@@ -482,7 +483,7 @@ def fit(
 
 def dump_params(params: ScalingParams, trace: FitTrace | None):
     """The params JSON document of ``params`` and its fit ``trace``, and
-    its text; floats carry 17 significant digits so the round trip is
+    its text; each float prints as its repr, so the round trip is
     bit-exact."""
     doc = params.to_json_dict()
     if trace is not None:

@@ -18,7 +18,9 @@ predictions.csv holds the ``repr`` of each logit.  labels.csv is written
 from a bool matrix, whose text comes from one uint8 matrix per part: a
 ``0`` or ``1`` byte per cell, with the commas and line ends between them.
 manifest.json's rows come from ``core.manifest_rows``, which gets the
-plain ids and times of each part's rows, so this module formats no JSON.
+plain ids and times of each part's rows, and truth.json from
+``core.dumps_canonical``, so this module formats no JSON; each float of
+either is its ``repr``, as in predictions.csv.
 :func:`generate` builds its dataset from the same rows, times included.
 """
 

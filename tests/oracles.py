@@ -147,7 +147,8 @@ def oracle_weighted_scores(classes, scope):
     ucs) triples in the row's class order, as a CalibrationScores field
     dict.  Each weighted term is multiplied out one class at a time and the
     terms are finished with np.sum, as the library sums them; ECE and MCS
-    are rebuilt from the averaged OCS and UCS."""
+    are rebuilt from the averaged OCS and UCS.  Classes without a positive
+    between them are refused, as the library refuses them."""
     weight = 0
     ocs_terms = []
     ucs_terms = []
@@ -155,6 +156,9 @@ def oracle_weighted_scores(classes, scope):
         weight += n_pos
         ocs_terms.append(float(n_pos) * ocs)
         ucs_terms.append(float(n_pos) * ucs)
+    if weight == 0:
+        raise ValidationError(
+            f"all classes have zero positives in scope {scope!r}; aggregate undefined")
     ocs = float(np.sum(ocs_terms)) / weight
     ucs = float(np.sum(ucs_terms)) / weight
     return {"ece": ocs + ucs, "mcs": ocs - ucs, "ocs": ocs, "ucs": ucs, "scope": scope,

@@ -327,6 +327,36 @@ class TestFitCommand:
             "numerical error: the calibration logits are too large to scale\n")
         assert not out.exists()
 
+    def test_held_out_logits_past_the_floats_saturate(self, tmp_path):
+        # site A's small logits and steep labels fit T < 1; scaled by it,
+        # site B's +-1e308 logits overflow to confidences of exactly 1 and 0
+        r = np.random.default_rng(3)
+        z = r.normal(0.0, 0.3, (40, 2))
+        y = (r.random((40, 2)) < sigmoid(z / 0.12)).astype(int)
+        cells = {"predictions": [",".join(map(repr, row)) for row in z.tolist()]
+                 + ["1e308,-1e308", "-1e308,1e308"] * 3,
+                 "labels": [",".join(map(str, row)) for row in y.tolist()] + ["1,0", "0,1"] * 3}
+        ids = [f"a{i}" for i in range(40)] + [f"b{i}" for i in range(6)]
+        paths = {"manifest": str(tmp_path / "m.json")}
+        for key, rows in cells.items():
+            paths[key] = str(tmp_path / f"{key}.csv")
+            pathlib.Path(paths[key]).write_text(
+                "sample_id,x,y\n" + "".join(f"{i},{row}\n" for i, row in zip(ids, rows)))
+        pathlib.Path(paths["manifest"]).write_text(json.dumps(
+            [{"sample_id": i, "dataset_id": i[0].upper(), "start_s": 5.0 * k, "duration_s": 5.0}
+             for k, i in enumerate(ids)]))
+        out = tmp_path / "fit"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["fit", *_data_flags(paths), "--method", "ts", "--scope", "global",
+                         "--calib-dataset", "A", "--out", str(out)]) == 0
+        assert load_params(str(out / "params.json")).temperature < 1.0
+        [curve] = [c for c in load_report(str(out / "report.json"))["curves"]
+                   if c["method"] == "ts/global"]
+        assert curve["scope"] == "B"
+        assert [(b["conf"], b["acc"], b["count"]) for b in curve["bins"] if b["count"]] == [
+            (0.0, 0.0, 6), (1.0, 1.0, 6)]
+
     def test_split_flags_are_exclusive(self, tmp_path):
         paths = _synth(tmp_path / "fx")
         with pytest.raises(SystemExit) as exc:
@@ -418,6 +448,21 @@ class TestApplyCommand:
         assert capsys.readouterr().err == f"error: {want.format(pred=pred)}\n"
         assert not (tmp_path / "ap").exists()
 
+
+    def test_logits_past_the_floats_saturate(self, tmp_path):
+        # with T < 1, z / T overflows to +-inf: the cells are exactly 1.0 and 0.0
+        pred = tmp_path / "predictions.csv"
+        pred.write_text("sample_id,a,b\n" + "".join(
+            f"s{i},{cells}\n" for i, cells in enumerate(["1e308,-1e308", "-1e308,1e308"] * 3)))
+        save_params(ScalingParams(method="ps", scope="global", tau=-6.9, bias=0.5), None,
+                    str(tmp_path / "params.json"))
+        out = tmp_path / "ap"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["apply", "--predictions", str(pred),
+                         "--params", str(tmp_path / "params.json"), "--out", str(out)]) == 0
+        _, _, got = _read_matrix_csv(str(out / "calibrated.csv"), "calibrated")
+        assert got.tolist() == [[1.0, 0.0], [0.0, 1.0]] * 3
 
     def test_quoted_ids_and_classes_round_trip(self, tmp_path):
         # an id or class name holding a comma or a quote is quoted on the

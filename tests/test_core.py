@@ -455,6 +455,8 @@ _READER_CASES = {
     "underscore-literal": (b"sample_id,a\ns0,1_0\n", False),
     "non-ascii-digit": ("sample_id,a\ns0,\u0661\n".encode("utf-8"), False),
     "hash-in-cell": (b"sample_id,a\ns0,#1\n", False),
+    # loadtxt strips U+001C-U+001F around a number as whitespace; float() refuses them
+    "file-separator-before-number": (b"sample_id,a,b\ns0,1.0,\x1c2\ns1,0.5,2\n", False),
     "crlf": (b"sample_id,a\r\ns0,1\r\n", False),
     "trailing-blank-line": (b"sample_id,a\ns0,1\n\n", False),
     "inner-blank-line": (b"sample_id,a\ns0,1\n\ns1,2\n", False),
@@ -475,7 +477,8 @@ _READER_CASES = {
 
 _PLAIN_CELLS = ("0", "1", "-2.5", "1e400", "-inf", "nan", "+.5", "-0.0", " 1.5", "2 ")
 _ODD_CELLS = (
-    "1_0", "", " ", "x", "#", "1#2", "0x1", "\u0661", "1\x002", '"3"', '"1,5"', "1.5\xa0"
+    "1_0", "", " ", "x", "#", "1#2", "0x1", "\u0661", "1\x002", '"3"', '"1,5"', "1.5\xa0",
+    "\x1c2", "2\x1f",
 )
 _IDS = ("s0", "s 1", "#s", "", '"q"', '"q,1"', "\u00e9", "s\x00")
 
@@ -712,9 +715,9 @@ _FIT_10K = ["synth", "--n", "10000", "--classes", "20", f"--true-t={_ramp(0.6, 4
             f"--true-b={_ramp(-1.0, 1.0, 20)}", "--stddev", "2.0", "--seed", "2"]
 _FIT_10K_SHA256 = {
     "labels.csv": "81735288983d87bd17e07844c0002ab5473100eb5b85d4481da574bbea465194",
-    "manifest.json": "469a4953f8f97ae002005f48d4be1a81c9ff1164cf11091dd0f7ee56c10541e3",
+    "manifest.json": "37fa5750b0160c1405620b5eed363c81ce6597134b44d926f266644f3148ce63",
     "predictions.csv": "ab042814bdceb04742a906206ac370e6fe054027eb70140726d63c1241539bf5",
-    "truth.json": "ee896ed66e9413065e12319e6896c920d551a1e02ee03a5a9653f274629c68b4",
+    "truth.json": "8f731bcf4d084aebef8560b67e35fdef28bef4669390b9c2dbd31f550b3c58f7",
 }
 
 
@@ -953,3 +956,43 @@ class TestParts:
             write_fixture(SynthConfig(n=n, c=c), str(tmp_path / "one"))
         for name in names:
             assert (out / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_every_fork_leaves_one_thread(self, tmp_path):
+        """synth and evaluate in three parts, in a fresh interpreter with no
+        thread-count variable set: each part, the caller's first included,
+        runs in a process of one thread.  A BLAS pool that numpy starts on
+        import (OpenBLAS) is stopped at the first fork and not restarted, so
+        Python 3.12 has no threads to warn of when it forks."""
+        code = """if True:
+            import os, sys
+            from mlcalib import rowfiles
+            from mlcalib.cli import main
+            log = os.open(sys.argv[2], os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            def note(what):  # one append per line, whichever process writes it
+                os.write(log, f"{what} {os.getpid()} {len(os.listdir('/proc/self/task'))}\\n".encode())
+            note("import")
+            in_parts = rowfiles._in_parts
+            def noted(task, spans, take, outputs=1):
+                return in_parts(lambda span: (note("part"), task(span))[1], spans, take, outputs)
+            rowfiles._in_parts = noted
+            rowfiles._PART_CELLS = rowfiles._PART_BYTES = 1
+            os.sched_getaffinity = lambda pid: set(range(3))
+            fx = os.path.join(sys.argv[1], "fx")
+            assert main(["synth", "--n", "30", "--classes", "2", "--out", fx]) == 0
+            assert main(["evaluate", *(f"--{kind}={fx}/{kind}.{ext}" for kind, ext in
+                         (("predictions", "csv"), ("labels", "csv"), ("manifest", "json"))),
+                         "--out", os.path.join(sys.argv[1], "ev")]) == 0
+        """
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {key: value for key, value in os.environ.items() if key not in
+               ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.path.abspath(src)
+        log = tmp_path / "threads.log"
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path), str(log)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        [(_, parent, _), *parts] = [line.split() for line in log.read_text().splitlines()]
+        # synth writes its rows in one round, evaluate reads two CSVs: 3 x 3 parts
+        assert len(parts) == 9 and sum(pid == parent for _, pid, _ in parts) == 3
+        assert {threads for _, _, threads in parts} == {"1"}

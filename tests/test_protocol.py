@@ -603,18 +603,9 @@ class TestSplitSpecValidation:
             SplitSpec(kind="bootstrap")
 
 
-def _check_against_oracles(datasets, result, m_bins):
-    """Every row and curve of a per-class run_benchmark result against the
-    loop oracles, computed scope by scope from the datasets: a dataset_id
-    scope holds its evaluation rows in dataset order (those of
-    oracle_split_first_minutes for a first-minutes split, the rows of
-    every other dataset_id for a held-out one), "All" holds the dataset_id
-    scopes in sorted order, and a class's column concatenates its rows.
-    A row's aggregates come from the oracle's per-class numbers in the
-    row's class order, its subsets from run_benchmark's default target
-    fraction, 0.5, and a fit's |MCS| improvement from the oracle's Base
-    MCS of the same scope; every comparison is exact."""
-    split = result.split_summary or {}
+def _oracle_scopes(datasets, split: dict):
+    """Each scope's name and (dataset index, evaluation rows) parts, in
+    report order, under a split as run_benchmark's split_summary gives it."""
     by_id = {}
     for k, d in enumerate(datasets):
         if split.get("kind") == "first-minutes":
@@ -628,6 +619,35 @@ def _check_against_oracles(datasets, result, m_bins):
     scopes = [(ds_id, by_id[ds_id]) for ds_id in sorted(by_id)]
     if len(scopes) > 1:
         scopes.insert(0, ("All", [part for _, parts in scopes for part in parts]))
+    return scopes
+
+
+def _check_refusal(datasets, split, refused):
+    """The oracle refuses the same run as run_benchmark, with the same
+    ValidationError: the weighted aggregate of the first scope, in report
+    order, whose evaluation rows hold no positive label."""
+    with pytest.raises(ValidationError) as oracle:
+        for scope, parts in _oracle_scopes(datasets, dataclasses.asdict(split)):
+            n_pos = {}
+            for k, rows in parts:
+                for j, name in enumerate(datasets[k].classes):
+                    n_pos[name] = n_pos.get(name, 0) + int(datasets[k].labels[rows, j].sum())
+            oracle_weighted_scores([(n, 0.0, 0.0) for n in n_pos.values()], scope)
+    assert str(refused) == str(oracle.value)
+
+
+def _check_against_oracles(datasets, result, m_bins):
+    """Every row and curve of a per-class run_benchmark result against the
+    loop oracles, computed scope by scope from the datasets: a dataset_id
+    scope holds its evaluation rows in dataset order (those of
+    oracle_split_first_minutes for a first-minutes split, the rows of
+    every other dataset_id for a held-out one), "All" holds the dataset_id
+    scopes in sorted order, and a class's column concatenates its rows.
+    A row's aggregates come from the oracle's per-class numbers in the
+    row's class order, its subsets from run_benchmark's default target
+    fraction, 0.5, and a fit's |MCS| improvement from the oracle's Base
+    MCS of the same scope; every comparison is exact."""
+    scopes = _oracle_scopes(datasets, result.split_summary or {})
     confs = {"base": [confidences(d) for d in datasets]}
     for label, (params, _) in result.params.items():
         confs[label] = [apply_scaling(d.logits, params) for d in datasets]
@@ -700,22 +720,28 @@ _SPLITS = [SplitSpec("held-out-dataset", calib_dataset="cal"),
 @st.composite
 def _scoped_datasets(draw):
     """One to three datasets whose rows interleave one to four dataset_ids
-    plus "cal", with class tuples that differ or, when so drawn, one tuple
-    that all share.  Confidences are verbatim probabilities from a grid
-    with ties, 0.0, 1.0 and bin edges.  With ``separable`` the "cal" rows
-    are labelled by the sign of their logits, so a held-out fit ends at
-    T_MIN and maps most evaluation cells to exactly 0 or 1, creating ties
-    that Base does not have.  Each dataset_id's rows end with an 8 s clip
-    and then one positive for the first class, which every split of
-    _SPLITS evaluates: every evaluation scope has a positive."""
+    plus "cal", with one to five classes in tuples that differ or, when so
+    drawn, one tuple that all share.  Confidences are verbatim
+    probabilities from a grid with ties, 0.0, 1.0 and bin edges.  With
+    ``separable`` the "cal" rows are labelled by the sign of their logits,
+    so a held-out fit ends at T_MIN and maps most evaluation cells to
+    exactly 0 or 1, creating ties that Base does not have.  A dataset may
+    hold one degenerate column: a class with no positive, no negative, or
+    one confidence throughout.  Each dataset_id's rows end with an 8 s clip
+    and then one positive, which every split of _SPLITS evaluates, for the
+    first class that is not drawn to hold no positive.  Sometimes some
+    dataset_ids are silent: their rows hold no positive, so their scopes,
+    and All if every id is silent, have none."""
     ids = draw(st.lists(st.sampled_from("pqrs"), min_size=1, max_size=4, unique=True))
     separable = draw(st.booleans())
     shared = draw(st.booleans())
+    silent = set(draw(st.lists(st.sampled_from(ids), max_size=2))) if draw(
+        st.integers(0, 3)) == 0 else set()
     grid = [0.0, 0.1, 0.2, 1 / 3, 0.4, 0.5, 2 / 3, 0.7, 0.8, 0.9, 1.0]
     datasets = []
     for k in range(draw(st.integers(1, 3))):
         if k == 0 or not shared:
-            classes = tuple(draw(st.permutations("abcd"))[: draw(st.integers(1, 3))])
+            classes = tuple(draw(st.permutations("abcde"))[: draw(st.integers(1, 5))])
         rows = draw(st.lists(st.sampled_from([*ids, "cal"]), min_size=1, max_size=12))
         if k == 0:
             rows += ids + ["cal", "cal"]  # every id has rows, and the fit both labels
@@ -726,14 +752,23 @@ def _scoped_datasets(draw):
         probs = probs.reshape(n, c)
         labels = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n * c,
                                         max_size=n * c))).reshape(n, c)
+        degenerate = draw(st.sampled_from([None, None, "no-positive", "no-negative", "constant"]))
+        column = draw(st.integers(0, c - 1))
+        if degenerate == "constant":
+            probs[:, column] = draw(st.sampled_from(grid))
         logits = inverse_sigmoid(probs)
         cal = np.array(rows) == "cal"
         if separable:
             labels[cal] = (logits[cal] > 0).astype(float)
-        labels[n - tail :, 0] = 1.0  # a positive in every scope
         if k == 0:
             pair = slice(n - 2 * tail - 2, n - 2 * tail)  # the two "cal" rows added above
             labels[pair, 0], logits[pair, 0], probs[pair, 0] = (1.0, 0.0), (2.0, -2.0), (1.0, 0.0)
+        if degenerate in ("no-positive", "no-negative"):
+            labels[:, column] = float(degenerate == "no-negative")
+        first = next((j for j in range(c) if (degenerate, j) != ("no-positive", column)), None)
+        if first is not None:
+            labels[n - tail :, first] = 1.0  # a positive in every scope
+        labels[np.isin(rows, list(silent))] = 0.0
         durations = np.array(draw(st.lists(st.sampled_from(_CLIP_GRID), min_size=n, max_size=n)))
         durations[n - 2 * tail : n - tail] = 8.0  # longer than any window of _SPLITS
         meta = Manifest(tuple(f"s{i}" for i in range(n)), tuple(rows),
@@ -754,8 +789,12 @@ def test_run_benchmark_matches_oracles_scope_by_scope(datasets, m_bins, method, 
                                                       per_class):
     # a per-class fit needs one class tuple across the datasets
     scope = "per-class" if per_class and len({d.classes for d in datasets}) == 1 else "global"
-    result = run_benchmark(datasets, m_bins=m_bins, split=split, methods=[(method, scope)],
-                           include_per_class=True)
+    try:
+        result = run_benchmark(datasets, m_bins=m_bins, split=split, methods=[(method, scope)],
+                               include_per_class=True)
+    except ValidationError as exc:  # a scope without positives, until it can be scored
+        _check_refusal(datasets, split, exc)
+        return
     _check_against_oracles(datasets, result, m_bins)
 
 

@@ -119,6 +119,31 @@ class TestCanonicalJson:
         doc = {"a": [1.5, {"b": None}], "c": "text"}
         assert dumps_canonical(doc) == dumps_canonical(doc)
 
+    def test_floats_print_as_repr(self):
+        # as in the matrix CSVs; an integral float keeps its .0 and reads back a float
+        vals = [0.0, -0.0, 1.0, 1e16, 0.1, 1e-300, 5e-324, -1.7976931348623157e308]
+        text = dumps_canonical(vals)
+        assert text == "[\n" + ",\n".join(f"  {v!r}" for v in vals) + "\n]"
+        assert [type(v) for v in json.loads(text)] == [float] * len(vals)
+
+    def test_numpy_scalars_write_as_python_values(self):
+        doc = {"x": [np.float64(0.1), np.float32(0.25), np.int64(3), np.bool_(True)]}
+        assert dumps_canonical(doc) == dumps_canonical({"x": [0.1, 0.25, 3, True]})
+
+    @pytest.mark.parametrize("value, shown", [(float("nan"), "nan"), (np.float64("-inf"), "-inf"),
+                                              (np.float32("inf"), "inf")])
+    def test_non_finite_names_the_value(self, value, shown):
+        with pytest.raises(NumericalError, match=f"^non-finite value in report: {shown}$"):
+            dumps_canonical({"x": [value]})
+
+    def test_other_values_refused(self):
+        with pytest.raises(ValidationError, match="cannot serialize complex to JSON"):
+            dumps_canonical([1j])
+        loop = []
+        loop.append(loop)
+        with pytest.raises(ValueError, match="Circular reference"):  # not a NumericalError
+            dumps_canonical(loop)
+
 
 class TestEmitReport:
     def test_json_round_trip(self, tmp_path):
@@ -126,7 +151,7 @@ class TestEmitReport:
         path = tmp_path / "report.json"
         path.write_bytes(emit_report(report, "json")[1].encode("utf-8"))
         doc = load_report(str(path))
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["tool"]["name"] == "mlcalib"
         assert doc["config"]["bins"] == 5
         assert doc["split"]["n_evaluation"] == 6
