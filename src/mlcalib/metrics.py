@@ -20,9 +20,15 @@ list of (classes, labels, confidences) chunks of evaluation rows, with a
 confidence block per method, and scopes, each a run of consecutive chunks;
 a pooled scope runs over every chunk, a dataset scope over its own.
 
+Ranking and bin lookup work in blocks of at most ``_BLOCK_CELLS`` (2^16)
+cells, or of one class column where a column is longer, so that their
+temporaries stay small whatever the number of rows.
+
 Binning (``_bin_sums``) takes each method's chunks once.  A chunk's cells
-are binned once, by binary search over the M+1 edges, and added to every
-scope that holds the chunk: counts, confidence sums and positive sums at
+are binned once, a block at a time and by arithmetic, ``min(floor(c * M),
+M - 1)`` corrected by one comparison against each neighbouring edge (the
+last one +inf, so the last bin is closed at 1), and added to every scope
+that holds the chunk: counts, confidence sums and positive sums at
 ``class_code * M + bin``.  Each class adds its cells chunk by chunk and,
 within a chunk, row by row, exactly as one pass over its concatenated
 column; a scope's pooled curve sums each of its chunks row-major from zero
@@ -30,16 +36,20 @@ and adds the chunk totals in chunk order.  The order is fixed, so results
 are bit-reproducible and equal the loop-based oracles.  OCS and UCS are
 accumulated bin by bin, vectorized across classes.
 
-AP (``_scope_aps``) ranks each scope's own class column, its chunks
-concatenated in chunk order.  The order is a default argsort, kept when an
-O(N) check proves it is the stable descending one (ties in ascending
-position) and redone as a stable sort when the check fails.  A later
-method reuses the first method's order of the same column when the same
-check proves it is its own, and is sorted again when it fails.
+AP (``_scope_aps``) ranks each scope's own class columns, each its chunks
+concatenated in chunk order.  The classes that the same chunks hold are
+ranked together as one C-contiguous block, a row per class.  One default
+argsort ranks a block, an O(N) check proves for each row that it is the
+stable descending order (ties in ascending position), and only the rows
+that fail it are sorted again, stably.  A later method reuses the first
+method's order of a row where the same check proves it is its own, and
+ranks the other rows again.  A row's AP is the np.mean of its positives'
+precisions, as for a lone column.
 
-``average_precision``, ``bin_class``, ``calibration_scores``,
-``per_class_scores`` and ``pooled_reliability`` share the kernel's
-sorting, binning and accumulation.
+There is one AP path, ``_block_aps``: ``average_precision`` ranks a
+block of one row and ``cmap`` the blocks of a dataset's classes.
+``bin_class``, ``calibration_scores``, ``per_class_scores`` and
+``pooled_reliability`` share the kernel's binning and accumulation.
 """
 
 from __future__ import annotations
@@ -112,37 +122,69 @@ class ClassMetrics:
     n_pos: int
 
 
-def _descending(scores: np.ndarray) -> np.ndarray:
-    """The stable descending order of a score column: ties keep ascending
-    position, so the ranking is the same on every platform.  The default
-    argsort is kept when :func:`_keeps_order` proves it is that order, as
-    it is whenever no two scores are equal; otherwise (a tie it broke the
-    other way, ``-0.0`` next to ``0.0``, a NaN) the stable sort is taken."""
-    order = np.argsort(-scores)
-    return order if _keeps_order(scores, order) else np.argsort(-scores, kind="stable")
+# cells of one block of the kernel: a scope's classes are ranked, and a
+# chunk's cells binned, this many at a time (a block holds at least one
+# class column), so the kernel's temporaries do not grow with the rows
+_BLOCK_CELLS = 1 << 16
 
 
-def _keeps_order(scores: np.ndarray, order: np.ndarray) -> bool:
-    """Whether ``order`` is the stable descending order of ``scores``: read
-    in that order ``scores`` never increases, and equal neighbours sit in
-    ascending position.  A NaN among two or more scores fails the check."""
-    ranked = scores[order]
-    if not np.all(ranked[1:] <= ranked[:-1]):
-        return False
-    ties = ranked[1:] == ranked[:-1]
-    return bool(np.all(order[1:][ties] > order[:-1][ties]))
+def _row_blocks(rows: int, width: int) -> list:
+    """Slices that cut ``rows`` rows of ``width`` cells into blocks of at
+    most _BLOCK_CELLS cells, or of one row where a row is longer."""
+    step = max(1, _BLOCK_CELLS // max(width, 1))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
-def _ranked_ap(ranked: np.ndarray) -> float | None:
-    """AP from labels in rank order; None without positives."""
-    if ranked.shape[0] == 0:
+def _descending(block: np.ndarray) -> np.ndarray:
+    """The stable descending order of each row of a C-contiguous score
+    block, as flat indices into the block, so that one ``np.take`` reads
+    every row in its order: ties keep ascending position, and the ranking
+    is the same on every platform.  One default argsort ranks every row,
+    and :func:`_keeps_order` proves it is that order, as it is whenever no
+    two scores of a row are equal; the rows it fails (a tie broken the
+    other way, ``-0.0`` next to ``0.0``, a NaN) are sorted again, stably."""
+    starts = np.arange(block.shape[0])[:, None] * block.shape[1]
+    order = np.argsort(-block, axis=1)
+    order += starts
+    redo = ~_keeps_order(block, order)
+    if redo.any():
+        order[redo] = np.argsort(-block[redo], axis=1, kind="stable") + starts[redo]
+    return order
+
+
+def _keeps_order(block: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Whether each row of ``order``, flat indices into the C-contiguous
+    ``block``, is the stable descending order of that row of ``block``:
+    read in that order its scores never increase, and equal neighbours sit
+    in ascending position.  A NaN among two or more scores of a row fails
+    its check."""
+    ranked = np.take(block, order)
+    here, after = ranked[:, :-1], ranked[:, 1:]
+    ascending = order[:, 1:] > order[:, :-1]
+    return ((after < here) | ((after == here) & ascending)).all(axis=1)
+
+
+def _ranked_aps(ranked: np.ndarray) -> list:
+    """AP of each row of a block of labels in rank order, the mean
+    precision at each positive's rank, each by one np.mean as for a lone
+    column; None for a row without positives."""
+    width = ranked.shape[1]
+    if width == 0:
         raise ValidationError("average_precision needs at least one sample")
-    if ranked.sum() == 0:
-        return None
-    cum_pos = np.cumsum(ranked)
-    ranks = np.arange(1, ranked.shape[0] + 1, dtype=np.float64)
-    precision = cum_pos / ranks
-    return float(np.mean(precision[ranked == 1.0]))
+    precision = np.cumsum(ranked, axis=1)
+    precision /= np.arange(1, width + 1, dtype=np.float64)
+    hits = ranked == 1.0
+    at = precision[hits]  # each row's positives' precisions, row after row
+    ends = np.cumsum(hits.sum(axis=1)).tolist()
+    return [None if total == 0 else float(np.mean(at[start:end]))
+            for total, start, end in zip(ranked.sum(axis=1).tolist(), [0, *ends], ends)]
+
+
+def _block_aps(scores: np.ndarray, labels: np.ndarray) -> tuple:
+    """(order, APs) of each row of C-contiguous blocks of scores and their
+    labels: the one AP path of the module."""
+    order = _descending(scores)
+    return order, _ranked_aps(np.take(labels, order))
 
 
 def average_precision(scores, labels) -> float | None:
@@ -156,7 +198,7 @@ def average_precision(scores, labels) -> float | None:
     y = np.asarray(labels, dtype=np.float64)
     if s.shape != y.shape or s.ndim != 1:
         raise ValidationError(f"length mismatch: scores {s.shape}, labels {y.shape}")
-    return _ranked_ap(y[_descending(s)])
+    return _block_aps(s[None], y[None])[1][0]
 
 
 def _check_shape(d: EvalDataset, probs) -> np.ndarray:
@@ -172,10 +214,9 @@ def cmap(d: EvalDataset, probs: np.ndarray) -> float:
     """Macro-average AP over classes that have at least one positive."""
     probs = _check_shape(d, probs)
     aps = []
-    for c in range(d.c):
-        ap = average_precision(probs[:, c], d.labels[:, c])
-        if ap is not None:
-            aps.append(ap)
+    for rows in _row_blocks(d.c, d.n):  # blocks of class columns, one row each
+        scores, labels = (np.ascontiguousarray(m[:, rows].T) for m in (probs, d.labels))
+        aps += [ap for ap in _block_aps(scores, labels)[1] if ap is not None]
     if not aps:
         raise ValidationError("cmAP undefined: no class has a positive label")
     return float(np.mean(aps))
@@ -212,7 +253,6 @@ def _bin_sums(chunks, n_classes: int, m_bins: int, runs):
     each n_classes x M, and the pooled triple, each of length M.
     """
     check_bins(m_bins)
-    edges = _bin_edges(m_bins)
     size = n_classes * m_bins
     sums = [(np.zeros(size, dtype=np.int64), np.zeros(size), np.zeros(size)) for _ in runs]
     pooled = [None] * len(runs)
@@ -220,8 +260,7 @@ def _bin_sums(chunks, n_classes: int, m_bins: int, runs):
         # a NaN makes min and max NaN, which fails both comparisons
         if conf.size and not (conf.min() >= 0.0 and conf.max() <= 1.0):
             raise ValidationError("confidences must lie in [0, 1]")
-        bins = np.searchsorted(edges, conf, side="right") - 1
-        np.clip(bins, 0, m_bins - 1, out=bins)
+        bins = _bin_index(conf, m_bins)
         flat_conf, flat_labels = conf.ravel(), labels.ravel()
         totals = [
             np.bincount(bins.ravel(), weights=w, minlength=m_bins)
@@ -242,6 +281,27 @@ def _bin_sums(chunks, n_classes: int, m_bins: int, runs):
         (tuple(a.reshape(n_classes, m_bins) for a in per_class), run)
         for per_class, run in zip(sums, pooled)
     ]
+
+
+def _bin_index(conf: np.ndarray, m_bins: int) -> np.ndarray:
+    """The bin of each confidence in [0, 1], an index array of its shape:
+    that of the last of the M + 1 edges not above it, the last bin closed
+    at 1.  Computed _BLOCK_CELLS cells at a time as ``min(floor(c * M),
+    M - 1)``, at most one bin off for the rounding of ``c * M`` and of the
+    edges, and corrected by one comparison against each neighbouring edge,
+    the last of them +inf."""
+    edges = _bin_edges(m_bins)
+    edges[-1] = np.inf
+    bins = np.empty(conf.shape, dtype=np.intp)
+    flat = bins.reshape(-1)
+    cells = conf.reshape(-1)
+    for lo in range(0, cells.size, _BLOCK_CELLS):
+        c, b = cells[lo : lo + _BLOCK_CELLS], flat[lo : lo + _BLOCK_CELLS]
+        np.multiply(c, m_bins, out=b, casting="unsafe")  # floor: c >= 0
+        np.minimum(b, m_bins - 1, out=b)
+        b -= c < edges[b]
+        b += c >= edges[1:][b]
+    return bins
 
 
 def _over_under(counts, conf, acc, n):
@@ -279,29 +339,51 @@ def _scope_aps(columns, labels, confs, scopes) -> list:
     """AP of every (method, scope, class): ``aps[i][s][class]``.  Chunk k
     has labels ``labels[k]`` and method i's confidences ``confs[i][k]``.
 
-    Each scope ranks its own column of a class, the class's chunks in the
-    scope concatenated, with :func:`_descending`.  A later method keeps the
-    first method's order when :func:`_keeps_order` proves it is also its
-    own; its ranked labels, and so its APs, are then the first method's.
+    A scope ranks the column of each of its classes, the class's chunks in
+    the scope concatenated.  The classes that the same chunks hold are
+    ranked together, one block of at most _BLOCK_CELLS cells at a time
+    (see :func:`_methods_aps`).
     """
     aps = [[{} for _ in scopes] for _ in confs]
-    for name, cols in columns.items():
-        for s, (_, start, stop) in enumerate(scopes):
-            mine = [(k, j) for k, j in cols if start <= k < stop]
-            if not mine:
-                continue
-            y = np.concatenate([labels[k][:, j] for k, j in mine], dtype=np.float64)
-            first_order = None
-            for i, conf in enumerate(confs):
-                col = np.concatenate([conf[k][:, j] for k, j in mine], dtype=np.float64)
-                if first_order is not None and _keeps_order(col, first_order):
-                    aps[i][s][name] = aps[0][s][name]
-                    continue
-                order = _descending(col)
-                if first_order is None:
-                    first_order = order
-                aps[i][s][name] = _ranked_ap(y[order])
+    for s, (_, start, stop) in enumerate(scopes):
+        groups: dict = {}  # the scope's chunks that hold a class -> (class, columns)
+        for name, cols in columns.items():
+            if mine := [(k, j) for k, j in cols if start <= k < stop]:
+                chunks, js = zip(*mine)
+                groups.setdefault(chunks, []).append((name, js))
+        for chunks, members in groups.items():
+            width = sum(labels[k].shape[0] for k in chunks)
+            for rows in _row_blocks(len(members), width):
+                names, js = zip(*members[rows])
+                cols = list(zip(chunks, zip(*js)))  # each chunk and its columns of the block
+                for out, block_aps in zip(aps, _methods_aps(cols, labels, confs)):
+                    out[s].update(zip(names, block_aps))
     return aps
+
+
+def _methods_aps(cols, labels, confs) -> list:
+    """Each method's APs of one block of class columns: ``cols`` lists
+    each chunk k and its column of every class, and the block holds one
+    row per class, its cells of the chunks in order, C-contiguous.  A
+    later method keeps the first method's order of a row where
+    :func:`_keeps_order` proves it is also its own; its ranked labels, and
+    so its AP, are then the first method's.  The other rows are ranked
+    again.  A function of its own, so that the block's arrays are freed
+    before the next block is built."""
+
+    def block(mats):
+        return np.concatenate([mats[k][:, list(j)].T for k, j in cols], axis=1,
+                              dtype=np.float64)
+
+    y = block(labels)
+    first_order, first = _block_aps(block(confs[0]), y)
+    out = [first]
+    for conf in confs[1:]:
+        scores = block(conf)
+        redo = ~_keeps_order(scores, first_order)
+        again = iter(_block_aps(scores[redo], y[redo])[1] if redo.any() else ())
+        out.append([next(again) if r else ap for ap, r in zip(first, redo)])
+    return out
 
 
 def score_scopes(chunks, scopes, m_bins: int) -> list:

@@ -315,14 +315,16 @@ def _read_matrix_csv(path: str, kind: str):
     Cells follow ``csv.reader`` and Python ``float()``.  A plain file is
     parsed here by ``np.loadtxt``, which must agree with them on it: a
     valid header, UTF-8 text, no quote character, no ``\\r`` and no
-    U+001C-U+001F in the body, no line over the csv field size limit, and
+    U+001C-U+001F in the body, no field (a class name, an id or a cell) of
+    the csv field size limit or more, whatever the length of its line, and
     exactly one comma per class on every data line (so no blank line).
     Cells then split at the same commas, and both parsers strip the same
-    whitespace and hand the rest to ``PyOS_string_to_double``.  A cell
-    that only ``float()`` takes (``1_0``, non-ASCII digits) makes loadtxt
-    raise.  Every other file declines the plain read by raising, _NotPlain
-    or an OSError, and is read by :func:`_read_csv_cells`, which gives
-    every error message.
+    whitespace and hand the rest to ``PyOS_string_to_double``, or, for a
+    chunk of integer cells such as 0/1 labels, parse it as the same
+    integers (see :func:`_parse_cells`).  A cell that only ``float()``
+    takes (``1_0``, non-ASCII digits) makes loadtxt raise.  Every other
+    file declines the plain read by raising, _NotPlain or an OSError, and
+    is read by :func:`_read_csv_cells`, which gives every error message.
 
     The header is read here.  The body is cut at line ends into parts
     (see :func:`_in_parts`); each part reads, checks and parses its own
@@ -334,7 +336,7 @@ def _read_matrix_csv(path: str, kind: str):
     try:
         fd = _open_bytes(path)
         try:
-            start, size = _line_end(fd, 0, limit) + 1, os.fstat(fd).st_size
+            start, size = _line_end(fd, 0) + 1, os.fstat(fd).st_size
             if not 0 < start < size:  # no header line, or no body
                 raise _NotPlain
             try:
@@ -344,9 +346,9 @@ def _read_matrix_csv(path: str, kind: str):
             names = header.split(",")
             classes = tuple(names[1:])
             if ('"' in header or "\r" in header or names[0] != "sample_id" or not classes
-                    or len(set(classes)) != len(classes)):
+                    or len(set(classes)) != len(classes) or max(map(len, names)) >= limit):
                 raise _NotPlain
-            spans = _line_spans(fd, start, size, _part_count(size - start, _PART_BYTES), limit)
+            spans = _line_spans(fd, start, size, _part_count(size - start, _PART_BYTES))
             shape = (spans[-1][3], len(classes))
             values = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1])).reshape(shape)
             ids = []
@@ -373,26 +375,22 @@ def _read_at(fd: int, pos: int, size: int) -> bytes:
     return os.read(fd, size)
 
 
-def _line_end(fd: int, pos: int, limit: int) -> int:
+def _line_end(fd: int, pos: int) -> int:
     """The offset of the first ``\\n`` at or after ``pos`` in the file
-    ``fd``, or -1 if there is none in the next ``limit`` bytes."""
-    stop = pos + limit
-    while pos < stop:
-        chunk = _read_at(fd, pos, min(_READ_BYTES, stop - pos))
-        if not chunk:
-            return -1
+    ``fd``, or -1 if there is none."""
+    while chunk := _read_at(fd, pos, _READ_BYTES):
         if (at := chunk.find(b"\n")) >= 0:
             return pos + at
         pos += len(chunk)
     return -1
 
 
-def _line_spans(fd: int, start: int, size: int, parts: int, limit: int) -> list:
+def _line_spans(fd: int, start: int, size: int, parts: int) -> list:
     """Bytes ``start:size`` of the file ``fd`` cut at line ends into at most
     ``parts`` spans of (first byte, end byte, first row, end row)."""
     bounds = [start]
     for k in range(1, parts):
-        at = _line_end(fd, max(start + (size - start) * k // parts, bounds[-1]), limit)
+        at = _line_end(fd, max(start + (size - start) * k // parts, bounds[-1]))
         if not 0 <= at < size - 1:
             break
         bounds.append(at + 1)
@@ -426,10 +424,8 @@ def _plain_rows(path: str, n_classes: int, limit: int, values, lo: int, hi: int,
     try:
         ids = []  # the ids of each chunk, as one str
         while lo < hi:
-            chunk = _read_at(fd, lo, min(_READ_BYTES, hi - lo))
-            if lo + len(chunk) < hi:  # up to the last whole line
-                chunk = chunk[: chunk.rfind(b"\n") + 1]
-            if not chunk:  # a line longer than _READ_BYTES, or the file shrank
+            chunk = _whole_lines(fd, lo, hi)
+            if not chunk:  # the file shrank
                 raise _NotPlain
             lo += len(chunk)
             try:
@@ -441,12 +437,12 @@ def _plain_rows(path: str, n_classes: int, limit: int, values, lo: int, hi: int,
                 lines.pop()
             n = len(lines)
             if (any(char in text for char in _NOT_PLAIN_CHARS)
-                    or _count_bytes(chunk, b",") != n * n_classes
-                    or max(map(len, lines)) >= limit or row + n > stop):
+                    or _count_bytes(chunk, b",") != n * n_classes or row + n > stop
+                    or any(max(map(len, line.split(","))) >= limit
+                           for line in lines if len(line) >= limit)):
                 raise _NotPlain
             try:
-                block = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
-                                   usecols=range(1, n_classes + 1), dtype=np.float64, ndmin=2)
+                block = _parse_cells(lines, n_classes)
             except ValueError:
                 raise _NotPlain from None
             # loadtxt skips a blank line and takes at least C + 1 fields from
@@ -462,6 +458,33 @@ def _plain_rows(path: str, n_classes: int, limit: int, values, lo: int, hi: int,
         return [["\n".join(ids).encode("utf-8")]]
     finally:
         os.close(fd)
+
+
+def _parse_cells(lines, n_classes: int) -> np.ndarray:
+    """The cells of ``lines`` by ``np.loadtxt``: as 8-bit integers, the
+    fastest parse of a 0/1 labels file, and as floats where that raises.
+    An integer cell (whitespace, a sign, digits, at most 255) is a float
+    cell of the same value, so the floats decline what both decline."""
+    cells = dict(delimiter=",", comments=None, quotechar=None,
+                 usecols=range(1, n_classes + 1), ndmin=2)
+    try:
+        return np.loadtxt(lines, dtype=np.uint8, **cells)
+    except ValueError:
+        return np.loadtxt(lines, dtype=np.float64, **cells)
+
+
+def _whole_lines(fd: int, lo: int, hi: int) -> bytes:
+    """The next whole lines of bytes ``lo:hi`` of the file ``fd``: one read
+    of _READ_BYTES cut after its last line end, as many reads as a longer
+    line takes, or the rest of the span; empty if the file shrank."""
+    pieces = []
+    while lo < hi and (piece := _read_at(fd, lo, min(_READ_BYTES, hi - lo))):
+        lo += len(piece)
+        if lo < hi and (cut := piece.rfind(b"\n") + 1):
+            pieces.append(piece[:cut])
+            break
+        pieces.append(piece)
+    return b"".join(pieces)
 
 
 def _read_csv_cells(path: str, kind: str):

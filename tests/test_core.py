@@ -440,6 +440,15 @@ def _outcome(reader, path):
     return ("read", classes, ids, values.dtype, values.shape, values.tobytes())
 
 
+def _long_lines(n_classes: int, name: str, rows: int) -> bytes:
+    """A matrix CSV whose lines are long and whose fields are short: each
+    class named by ``name`` and its index, each cell a float's repr."""
+    head = ",".join(["sample_id", *(name.format(j) for j in range(n_classes))])
+    body = [",".join([f"s{i}", *(repr((i + j) / 7) for j in range(n_classes))])
+            for i in range(rows)]
+    return ("\n".join([head, *body]) + "\n").encode("ascii")
+
+
 # name -> (file bytes, whether the C-parser path reads it)
 _READER_CASES = {
     "plain": (b"sample_id,a,b\ns0,1.5,-2\ns1,0,3e-5\n", True),
@@ -470,6 +479,18 @@ _READER_CASES = {
     "not-utf8": (b"sample_id,a\ns0,\xff\n", False),
     "field-over-csv-limit": (b"sample_id,a\n" + b"s" * 200000 + b",1\n", False),
     "header-field-over-csv-limit": (b"sample_id," + b"a" * 200000 + b"\ns0,1\n", False),
+    # the csv field size limit (131,072) holds for each field, not for a line
+    "line-over-csv-limit": (_long_lines(9_000, "c{}", 1), True),
+    # header and rows each longer than one read of 256 KiB
+    "lines-over-two-reads": (_long_lines(17_000, "class_number_{:07d}", 2), True),
+    # a chunk of integer cells parses as integers, and as floats where that fails
+    "integer-cell-plus-sign": (b"sample_id,a,b\ns0,+1,0\n", True),
+    "integer-cell-padded": (b"sample_id,a,b\ns0, 01 ,1\n", True),
+    "integer-cell-decimal-point": (b"sample_id,a,b\ns0,1.0,0\n", True),
+    "integer-cell-two": (b"sample_id,a,b\ns0,2,1\n", True),
+    "integer-cell-over-255": (b"sample_id,a,b\ns0,300,1\n", True),
+    "integer-cell-negative": (b"sample_id,a,b\ns0,-1,1\n", True),
+    "integer-rows-then-float": (b"sample_id,a,b\ns0,0,1\ns1,1,1\ns2,0,0.5\ns3,1,0\n", True),
     "not-utf8-in-header": (b"sample_id,\xe9\ns0,1\n", False),
     "utf8-bom": (b"\xef\xbb\xbfsample_id,a\ns0,1\n", True),
     "utf8-bom-quoted-header": (b'\xef\xbb\xbf"sample_id",a\ns0,1\n', False),
@@ -593,6 +614,21 @@ class TestMatrixReader:
     @pytest.mark.parametrize("name", sorted(_READER_CASES))
     def test_case_agrees_in_parts(self, tmp_path, name, parts):
         self.test_case_agrees_with_reference(tmp_path, name)
+
+    @pytest.mark.parametrize("parts", (1, *_SPLITS))
+    @pytest.mark.parametrize("name", sorted(n for n, (_, fast) in _READER_CASES.items() if fast))
+    def test_plain_case_equals_reference(self, tmp_path, monkeypatch, name, parts):
+        # the plain read alone, with the reference read made to fail
+        path = tmp_path / "m.csv"
+        path.write_bytes(_READER_CASES[name][0])
+
+        def refused(path, kind):
+            raise AssertionError("the plain read declined")
+
+        monkeypatch.setattr(rowfiles, "_read_csv_cells", refused)
+        with _split_into(parts):
+            assert _outcome(_read_matrix_csv, str(path)) == _outcome(oracle_read_matrix_csv,
+                                                                     str(path))
 
     def test_trailing_blank_line_names_the_empty_row(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -362,6 +362,17 @@ def test_binning_permutation_invariance(n, seed, m_bins):
             assert x.acc == pytest.approx(y.acc, abs=1e-12)
 
 
+def test_bin_index_is_the_binary_search():
+    # every bin count, at every edge, one ulp either side of it, at 0 and
+    # at 1: the last of the edges not above the cell, the last bin closed
+    for m in range(1, metrics.MAX_BINS + 1):
+        edges = metrics._bin_edges(m)
+        cells = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
+        cells = np.append(cells[(cells >= 0.0) & (cells <= 1.0)], [0.0, 1.0])
+        want = np.clip(np.searchsorted(edges, cells, side="right") - 1, 0, m - 1)
+        np.testing.assert_array_equal(metrics._bin_index(cells, m), want, err_msg=f"M={m}")
+
+
 _TIES = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 5e-324, np.nan])
 
 
@@ -371,6 +382,6 @@ _TIES = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 5e-324, np.nan])
 def test_descending_is_the_stable_argsort(scores):
     # forced ties: repeated values, -0.0 next to 0.0, and NaN; the default
     # argsort breaks ties either way, so both the kept and the redone order
-    # are reached
+    # are reached.  The scores are a block of one row.
     want = np.argsort(-scores, kind="stable")
-    np.testing.assert_array_equal(metrics._descending(scores), want)
+    np.testing.assert_array_equal(metrics._descending(scores[None]), want[None])

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mlcalib import metrics
@@ -816,11 +816,11 @@ def test_fitted_order_reuse_and_fallback(monkeypatch, separable, sorts):
     rows = ("p", "q", "p", "q", "p", "q", "cal", "cal", "cal", "cal")
     d = EvalDataset(("a", "b"), z, y, Manifest(tuple(f"s{i}" for i in range(10)), rows,
                                                np.arange(10.0), np.ones(10)))
-    calls = []
+    calls = []  # the length of each column a block sort ranks
 
-    def counted(scores):
-        calls.append(scores.shape)
-        return descending(scores)
+    def counted(block):
+        calls.extend([block.shape[1:]] * block.shape[0])
+        return descending(block)
 
     descending = metrics._descending
     monkeypatch.setattr(metrics, "_descending", counted)
@@ -830,6 +830,59 @@ def test_fitted_order_reuse_and_fallback(monkeypatch, separable, sorts):
     assert (t == pytest.approx(T_MIN)) == separable
     # per class, one sort of each scope's column (All: 6 rows, p and q: 3
     # each), plus each fallback: the fitted All column, and the one 3-row
-    # scope whose three fitted 1.0s tie (p for class a, q for class b)
-    assert calls == sorts * 2
+    # scope whose three fitted 1.0s tie (p for class a, q for class b).  A
+    # block ranks a scope's classes together, so the order is the blocks'.
+    assert sorted(calls) == sorted(sorts * 2)
+    _check_against_oracles([d], result, 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    datasets=_scoped_datasets(),
+    m_bins=st.sampled_from([1, 3, 10]),
+    block_cells=st.sampled_from([1, 4, 16, 40]),
+)
+def test_small_blocks_of_mixed_class_datasets_match_oracles(datasets, m_bins, block_cells):
+    # datasets of different class sets: a scope's classes fall into groups
+    # of the chunks that hold them, each ranked in blocks of a few cells,
+    # and each chunk is binned a few cells at a time
+    assume(len({frozenset(d.classes) for d in datasets}) > 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_BLOCK_CELLS", block_cells)
+        try:
+            result = run_benchmark(datasets, m_bins=m_bins, split=_SPLITS[0],
+                                   methods=[("ts", "global")], include_per_class=True)
+        except ValidationError as exc:  # a scope without positives
+            _check_refusal(datasets, _SPLITS[0], exc)
+            return
+    _check_against_oracles(datasets, result, m_bins)
+
+
+def test_small_blocks_mixing_kept_and_stable_orders_match_oracles(monkeypatch):
+    # blocks of two classes (four in a one-site scope), each holding columns
+    # of distinct confidences, whose default order is kept, and columns of
+    # ties and of -0.0 next to 0.0, which the default argsort breaks the
+    # other way
+    rng = np.random.default_rng(7)
+    n, c = 60, 6
+    probs = rng.random((n, c))
+    probs[:, 1::2] = rng.choice([0.0, -0.0, 0.25, 0.5], size=(n, c // 2))
+    labels = (rng.random((n, c)) < 0.4).astype(float)
+    labels[:3] = 1.0  # a positive of every class in every scope
+    rows = ("p", "q", "cal") * (n // 3)
+    d = EvalDataset(tuple("abcdef"), inverse_sigmoid(probs), labels,
+                    Manifest(tuple(f"s{i}" for i in range(n)), rows, np.arange(float(n)),
+                             np.ones(n)), probs=probs)
+    kept = []
+    keeps_order = metrics._keeps_order
+
+    def recorded(block, order):
+        kept.append(keeps_order(block, order))
+        return kept[-1]
+
+    monkeypatch.setattr(metrics, "_keeps_order", recorded)
+    monkeypatch.setattr(metrics, "_BLOCK_CELLS", 2 * 40)  # All: 40 evaluation rows
+    result = run_benchmark(d, m_bins=5, split=SplitSpec("held-out-dataset", calib_dataset="cal"),
+                           methods=[("ts", "global")], include_per_class=True)
+    assert any(k.any() and not k.all() for k in kept)
     _check_against_oracles([d], result, 5)
