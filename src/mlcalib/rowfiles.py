@@ -29,12 +29,14 @@ values read do not depend on how many parts or rounds there are.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import mmap
 import os
 import re
 import signal
 import stat
+import warnings
 from contextlib import suppress
 
 import numpy as np
@@ -462,15 +464,37 @@ def _plain_rows(path: str, n_classes: int, limit: int, values, lo: int, hi: int,
 
 def _parse_cells(lines, n_classes: int) -> np.ndarray:
     """The cells of ``lines`` by ``np.loadtxt``: as 8-bit integers, the
-    fastest parse of a 0/1 labels file, and as floats where that raises.
-    An integer cell (whitespace, a sign, digits, at most 255) is a float
-    cell of the same value, so the floats decline what both decline."""
+    fastest parse of a 0/1 labels file, where this numpy parses integers
+    exactly (see :func:`_exact_int_parse`), and as floats where that
+    raises.  loadtxt takes an integer cell (whitespace, a sign, digits, at
+    most 255, not ``-0``) as the float of the same value; every other cell
+    makes the integer parse raise, so the float parse gives its value or
+    declines it, as it alone would."""
     cells = dict(delimiter=",", comments=None, quotechar=None,
                  usecols=range(1, n_classes + 1), ndmin=2)
-    try:
-        return np.loadtxt(lines, dtype=np.uint8, **cells)
-    except ValueError:
-        return np.loadtxt(lines, dtype=np.float64, **cells)
+    if _exact_int_parse():
+        with suppress(ValueError):
+            return np.loadtxt(lines, dtype=np.uint8, **cells)
+    return np.loadtxt(lines, dtype=np.float64, **cells)
+
+
+@functools.cache
+def _exact_int_parse() -> bool:
+    """Whether ``np.loadtxt`` refuses, as an 8-bit integer, each cell that
+    is no such integer: a fraction, one over 255, a negative and ``-0``.
+    From numpy 1.23 until that deprecation expired, loadtxt parsed such a
+    cell through its float value and truncated it, with only a
+    DeprecationWarning, which the default filters hide; there the integer
+    parse is not used."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        for cell in ("0.5", "300", "-1", "-0"):
+            try:
+                np.loadtxt([cell], dtype=np.uint8)
+            except ValueError:
+                continue
+            return False
+    return True
 
 
 def _whole_lines(fd: int, lo: int, hi: int) -> bytes:

@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -491,6 +492,8 @@ _READER_CASES = {
     "integer-cell-over-255": (b"sample_id,a,b\ns0,300,1\n", True),
     "integer-cell-negative": (b"sample_id,a,b\ns0,-1,1\n", True),
     "integer-rows-then-float": (b"sample_id,a,b\ns0,0,1\ns1,1,1\ns2,0,0.5\ns3,1,0\n", True),
+    "integer-cell-minus-zero": (b"sample_id,a,b\ns0,-0,1\n", True),
+    "fraction-cells": (b"sample_id,a,b\ns0,0.5,0.25\ns1,1,0.75\n", True),
     "not-utf8-in-header": (b"sample_id,\xe9\ns0,1\n", False),
     "utf8-bom": (b"\xef\xbb\xbfsample_id,a\ns0,1\n", True),
     "utf8-bom-quoted-header": (b'\xef\xbb\xbf"sample_id",a\ns0,1\n', False),
@@ -629,6 +632,35 @@ class TestMatrixReader:
         with _split_into(parts):
             assert _outcome(_read_matrix_csv, str(path)) == _outcome(oracle_read_matrix_csv,
                                                                      str(path))
+
+    def test_no_integer_parse_where_numpy_truncates_floats(self, tmp_path, monkeypatch):
+        # numpy 1.23 until that deprecation expired parsed a cell that is no
+        # 8-bit integer through its float value, truncated, with only a
+        # DeprecationWarning: the plain read must not take those integers
+        loadtxt = np.loadtxt
+
+        def truncating(lines, *args, dtype=float, **kwargs):
+            if dtype is not np.uint8:
+                return loadtxt(lines, *args, dtype=dtype, **kwargs)
+            values = loadtxt(lines, *args, dtype=np.float64, **kwargs)
+            if not np.array_equal(values, np.clip(np.trunc(values), 0, 255), equal_nan=True):
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning, stacklevel=2)
+            return np.trunc(np.nan_to_num(values)).astype(np.int64).astype(np.uint8)
+
+        monkeypatch.setattr(np, "loadtxt", truncating)
+        monkeypatch.setattr(rowfiles, "_read_csv_cells", None)  # the plain read alone
+        rowfiles._exact_int_parse.cache_clear()
+        try:
+            assert not rowfiles._exact_int_parse()
+            for name in ("fraction-cells", "integer-cell-over-255", "integer-cell-negative",
+                         "integer-cell-minus-zero", "integer-rows-then-float", "plain"):
+                path = tmp_path / f"{name}.csv"
+                path.write_bytes(_READER_CASES[name][0])
+                assert (_outcome(_read_matrix_csv, str(path))
+                        == _outcome(oracle_read_matrix_csv, str(path))), name
+        finally:
+            rowfiles._exact_int_parse.cache_clear()
 
     def test_trailing_blank_line_names_the_empty_row(self, tmp_path):
         path = tmp_path / "m.csv"
