@@ -10,14 +10,17 @@ blocks, so their temporaries stay one block long.
 
 JSON files are read as UTF-8 whatever the locale, and every JSON field
 that the manifest, params and report loaders read is checked against one
-table of kinds, through :func:`json_field`.  JSON text is this module's
-alone: :func:`dumps_canonical` writes every document by ``json.dumps``,
-each float as its repr as in the matrix CSVs, and :func:`manifest_rows`
-writes the same bytes for manifest rows, from plain ids and times and
-without building the row objects; it and :func:`read_manifest` take the
-manifest's fields from one table.  The matrix CSVs, the file triple's
-loader and every output are :mod:`mlcalib.rowfiles`'s, which builds on
-this module; this module imports no other of the package.
+table of kinds, through :func:`json_field`; every checked matrix cell
+against one table of cell kinds, ``_CELLS``, through :func:`check_cells`,
+and a library entry's scores and labels through :func:`check_pair`.  JSON
+text is this module's alone: :func:`dumps_canonical` writes every document
+by ``json.dumps``, each float as its repr as in the matrix CSVs, and
+:func:`manifest_rows` writes the same bytes for manifest rows, from plain
+ids and times and without building the row objects; it and
+:func:`read_manifest` take the manifest's fields from one table.  The
+matrix CSVs, the file triple's loader and every output are
+:mod:`mlcalib.rowfiles`'s, which builds on this module; this module
+imports no other of the package.
 """
 
 from __future__ import annotations
@@ -95,13 +98,12 @@ def inverse_sigmoid(p, eps: float = 1e-7):
     """
     check_eps(eps)
     arr = np.asarray(p, dtype=np.float64)
-    inside = (arr >= 0.0) & (arr <= 1.0)  # False for NaN
-    if not inside.all():
-        bad = int(np.argmin(inside))
-        raise ValidationError(
-            f"probability outside [0, 1] at flat index {bad}: {float(arr.flat[bad])!r}"
-        )
-    del inside
+    what, mask, _ = _CELLS["probability"]
+    bad = mask(arr)
+    if bad.any():
+        cell = int(np.argmax(bad))
+        raise ValidationError(f"{what} at flat index {cell}: {float(arr.flat[cell])!r}")
+    del bad
 
     def step(x, y):  # log(c / (1 - c)) of the clamped c, in place
         np.clip(x, eps, 1.0 - eps, out=y)
@@ -296,8 +298,8 @@ class EvalDataset:
         if len(set(self.classes)) != len(self.classes):
             dupe = next(c for c in self.classes if list(self.classes).count(c) > 1)
             raise ValidationError(f"duplicate class name {dupe!r}")
-        check_cells(~np.isfinite(logits), "non-finite value", self.classes)
-        check_cells((labels != 0.0) & (labels != 1.0), "non-binary label", self.classes, labels)
+        check_cells(logits, "finite", self.classes)
+        check_cells(labels, "label", self.classes)
         probs = self.probs
         if probs is not None:
             probs = _frozen(probs)
@@ -305,8 +307,7 @@ class EvalDataset:
                 raise ValidationError(
                     f"shape mismatch: probs {probs.shape}, logits {logits.shape}"
                 )
-            check_cells(~((probs >= 0.0) & (probs <= 1.0)),  # True for NaN
-                        "probability outside [0, 1]", self.classes, probs)
+            check_cells(probs, "probability", self.classes)
         object.__setattr__(self, "logits", logits)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
@@ -321,15 +322,41 @@ class EvalDataset:
         return self.logits.shape[1]
 
 
-def check_cells(bad: np.ndarray, what: str, classes, values=None, row: int = 0, where: str = ""):
-    """Raise a ValidationError that names the first True cell, in C order,
-    of the N x C matrix ``bad``: ``what (row i, class c){where}``, with rows
-    counted from ``row``, then ``: value`` of that cell of ``values`` when
-    they are given.  A matrix with no True cell passes."""
+# each kind of matrix cell check_cells knows: the error's text, the mask of
+# the bad cells and whether the error shows the value; NaN is bad in each
+_CELLS = {
+    "finite": ("non-finite value", lambda v: ~np.isfinite(v), False),
+    "label": ("non-binary label", lambda v: (v != 0.0) & (v != 1.0), True),
+    "probability": ("probability outside [0, 1]", lambda v: ~((v >= 0.0) & (v <= 1.0)), True),
+}
+
+
+def check_cells(values: np.ndarray, kind: str, classes=None, row: int = 0, where: str = "",
+                error=ValidationError):
+    """Raise ``error`` naming the first cell, in C order, of the N x C or
+    N-long ``values`` not of the ``kind`` of ``_CELLS``: ``what (row i, class
+    c){where}`` (``classes[c]``, else the column), or ``what (row i){where}``
+    if 1-d, rows counted from ``row``; then ``: value`` if the kind shows it."""
+    what, mask, shown = _CELLS[kind]
+    bad = mask(values)
     if bad.any():
-        i, c = divmod(int(np.argmax(bad)), bad.shape[1])
-        text = f"{what} (row {row + i}, class {classes[c]}){where}"
-        raise ValidationError(text if values is None else f"{text}: {float(values[i, c])!r}")
+        cell = int(np.argmax(bad))
+        i, c = divmod(cell, bad.shape[1]) if bad.ndim == 2 else (cell, None)
+        at = "" if c is None else f", class {c if classes is None else classes[c]}"
+        text = f"{what} (row {row + i}{at}){where}"
+        raise error(f"{text}: {float(values.flat[cell])!r}" if shown else text)
+
+
+def check_pair(scores, labels, kind: str, ndim: int, classes=None, error=ValidationError):
+    """``scores`` and ``labels`` as float64 arrays, after the one check of a
+    library entry's pair: one ``ndim``-d shape, scores of the cell ``kind``
+    (else ``error``) and labels 0 or 1.  Errors name the first bad cell."""
+    s, y = (np.asarray(m, dtype=np.float64) for m in (scores, labels))
+    if s.ndim != ndim or s.shape != y.shape:
+        raise ValidationError(f"need one {ndim}-d shape: scores {s.shape}, labels {y.shape}")
+    check_cells(s, kind, classes, error=error)
+    check_cells(y, "label", classes)
+    return s, y
 
 
 def confidences(d: EvalDataset) -> np.ndarray:

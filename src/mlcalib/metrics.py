@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EvalDataset, ValidationError
+from .core import EvalDataset, ValidationError, check_pair
 
 
 @dataclass(frozen=True)
@@ -191,31 +191,19 @@ def average_precision(scores, labels) -> float | None:
     """AP of one class: mean precision at each positive's rank.
 
     Ranking is by score descending with ties broken by ascending original
-    index (stable), so results are identical across platforms.  Returns
-    None when there are no positives.
+    index (stable), so results are identical across platforms.  Scores
+    must be finite and labels 0 or 1; None means no positives.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if s.shape != y.shape or s.ndim != 1:
-        raise ValidationError(f"length mismatch: scores {s.shape}, labels {y.shape}")
+    s, y = check_pair(scores, labels, "finite", 1)
     return _block_aps(s[None], y[None])[1][0]
-
-
-def _check_shape(d: EvalDataset, probs) -> np.ndarray:
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape != d.labels.shape:
-        raise ValidationError(
-            f"shape mismatch: probs {probs.shape}, labels {d.labels.shape}"
-        )
-    return probs
 
 
 def cmap(d: EvalDataset, probs: np.ndarray) -> float:
     """Macro-average AP over classes that have at least one positive."""
-    probs = _check_shape(d, probs)
+    probs, y = check_pair(probs, d.labels, "probability", 2, d.classes)
     aps = []
     for rows in _row_blocks(d.c, d.n):  # blocks of class columns, one row each
-        scores, labels = (np.ascontiguousarray(m[:, rows].T) for m in (probs, d.labels))
+        scores, labels = (np.ascontiguousarray(m[:, rows].T) for m in (probs, y))
         aps += [ap for ap in _block_aps(scores, labels)[1] if ap is not None]
     if not aps:
         raise ValidationError("cmAP undefined: no class has a positive label")
@@ -446,14 +434,11 @@ def _class_metrics(names, sums, aps) -> list:
 def bin_class(confidences, labels, m_bins: int, scope: str = "class") -> ReliabilityCurve:
     """Partition one class's confidences into M equal-width bins.
 
-    Bins are [(m-1)/M, m/M) with the last bin closed at 1.  ``acc`` is the
-    empirical positive frequency of the bin (the one-vs-rest reading of
-    accuracy for a binary column).
+    Bins are [(m-1)/M, m/M) with the last bin closed at 1, confidences lie
+    in [0, 1] and labels are 0 or 1.  ``acc`` is the empirical positive
+    frequency of the bin (the one-vs-rest reading of accuracy).
     """
-    conf = np.asarray(confidences, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if conf.shape != y.shape or conf.ndim != 1:
-        raise ValidationError(f"length mismatch: conf {conf.shape}, labels {y.shape}")
+    conf, y = check_pair(confidences, labels, "probability", 1)
     [(_, pooled)] = _bin_sums(
         [(np.zeros(1, dtype=int), y[:, None], conf[:, None])], 1, m_bins, [(0, 1)]
     )
@@ -479,7 +464,8 @@ def calibration_scores(curve: ReliabilityCurve, weight: float = 0.0) -> Calibrat
 
 def per_class_scores(d: EvalDataset, probs: np.ndarray, m_bins: int) -> list:
     """Bin and score every class column; weight = positive count."""
-    chunks = [(d.classes, d.labels, [_check_shape(d, probs)])]
+    probs, labels = check_pair(probs, d.labels, "probability", 2, d.classes)
+    chunks = [(d.classes, labels, [probs])]
     return score_scopes(chunks, [("pooled", 0, 1)], m_bins)[0][0][0]
 
 
@@ -513,6 +499,6 @@ def pooled_reliability(
     This is the curve drawn in reliability diagrams; the weighted per-class
     scores remain the tabulated numbers.
     """
-    probs = _check_shape(d, probs)
-    [(_, pooled)] = _bin_sums([(np.zeros(d.c, dtype=int), d.labels, probs)], 1, m_bins, [(0, 1)])
+    probs, labels = check_pair(probs, d.labels, "probability", 2, d.classes)
+    [(_, pooled)] = _bin_sums([(np.zeros(d.c, dtype=int), labels, probs)], 1, m_bins, [(0, 1)])
     return _curve(*pooled, scope=scope)

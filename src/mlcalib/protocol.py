@@ -121,10 +121,14 @@ def frequent_rare_split(counts: dict, target_fraction: float = 0.5) -> SubsetAss
     Classes are ordered by count descending (ties by ascending name); the
     frequent set is the smallest prefix holding at least target_fraction of
     the total positive mass.  Classes without positives are excluded from
-    both sides; rare may come out empty and is reported as such.
+    both sides; rare may come out empty and is reported as such.  Each
+    count must be a whole number >= 0, an integral float included.
     """
     check_target_fraction(target_fraction)
-    items = [(name, int(cnt)) for name, cnt in counts.items() if int(cnt) > 0]
+    for name, cnt in counts.items():
+        if not (cnt >= 0 and float(cnt).is_integer()):  # False for NaN and inf
+            raise ValidationError(f"count of class {name!r} must be an integer >= 0, got {cnt}")
+    items = [(name, int(cnt)) for name, cnt in counts.items() if cnt > 0]
     total = sum(cnt for _, cnt in items)
     if total <= 0:
         raise ValidationError("no positive labels; frequent/rare split undefined")

@@ -583,10 +583,9 @@ def read_predictions(path: str, inputs_are_probabilities: bool = False, eps: flo
     check_eps(eps)
     classes, ids, values = _read_matrix_csv(path, "predictions")
     if inputs_are_probabilities:
-        check_cells(~((values >= 0.0) & (values <= 1.0)), "probability outside [0, 1]", classes,
-                    values, where=f" in {path}")
+        check_cells(values, "probability", classes, where=f" in {path}")
         return classes, ids, inverse_sigmoid(values, eps), values
-    check_cells(~np.isfinite(values), "non-finite value", classes, where=f" in {path}")
+    check_cells(values, "finite", classes, where=f" in {path}")
     return classes, ids, values, None
 
 
@@ -612,8 +611,7 @@ def load_dataset(
         predictions_path, inputs_are_probabilities, eps
     )
     l_classes, l_ids, l_vals = _read_matrix_csv(labels_path, "labels")
-    check_cells((l_vals != 0.0) & (l_vals != 1.0), "non-binary label", l_classes, l_vals,
-                where=f" in {labels_path}")
+    check_cells(l_vals, "label", l_classes, where=f" in {labels_path}")
     if p_classes != l_classes:
         raise ValidationError(
             f"class header mismatch between {predictions_path} and {labels_path}"

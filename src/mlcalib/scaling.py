@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import NumericalError, ValidationError, dumps_canonical, json_field, read_json, sigmoid
+from .core import (NumericalError, ValidationError, check_pair, dumps_canonical, json_field,
+                   read_json, sigmoid)
 from .rowfiles import write_rows
 
 TS = "ts"
@@ -215,16 +216,6 @@ def _check_dims(logits: np.ndarray, params: ScalingParams):
         )
 
 
-def _matched(logits, labels):
-    """Logits and labels as float64 matrices of one shape: the one check
-    of fit, bce_nll and gradients."""
-    z = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if z.ndim != 2 or z.shape != y.shape:
-        raise ValidationError(f"shape mismatch: logits {z.shape}, labels {y.shape}")
-    return z, y
-
-
 def _columns(m: np.ndarray, scope: str) -> np.ndarray:
     """The columns a fit solves, one per parameter: each class column for
     per-class scope, the flattened matrix as one column for global scope."""
@@ -250,9 +241,15 @@ def apply_scaling(logits, params: ScalingParams) -> np.ndarray:
 def bce_nll(logits, labels, params: ScalingParams) -> float:
     """Mean binary cross-entropy of scaled confidences against labels: the
     fit's own loss, ``_column_losses`` over ``z.size`` cells, which stays
-    finite and free of cancellation on saturated logits."""
-    z, y = _matched(logits, labels)
+    finite and free of cancellation on saturated logits.  Labels must be
+    0 or 1, and a non-finite logit is a NumericalError."""
+    z, y = check_pair(logits, labels, "finite", 2, error=NumericalError)
     _check_dims(z, params)
+    return _mean_loss(z, y, params)
+
+
+def _mean_loss(z, y, params: ScalingParams) -> float:
+    """bce_nll of checked matrices: fit's NLLs, which check nothing again."""
     losses = _column_losses(_columns(z, params.scope), _columns(y, params.scope),
                             np.exp(-params.tau), params.bias)
     return float(np.sum(losses) / z.size)
@@ -267,7 +264,7 @@ def gradients(logits, labels, params: ScalingParams):
     column for per-class scope.  Shapes match the parameter shapes (0-d
     arrays global, C-vectors per class).
     """
-    z, y = _matched(logits, labels)
+    z, y = check_pair(logits, labels, "finite", 2, error=NumericalError)
     _check_dims(z, params)
     a = np.exp(-params.tau)
     g_a, g_b = _slopes(_columns(z, params.scope), _columns(y, params.scope), a, params.bias)[:2]
@@ -419,13 +416,13 @@ def fit(
     column whose optimum lies outside T in [T_MIN, T_MAX] (anti-correlated
     scores, a* <= 0, or separable ones, a* -> inf, ties at the class
     boundary included) ends with T on that edge and b refitted.  Both
-    cases are recorded in the trace.  Non-finite logits, and logits so
-    large that scaling them overflows, raise NumericalError.  Returns the
-    fitted ScalingParams and a FitTrace.
+    cases are recorded in the trace.  Labels must be 0 or 1.  Non-finite
+    logits, and logits so large that scaling them overflows, raise
+    NumericalError.  Returns the fitted ScalingParams and a FitTrace.
     """
     if cfg is None:
         cfg = FitConfig()
-    z, y = _matched(logits, labels)
+    z, y = check_pair(logits, labels, "finite", 2, error=NumericalError)
     if scope != PER_CLASS:
         classes = None
     elif classes is None:
@@ -438,8 +435,6 @@ def fit(
     start = replace(ScalingParams.identity(method, scope, classes), fitted_on=fitted_on)
     if z.size == 0:
         raise ValidationError("cannot fit on an empty calibration set")
-    if not np.all(np.isfinite(z)):
-        raise NumericalError("non-finite logit in the calibration set")
     z_cols, y_cols = _columns(z, scope), _columns(y, scope)
     n_pos = y_cols.sum(axis=0)
     fit_cols = (n_pos > 0) & (n_pos < y_cols.shape[0])
@@ -451,20 +446,20 @@ def fit(
 
     try:  # logits near the float maximum overflow once scaled: one error, no warnings
         with np.errstate(over="raise", invalid="raise"):
-            nll_initial = bce_nll(z, y, start)
+            nll_initial = _mean_loss(z, y, start)
             history = record = None
             if cfg.record_history:
                 history = [nll_initial]
 
                 def record(tau_v, bias_v):
-                    history.append(bce_nll(z, y, as_params(tau_v, bias_v)))
+                    history.append(_mean_loss(z, y, as_params(tau_v, bias_v)))
 
             a, bias, iterations, col_converged = _newton(
                 z_cols, y_cols, method == PS, fit_cols, cfg.steps, record
             )
             tau = -np.log(a) + 0.0  # +0.0 (not -0.0) for a = 1
             params = as_params(tau, bias)
-            nll_final = bce_nll(z, y, params)
+            nll_final = _mean_loss(z, y, params)
     except FloatingPointError:
         raise NumericalError("the calibration logits are too large to scale") from None
     at_edge = (a <= _A_MIN) | (a >= _A_MAX)

@@ -189,7 +189,7 @@ def _rows(cfg: SynthConfig, plan: _Plan, start: int, stop: int):
     c, count = cfg.c, (stop - start) * cfg.c
     z = plan.means + plan.stddev * ndtri(
         _uniforms(cfg.seed, _STREAM_LOGITS, count, start * c).reshape(-1, c))
-    check_cells(~np.isfinite(z), "non-finite value", plan.classes, row=start)
+    check_cells(z, "finite", plan.classes, row=start)
     with np.errstate(over="ignore"):  # z / T past the floats is +-inf, of sigmoid 1 or 0
         p_true = sigmoid(z / plan.true_t + plan.true_b)
     labels = _uniforms(cfg.seed, _STREAM_LABELS, count, start * c).reshape(-1, c) < p_true

@@ -4,7 +4,9 @@ Every import sits at module level, imports between modules name only
 public attributes, core imports no other module of the package, files
 reach the disk only through the one writer of rowfiles, with an explicit
 encoding, only rowfiles' parts helper starts processes, only the solver's
-loss computes a binary cross-entropy, and only core writes JSON text.
+loss computes a binary cross-entropy, only core writes JSON text, and
+core's table of cell kinds is the one place that tests a label or a
+probability, through which every library entry with labels passes.
 """
 
 import ast
@@ -276,3 +278,84 @@ def test_the_json_text_walker_sees_dumps():
     scaling = _parse(SRC / "scaling.py")
     assert any(_is_dumps(node) for _, node in _nodes(scaling)) and _json_text(scaling) == []
     assert _json_text(ast.parse("import json\ndef f(x):\n    return map(json.dumps, x)\n")) == [3]
+
+
+# the modules whose public functions take labels or probabilities, each
+# entry through core.check_pair
+PAIR_CHECKED = ("metrics.py", "scaling.py")
+
+
+def _calls(node, name):
+    """True if the subtree ``node`` calls ``name``, bare or as an attribute."""
+    return any(isinstance(n, ast.Call) and name in (getattr(n.func, "id", None),
+                                                    getattr(n.func, "attr", None))
+               for n in ast.walk(node))
+
+
+def _pair_entries(tree):
+    """{name: whether it calls check_pair} of each public module-level
+    function of ``tree`` with a ``labels`` or ``probs`` parameter."""
+    return {node.name: _calls(node, "check_pair") for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and {a.arg for a in node.args.args + node.args.kwonlyargs} & {"labels", "probs"}}
+
+
+@pytest.mark.parametrize("name", PAIR_CHECKED)
+def test_every_labels_entry_calls_the_pair_check(name):
+    entries = _pair_entries(_parse(SRC / name))
+    assert [entry for entry, checked in entries.items() if not checked] == []
+
+
+def test_the_pair_walker_sees_every_entry():
+    # keeps the rule above from passing on a walker that finds nothing: it
+    # sees the eight entries, and it flags one that does not check
+    found = {entry for name in PAIR_CHECKED for entry in _pair_entries(_parse(SRC / name))}
+    assert found == {"average_precision", "bin_class", "cmap", "per_class_scores",
+                     "pooled_reliability", "fit", "bce_nll", "gradients"}
+    tree = ast.parse("def f(scores, labels):\n    return g(labels)\n"
+                     "def h(d, probs):\n    return core.check_pair(probs, d.labels)\n")
+    assert _pair_entries(tree) == {"f": False, "h": True}
+
+
+# the texts of core._CELLS, which no other module words for itself
+CELL_TEXTS = ("non-finite value", "non-binary label", "probability outside [0, 1]")
+
+
+def _cell_rules(tree):
+    """The lines of ``tree`` that hold a cell kind's text, or the mask of a
+    label or a probability: ``&`` of two comparisons of one operand, one
+    with 0 and one with 1."""
+    def bound(side):
+        if not (isinstance(side, ast.Compare) and len(side.comparators) == 1):
+            return None
+        value = side.comparators[0]
+        if isinstance(value, ast.Constant) and value.value in (0, 1):
+            return ast.dump(side.left), value.value
+        return None
+
+    lines = []
+    for _, node in _nodes(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if any(text in node.value for text in CELL_TEXTS):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
+            left, right = bound(node.left), bound(node.right)
+            if left and right and left[0] == right[0] and {left[1], right[1]} == {0, 1}:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_core_words_and_masks_cells(module):
+    # a cell's rule is core._CELLS' alone; other modules pass its kind
+    name, tree = module
+    assert name == "core.py" or [f"{name}:{line}" for line in _cell_rules(tree)] == []
+
+
+def test_the_cell_rule_walker_sees_the_table():
+    # keeps the rule above from passing on a walker that finds nothing: it
+    # sees core's table, the label and probability masks and a text in an
+    # f-string, and passes two comparisons of different operands
+    assert len(set(_cell_rules(_parse(SRC / "core.py")))) >= 3
+    tree = ast.parse("bad = (y != 0.0) & (y != 1.0)\nok = (p >= 0) & (p <= 1)\n"
+                     "msg = f'non-binary label {x}'\nfine = (a != 0.0) & (b < 1.0)\n")
+    assert _cell_rules(tree) == [1, 2, 3]

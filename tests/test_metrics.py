@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,15 +91,20 @@ class TestBinning:
         # the dataset refuses a NaN probability, so it holds 0.5 there, and
         # each call is handed the NaN matrix as its confidences
         d = _dataset(np.nan_to_num(probs, nan=0.5), labels)
+        # the library entries name the cell; the kernel's own guard does not
+        cell = r"probability outside \[0, 1\] \(row 1, class c0\): nan$"
         binning = {
-            "bin_class": lambda: bin_class(probs[:, 0], labels[:, 0], 5),
-            "per_class_scores": lambda: per_class_scores(d, probs, 5),
-            "pooled_reliability": lambda: pooled_reliability(d, probs, 5),
-            "score_scopes": lambda: score_scopes([(d.classes, labels, [probs])],
-                                                 [("pooled", 0, 1)], 5),
+            "bin_class": (lambda: bin_class(probs[:, 0], labels[:, 0], 5),
+                          r"probability outside \[0, 1\] \(row 1\): nan$"),
+            "per_class_scores": (lambda: per_class_scores(d, probs, 5), cell),
+            "pooled_reliability": (lambda: pooled_reliability(d, probs, 5), cell),
+            "score_scopes": (lambda: score_scopes([(d.classes, labels, [probs])],
+                                                  [("pooled", 0, 1)], 5),
+                             r"confidences must lie in \[0, 1\]"),
         }
-        with pytest.raises(ValidationError, match=r"confidences must lie in \[0, 1\]"):
-            binning[call]()
+        run, message = binning[call]
+        with pytest.raises(ValidationError, match=message):
+            run()
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValidationError):
@@ -107,6 +114,48 @@ class TestBinning:
         curve = bin_class(np.array([]), np.array([]), 5)
         with pytest.raises(ValidationError, match="empty scope"):
             calibration_scores(curve)
+
+
+# each cell that is bad somewhere: as a label, as a probability, as a score
+BAD_CELLS = [2.0, -1.0, 0.5, np.nan, np.inf, -np.inf]
+
+
+class TestEntriesCheckCells:
+    """Each library entry names the first bad cell of its scores or labels,
+    the same rule as EvalDataset's: labels 0 or 1, confidences in [0, 1]
+    and AP scores finite."""
+
+    @pytest.mark.parametrize("value", BAD_CELLS)
+    @pytest.mark.parametrize("entry", ["average_precision", "bin_class"])
+    def test_bad_label(self, entry, value):
+        call = average_precision if entry == "average_precision" else (
+            lambda s, y: bin_class(s, y, 5))
+        want = re.escape(f"non-binary label (row 2): {value!r}") + "$"
+        with pytest.raises(ValidationError, match=want):
+            call([0.9, 0.5, 0.1], [0.0, 1.0, value])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ap_score(self, value):
+        with pytest.raises(ValidationError, match=re.escape("non-finite value (row 1)") + "$"):
+            average_precision([0.9, value, 0.1], [0.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("value", [2.0, -1.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", ["bin_class", "cmap", "per_class_scores",
+                                       "pooled_reliability"])
+    def test_bad_confidence(self, entry, value):
+        labels = np.array([[0.0, 1.0], [1.0, 0.0]])
+        d = _dataset(np.array([[0.2, 0.9], [0.6, 0.4]]), labels)
+        probs = np.array([[0.2, 0.9], [0.6, value]])  # the bad cell: row 1, class c1
+        calls = {
+            "bin_class": lambda: bin_class(probs[:, 1], labels[:, 1], 5),
+            "cmap": lambda: cmap(d, probs),
+            "per_class_scores": lambda: per_class_scores(d, probs, 5),
+            "pooled_reliability": lambda: pooled_reliability(d, probs, 5),
+        }
+        at = "(row 1)" if entry == "bin_class" else "(row 1, class c1)"
+        want = re.escape(f"probability outside [0, 1] {at}: {value!r}") + "$"
+        with pytest.raises(ValidationError, match=want):
+            calls[entry]()
 
 
 class TestAveragePrecision:

@@ -214,6 +214,17 @@ class TestFrequentRareSplit:
         with pytest.raises(ValidationError):
             frequent_rare_split({"a": 1}, 1.0)
 
+    @pytest.mark.parametrize("count", [float("nan"), -5, 2.7, float("inf")])
+    def test_bad_count_names_the_class(self, count):
+        with pytest.raises(ValidationError, match=f"^count of class 'b' must be an integer >= 0, "
+                                                  f"got {count}$"):
+            frequent_rare_split({"a": 10, "b": count}, 0.5)
+
+    def test_integral_float_counts_count_as_integers(self):
+        # labels.sum(axis=0) gives float counts
+        floats = frequent_rare_split({"a": 3.0, "b": np.float64(1.0)}, 0.5)
+        assert floats == frequent_rare_split({"a": 3, "b": 1}, 0.5)
+
 
 class TestRunBenchmarkBasics:
     def test_base_row_equals_direct_composition(self):

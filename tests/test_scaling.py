@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,36 @@ def _global_params(method="ps", tau=0.0, bias=0.0):
     return ScalingParams(
         method=method, scope="global", tau=np.float64(tau), bias=np.float64(bias)
     )
+
+
+# the three scaling entries that take labels; bce_nll and gradients at a global map
+ENTRIES = {
+    "fit": lambda z, y: fit(z, y, method="ps", scope="per-class"),
+    "bce_nll": lambda z, y: bce_nll(z, y, _global_params()),
+    "gradients": lambda z, y: gradients(z, y, _global_params()),
+}
+_Z = np.array([[0.5, -0.3], [1.0, 0.2], [-1.0, 0.4]])
+_Y = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("value", [2.0, -1.0, 0.5, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_labels_are_hard_zero_or_one(entry, value):
+    # a soft label such as 0.5 is refused too, the rule EvalDataset keeps
+    y = _Y.copy()
+    y[2, 1] = value
+    want = re.escape(f"non-binary label (row 2, class 1): {value!r}") + "$"
+    with pytest.raises(ValidationError, match=want):
+        ENTRIES[entry](_Z, y)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_non_finite_logit_is_a_numerical_error(entry, value):
+    z = _Z.copy()
+    z[1, 0] = value
+    with pytest.raises(NumericalError, match=re.escape("non-finite value (row 1, class 0)") + "$"):
+        ENTRIES[entry](z, _Y)
 
 
 def _synth(true_t, true_b, seed=29, n=10000, c=5):
