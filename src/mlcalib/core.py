@@ -350,13 +350,21 @@ def check_cells(values: np.ndarray, kind: str, classes=None, row: int = 0, where
 def check_pair(scores, labels, kind: str, ndim: int, classes=None, error=ValidationError):
     """``scores`` and ``labels`` as float64 arrays, after the one check of a
     library entry's pair: one ``ndim``-d shape, scores of the cell ``kind``
-    (else ``error``) and labels 0 or 1.  Errors name the first bad cell."""
-    s, y = (np.asarray(m, dtype=np.float64) for m in (scores, labels))
+    (else ``error``) and labels 0 or 1.  Errors name the first bad cell,
+    or the argument that is no array of numbers."""
+    s, y = (_floats(m, name) for m, name in ((scores, "scores"), (labels, "labels")))
     if s.ndim != ndim or s.shape != y.shape:
         raise ValidationError(f"need one {ndim}-d shape: scores {s.shape}, labels {y.shape}")
     check_cells(s, kind, classes, error=error)
     check_cells(y, "label", classes)
     return s, y
+
+
+def _floats(values, name: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be an array of numbers: {exc}") from None
 
 
 def confidences(d: EvalDataset) -> np.ndarray:

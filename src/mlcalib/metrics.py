@@ -217,7 +217,10 @@ MAX_BINS = 1000
 
 
 def check_bins(m_bins: int) -> None:
-    """Reject a bin count M outside [1, MAX_BINS]."""
+    """Reject a bin count M that is no Python or numpy integer (a bool is
+    none) or lies outside [1, MAX_BINS]."""
+    if not np.issubdtype(type(m_bins), np.integer):
+        raise ValidationError(f"M must be an integer, got {m_bins!r}")
     if not 1 <= m_bins <= MAX_BINS:
         raise ValidationError(f"M must be in [1, {MAX_BINS}], got {m_bins}")
 

@@ -29,14 +29,12 @@ values read do not depend on how many parts or rounds there are.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import mmap
 import os
 import re
 import signal
 import stat
-import warnings
 from contextlib import suppress
 
 import numpy as np
@@ -321,9 +319,9 @@ def _read_matrix_csv(path: str, kind: str):
     the csv field size limit or more, whatever the length of its line, and
     exactly one comma per class on every data line (so no blank line).
     Cells then split at the same commas, and both parsers strip the same
-    whitespace and hand the rest to ``PyOS_string_to_double``, or, for a
-    chunk of integer cells such as 0/1 labels, parse it as the same
-    integers (see :func:`_parse_cells`).  A cell that only ``float()``
+    whitespace and hand the rest to ``PyOS_string_to_double``; a chunk of
+    cells that are each one ``0`` or ``1`` is parsed from its bytes to the
+    same 0.0 and 1.0 (see :func:`_parse_cells`).  A cell that only ``float()``
     takes (``1_0``, non-ASCII digits) makes loadtxt raise.  Every other
     file declines the plain read by raising, _NotPlain or an OSError, and
     is read by :func:`_read_csv_cells`, which gives every error message.
@@ -443,8 +441,9 @@ def _plain_rows(path: str, n_classes: int, limit: int, values, lo: int, hi: int,
                     or any(max(map(len, line.split(","))) >= limit
                            for line in lines if len(line) >= limit)):
                 raise _NotPlain
+            line_ids = [line.partition(",")[0] for line in lines]
             try:
-                block = _parse_cells(lines, n_classes)
+                block = _parse_cells(lines, line_ids, n_classes)
             except ValueError:
                 raise _NotPlain from None
             # loadtxt skips a blank line and takes at least C + 1 fields from
@@ -453,7 +452,7 @@ def _plain_rows(path: str, n_classes: int, limit: int, values, lo: int, hi: int,
             if block.shape[0] != n:
                 raise _NotPlain
             values[row : row + n] = block
-            ids.append("\n".join([line.partition(",")[0] for line in lines]))
+            ids.append("\n".join(line_ids))
             row += n
         if row != stop:
             raise _NotPlain
@@ -462,39 +461,24 @@ def _plain_rows(path: str, n_classes: int, limit: int, values, lo: int, hi: int,
         os.close(fd)
 
 
-def _parse_cells(lines, n_classes: int) -> np.ndarray:
-    """The cells of ``lines`` by ``np.loadtxt``: as 8-bit integers, the
-    fastest parse of a 0/1 labels file, where this numpy parses integers
-    exactly (see :func:`_exact_int_parse`), and as floats where that
-    raises.  loadtxt takes an integer cell (whitespace, a sign, digits, at
-    most 255, not ``-0``) as the float of the same value; every other cell
-    makes the integer parse raise, so the float parse gives its value or
-    declines it, as it alone would."""
-    cells = dict(delimiter=",", comments=None, quotechar=None,
-                 usecols=range(1, n_classes + 1), ndmin=2)
-    if _exact_int_parse():
-        with suppress(ValueError):
-            return np.loadtxt(lines, dtype=np.uint8, **cells)
-    return np.loadtxt(lines, dtype=np.float64, **cells)
-
-
-@functools.cache
-def _exact_int_parse() -> bool:
-    """Whether ``np.loadtxt`` refuses, as an 8-bit integer, each cell that
-    is no such integer: a fraction, one over 255, a negative and ``-0``.
-    From numpy 1.23 until that deprecation expired, loadtxt parsed such a
-    cell through its float value and truncated it, with only a
-    DeprecationWarning, which the default filters hide; there the integer
-    parse is not used."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for cell in ("0.5", "300", "-1", "-0"):
-            try:
-                np.loadtxt([cell], dtype=np.uint8)
-            except ValueError:
-                continue
-            return False
-    return True
+def _parse_cells(lines, ids, n_classes: int) -> np.ndarray:
+    """The cells of ``lines``, whose ids are ``ids``: from their bytes where
+    each is one ``0`` or ``1``, the fastest parse of a 0/1 labels file, and
+    else by the float ``np.loadtxt``.  The rest of each line after its id
+    and a line end fill one row of an n x (2C + 1) byte matrix, a comma
+    before each cell and the line end after the last; a chunk whose length
+    rules that out, as a logits chunk's does, never builds it."""
+    n, width = len(lines), 2 * n_classes + 1
+    if sum(map(len, lines)) == sum(map(len, ids)) + n * (width - 1):
+        rests = "".join([line[len(i):] + "\n" for line, i in zip(lines, ids)]).encode("utf-8")
+        if len(rests) == n * width:  # else a cell holds a non-ASCII character
+            text = np.frombuffer(rests, np.uint8).reshape(n, width)
+            flags = text[:, 1::2] - np.uint8(ord("0"))  # a byte below "0" wraps past 1
+            # a line end anywhere but in the last column fails one test or the other
+            if (text[:, :-1:2] == ord(",")).all() and (flags <= 1).all():
+                return flags
+    return np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, quotechar=None,
+                      usecols=range(1, n_classes + 1), ndmin=2)
 
 
 def _whole_lines(fd: int, lo: int, hi: int) -> bytes:

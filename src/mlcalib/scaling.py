@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (NumericalError, ValidationError, check_pair, dumps_canonical, json_field,
-                   read_json, sigmoid)
+from .core import (NumericalError, ValidationError, check_cells, check_pair, dumps_canonical,
+                   json_field, read_json, sigmoid)
 from .rowfiles import write_rows
 
 TS = "ts"
@@ -226,12 +226,14 @@ def apply_scaling(logits, params: ScalingParams) -> np.ndarray:
     """Rescale logits and map to probabilities: sigmoid(z / T + b).
 
     Per-class parameters broadcast over rows; with T = 1, b = 0 the output
-    equals sigmoid of the raw logits.
+    equals sigmoid of the raw logits.  A non-finite logit is a
+    NumericalError.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2:
         raise ValidationError(f"logits must be 2-d, got shape {z.shape}")
     _check_dims(z, params)
+    check_cells(z, "finite", error=NumericalError)
     with np.errstate(over="ignore"):  # z / T past the floats is +-inf, of sigmoid 1 or 0
         s = z / np.exp(params.tau)
     s += params.bias  # in place: the scaled logits are one matrix

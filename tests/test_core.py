@@ -450,6 +450,14 @@ def _long_lines(n_classes: int, name: str, rows: int) -> bytes:
     return ("\n".join([head, *body]) + "\n").encode("ascii")
 
 
+def _flag_lines(n_classes: int, rows: int) -> bytes:
+    """A 0/1 matrix CSV: cell (i, j) is 1 where i + j is a multiple of 3."""
+    head = ",".join(["sample_id", *(f"c{j}" for j in range(n_classes))])
+    body = [",".join([f"s{i}", *("01"[(i + j) % 3 == 0] for j in range(n_classes))])
+            for i in range(rows)]
+    return ("\n".join([head, *body]) + "\n").encode("ascii")
+
+
 # name -> (file bytes, whether the C-parser path reads it)
 _READER_CASES = {
     "plain": (b"sample_id,a,b\ns0,1.5,-2\ns1,0,3e-5\n", True),
@@ -494,6 +502,18 @@ _READER_CASES = {
     "integer-rows-then-float": (b"sample_id,a,b\ns0,0,1\ns1,1,1\ns2,0,0.5\ns3,1,0\n", True),
     "integer-cell-minus-zero": (b"sample_id,a,b\ns0,-0,1\n", True),
     "fraction-cells": (b"sample_id,a,b\ns0,0.5,0.25\ns1,1,0.75\n", True),
+    # a chunk of one-byte 0/1 cells parses from its bytes, any other chunk as floats
+    "flag-cells-after-non-ascii-id": ("sample_id,a,b\n\u00e9s0,1,0\ns1,0,1\n\u4e2d,1,1\n"
+                                      .encode("utf-8"), True),
+    "flag-row-with-letter-cell": (b"sample_id,a,b\ns0,1,0\ns1,a,1\n", False),
+    "flag-row-with-non-ascii-cell": ("sample_id,a,b\ns0,1,0\ns1,\u00e9,1\n".encode("utf-8"),
+                                     False),
+    "flag-row-with-byte-below-zero": (b"sample_id,a,b\ns0,1,0\ns1,/,1\n", False),
+    # as many commas and bytes as two rows of two cells, but one cell short on one line
+    "flag-rows-ragged-evenly": (b"sample_id,a,b\ns0,1\ns1,0,1,1\n", False),
+    "flag-cells-no-final-newline": (b"sample_id,a,b\ns0,1,0\ns1,0,1", True),
+    # 321 KB of 0/1 rows: several reads in one part, one or more parts
+    "flag-rows-over-two-reads": (_flag_lines(20, 7_000), True),
     "not-utf8-in-header": (b"sample_id,\xe9\ns0,1\n", False),
     "utf8-bom": (b"\xef\xbb\xbfsample_id,a\ns0,1\n", True),
     "utf8-bom-quoted-header": (b'\xef\xbb\xbf"sample_id",a\ns0,1\n', False),
@@ -650,17 +670,39 @@ class TestMatrixReader:
 
         monkeypatch.setattr(np, "loadtxt", truncating)
         monkeypatch.setattr(rowfiles, "_read_csv_cells", None)  # the plain read alone
-        rowfiles._exact_int_parse.cache_clear()
-        try:
-            assert not rowfiles._exact_int_parse()
-            for name in ("fraction-cells", "integer-cell-over-255", "integer-cell-negative",
-                         "integer-cell-minus-zero", "integer-rows-then-float", "plain"):
-                path = tmp_path / f"{name}.csv"
-                path.write_bytes(_READER_CASES[name][0])
-                assert (_outcome(_read_matrix_csv, str(path))
-                        == _outcome(oracle_read_matrix_csv, str(path))), name
-        finally:
-            rowfiles._exact_int_parse.cache_clear()
+        for name in ("fraction-cells", "integer-cell-over-255", "integer-cell-negative",
+                     "integer-cell-minus-zero", "integer-rows-then-float", "plain",
+                     "flag-cells-after-non-ascii-id", "flag-rows-over-two-reads"):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(_READER_CASES[name][0])
+            assert (_outcome(_read_matrix_csv, str(path))
+                    == _outcome(oracle_read_matrix_csv, str(path))), name
+
+    @pytest.mark.parametrize("parts", (1, *_SPLITS))
+    @pytest.mark.parametrize("name", ["flag-cells-after-non-ascii-id",
+                                      "flag-cells-no-final-newline", "flag-rows-over-two-reads"])
+    def test_flag_cells_parse_from_their_bytes(self, tmp_path, monkeypatch, name, parts):
+        # no numpy parse is asked for: whatever numpy is installed reads them the same
+        def refused(what):
+            def call(*args, **kwargs):
+                raise AssertionError(what)
+            return call
+
+        path = tmp_path / "m.csv"
+        path.write_bytes(_READER_CASES[name][0])
+        want = _outcome(oracle_read_matrix_csv, str(path))
+        monkeypatch.setattr(np, "loadtxt", refused("np.loadtxt parsed a 0/1 chunk"))
+        monkeypatch.setattr(rowfiles, "_read_csv_cells", refused("the plain read declined"))
+        with _split_into(parts):
+            assert _outcome(_read_matrix_csv, str(path)) == want
+
+    def test_byte_parse_checks_every_comma(self):
+        # the chunk's comma count sends such a line elsewhere first; the
+        # byte parse does not rely on it, and loadtxt refuses the cell
+        with pytest.raises(ValueError):
+            rowfiles._parse_cells(["s0,1;1"], ["s0"], 2)
+        assert rowfiles._parse_cells(["s0,1,0", "\u00e9,0,1"], ["s0", "\u00e9"], 2).tolist() == [
+            [1, 0], [0, 1]]
 
     def test_trailing_blank_line_names_the_empty_row(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -110,6 +110,17 @@ class TestBinning:
         with pytest.raises(ValidationError):
             bin_class([0.5], [0], 0)
 
+    @pytest.mark.parametrize("m_bins", [2.5, 3.0, True, np.True_, np.float64(3.0), "3", None],
+                             ids=repr)
+    def test_rejects_non_integer_m(self, m_bins):
+        # a bool is no bin count either, Python's or numpy's
+        want = re.escape(f"M must be an integer, got {m_bins!r}") + "$"
+        with pytest.raises(ValidationError, match=want):
+            bin_class([0.5], [1], m_bins)
+
+    def test_numpy_integer_m(self):
+        assert bin_class([0.5], [1], np.int64(3)) == bin_class([0.5], [1], 3)
+
     def test_scores_on_empty_curve_rejected(self):
         curve = bin_class(np.array([]), np.array([]), 5)
         with pytest.raises(ValidationError, match="empty scope"):
@@ -133,6 +144,16 @@ class TestEntriesCheckCells:
         want = re.escape(f"non-binary label (row 2): {value!r}") + "$"
         with pytest.raises(ValidationError, match=want):
             call([0.9, 0.5, 0.1], [0.0, 1.0, value])
+
+    @pytest.mark.parametrize("scores, labels, name", [
+        (["a", "b"], [0, 1], "scores"),
+        ([[0.5, 0.1], [0.2]], [0, 1], "scores"),
+        ([0.5, 0.1], ["x", 1], "labels"),
+        ([0.5, 0.1], [[0], [1, 0]], "labels"),
+    ])
+    def test_names_the_argument_that_is_no_array_of_numbers(self, scores, labels, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be an array of numbers: "):
+            average_precision(scores, labels)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_ap_score(self, value):

@@ -50,12 +50,14 @@ def test_labels_are_hard_zero_or_one(entry, value):
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@pytest.mark.parametrize("entry", [*sorted(ENTRIES), "apply_scaling"])
 def test_non_finite_logit_is_a_numerical_error(entry, value):
+    # apply_scaling takes no labels, but its logits follow the same rule
     z = _Z.copy()
     z[1, 0] = value
+    run = ENTRIES.get(entry, lambda z, y: apply_scaling(z, ScalingParams.identity()))
     with pytest.raises(NumericalError, match=re.escape("non-finite value (row 1, class 0)") + "$"):
-        ENTRIES[entry](z, _Y)
+        run(z, _Y)
 
 
 def _synth(true_t, true_b, seed=29, n=10000, c=5):
