@@ -352,7 +352,7 @@ def check_pair(scores, labels, kind: str, ndim: int, classes=None, error=Validat
     library entry's pair: one ``ndim``-d shape, scores of the cell ``kind``
     (else ``error``) and labels 0 or 1.  Errors name the first bad cell,
     or the argument that is no array of numbers."""
-    s, y = (_floats(m, name) for m, name in ((scores, "scores"), (labels, "labels")))
+    s, y = (as_floats(m, name) for m, name in ((scores, "scores"), (labels, "labels")))
     if s.ndim != ndim or s.shape != y.shape:
         raise ValidationError(f"need one {ndim}-d shape: scores {s.shape}, labels {y.shape}")
     check_cells(s, kind, classes, error=error)
@@ -360,7 +360,10 @@ def check_pair(scores, labels, kind: str, ndim: int, classes=None, error=Validat
     return s, y
 
 
-def _floats(values, name: str) -> np.ndarray:
+def as_floats(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array, the one conversion of a library
+    entry's matrices: a ValidationError names ``name`` where they are no
+    array of numbers (a string cell, a ragged list)."""
     try:
         return np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:

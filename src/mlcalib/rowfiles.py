@@ -24,6 +24,11 @@ writer takes the rows in rounds of bounded size, one round of parts at a
 time, so its memory does not grow with the number of rows, and it stages
 every file until the last round is written.  The bytes written and the
 values read do not depend on how many parts or rounds there are.
+
+A float cell is written by one numpy kernel, :func:`_float_cells`, a
+block of at most _BLOCK_CELLS cells at a time: each finite float64 as
+``repr`` writes it, the shortest digits by Ryu's d2s in uint64
+arithmetic, with no Python call per cell.
 """
 
 from __future__ import annotations
@@ -46,8 +51,11 @@ from .core import (EvalDataset, ValidationError, check_cells, check_eps, inverse
 # csv.writer's default dialect quotes a field that holds one of these
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
-# rows per values.tolist() call: bounds the Python floats alive during a write
-_CSV_BLOCK_ROWS = 1024
+# cells of a float matrix CSV formatted at a time (see _float_cells); the
+# formatter's arrays take about 240 bytes a cell, the indices of its layout
+# 200 more, and those are made for _GATHER_CELLS cells at a time
+_BLOCK_CELLS = 1 << 12
+_GATHER_CELLS = 1 << 10
 
 # the float cells of a matrix CSV that one round of parts formats, in
 # memory at once, whatever the number of rows; every benchmark file is one
@@ -65,9 +73,12 @@ _NOT_PLAIN_CHARS = '"\r\x1c\x1d\x1e\x1f'
 # this process may run on and at most _MAX_PARTS.  A part formats at least
 # _PART_CELLS cells or reads at least _PART_BYTES bytes, so that a small
 # file is one part, done in the caller.  On 2 vCPU a forked part costs
-# about 3 ms (fork, pipe and reap beside a 60 MB heap) and a float cell
-# about 1.4 us to format, so a part of _PART_CELLS cells formats for about
-# 22 ms, 7 times what it costs to fork.  A read part also maps the shared
+# about 3 ms (fork, pipe and reap beside a 60 MB heap).  An apply part
+# scales and formats a float cell in about 0.3 us, and a synth part takes
+# about 0.5 us a counted cell, drawing included, so a part of _PART_CELLS
+# cells works for 5-8 ms, 2 to 3 times what it costs to fork: a 490 x 64
+# synth, 32,340 counted cells, took as long in two parts as in one, and a
+# 1000 x 64 one 42 ms against 49 ms.  A read part also maps the shared
 # matrix and pipes its ids back, and a file of 1-2 MB read in 512 KiB parts
 # was no faster than in one.
 _MAX_PARTS = 8
@@ -203,6 +214,8 @@ def write_rows(out_dir: str, files: dict, n: int = 0, cells: int = 0, rows=None)
     As a plain open would, a file is written through a symbolic link and
     keeps an existing file's mode.  An OSError is a ValidationError that
     names the directory or the file."""
+    if cells:  # built before the first part and the first row: the forked parts share
+        _format_tables()  # them, and they sit below the rows' arrays in the heap
     missing = _missing_dirs(out_dir)
     paths = {name: os.path.join(out_dir, name) for name in files}
     named = [(kind, paths[name]) for name, (kind, _, _) in files.items()]
@@ -273,22 +286,307 @@ def matrix_head(classes) -> str:
 def matrix_rows(ids, values) -> list:
     """The UTF-8 text of the rows of a matrix CSV, one per id, as a list of
     bytes objects that :func:`_read_matrix_csv` reads back exactly: ids
-    quoted as by :func:`matrix_head`, and each cell the ``repr`` of its
-    value (floats round-trip bit for bit), or ``0`` or ``1`` if bool."""
+    quoted as by :func:`matrix_head`, and each cell ``0`` or ``1`` if
+    bool, else as ``repr`` writes it as a float, which reads back bit for
+    bit; a cell that is not finite raises a ValueError."""
     if _NEEDS_QUOTES.search("".join(map(str, ids))):  # one scan for the usual plain ids
         ids = [csv_field(str(sample_id)) for sample_id in ids]
     return (_flag_rows if values.dtype == bool else _csv_rows)(ids, values)
 
 
 def _csv_rows(ids, values) -> list:
-    """The UTF-8 text of the rows of a matrix CSV, one bytes object per
-    _CSV_BLOCK_ROWS rows."""
+    """The UTF-8 text of the rows of a float matrix CSV, one bytes object per
+    block of at most _BLOCK_CELLS cells, taken in row order whatever the
+    row length: each block's cells as :func:`_float_cells` formats them,
+    with the id of each row that starts in the block before its first cell."""
+    c = values.shape[1]
+    cells = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
     blocks = []
-    for i in range(0, len(ids), _CSV_BLOCK_ROWS):
-        rows = zip(ids[i : i + _CSV_BLOCK_ROWS], values[i : i + _CSV_BLOCK_ROWS].tolist())
-        blocks.append("".join(f"{sample_id},{','.join(map(repr, row))}\n"
-                              for sample_id, row in rows).encode("utf-8"))
+    for lo in range(0, cells.size, _BLOCK_CELLS):
+        text, starts = _float_cells(cells[lo : lo + _BLOCK_CELLS], (c - 1 - lo) % c, c)
+        row = -(-lo // c)  # the first row that starts in this block
+        cuts = [*starts[row * c - lo :: c].tolist(), len(text)]
+        rows = zip(ids[row : row + len(cuts) - 1], cuts, cuts[1:])
+        blocks.append((text[: cuts[0]] + "".join([f"{sample_id},{text[a:b]}"
+                                                  for sample_id, a, b in rows])).encode("utf-8"))
     return blocks
+
+
+# The float formatter.  _float_cells writes each finite float64 as repr
+# does: the shortest digits that read back to it (the closest of those to
+# it where several are as short), from Ryu's d2s (Adams, PLDI 2018) in
+# uint64 arithmetic, then repr's layout of them.  Its tables are built on
+# first use, so importing the package builds none.
+_U = np.uint64
+_LOW32 = _U(0xFFFF_FFFF)
+_TABLES = None
+
+
+class _FormatTables:
+    """The formatter's tables.
+
+    Indexed by the biased binary exponent of a double, 0 to 2046: the two
+    64-bit halves of its 125-bit Ryu multiplier, ``5**-e10 * 2**k`` for
+    an exponent e2 >= 0 and ``5**-(e2 + q) * 2**k`` below, each rounded as
+    d2s's DOUBLE_POW5_INV_SPLIT and DOUBLE_POW5_SPLIT entries are; the
+    shift of a product by it (j - 65 in d2s); the decimal exponent e10 of
+    the digits it gives; the masks of the low bits that decide d2s's rare
+    trailing-zero cases and, for the integers below 2**53, the fraction
+    bits; and which exponents need d2s's other trailing-zero tests (1 where
+    e2 >= 0 and q <= 21, 2 where e2 < 0 and q <= 1).
+
+    For the layout: ``lut`` holds the 4 ASCII digits of 0 to 9999 as
+    uint32; ``lengths`` (binade -> digits of its least integer) and
+    ``pow10`` count the digits of an integer; and row ``key`` of ``layout``
+    lists the 25 bytes of a cell's text, as columns of its 32-byte source
+    row (see :func:`_float_cells`), with the key made of its sign, digit
+    count and the place of its decimal point.
+    """
+
+    def __init__(self):
+        e2 = np.maximum(np.arange(2047), 1) - 1077
+        up = e2 >= 0
+        q = np.where(up, (e2 * 78913 >> 18) - (e2 > 3), (-e2 * 732923 >> 20) - (-e2 > 1))
+        power = np.where(up, q, -e2 - q)  # of the 5 in the multiplier
+        bits = (power * 1217359 >> 19) + 1  # of 5**power
+        # d2s's two tables, an entry k >= 0 of the inverse one and ~k of the other
+        entries, of_exp = np.unique(np.where(up, power, ~power), return_inverse=True)
+        muls = [(1 << (5**k).bit_length() + 124) // 5**k + 1 if k >= 0
+                else (5**~k << 125) >> (5**~k).bit_length() for k in entries.tolist()]
+        self.mul = [np.array([m >> s & (1 << 64) - 1 for m in muls], np.uint64).take(of_exp)
+                    for s in (0, 64)]
+        self.shift = np.where(up, q - e2 + bits + 59, q - bits + 60).astype(np.uint64)
+        self.e10 = np.where(up, q, q + e2)
+        self.low = np.where(~up & (q < 63), (1 << np.minimum(q, 62)) - 1, -1).astype(np.uint64)
+        integral = (e2 >= -54) & (e2 <= -2)
+        self.whole = np.where(integral, (1 << np.clip(-e2 - 2, 0, 52)) - 1, -1).astype(np.uint64)
+        self.odd = np.where(up & (q <= 21), 1, np.where(~up & (q <= 1), 2, 0)).astype(np.int8)
+        self.five = np.where(up & (q <= 21), 5 ** np.minimum(q, 21), 1).astype(np.uint64)
+        digits = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+        self.lut = digits.view(np.uint32).reshape(-1)
+        point = np.arange(-400, 400)  # a decimal point's place, offset by 400
+        self.places = np.where((point >= -3) & (point <= 16), point + 3,
+                               20 + 2 * (point > 1) + (np.abs(point - 1) >= 100))
+        self.exponents = self.lut.take(np.abs(point - 1))
+        self.lengths = np.ones(2048, np.intp)
+        self.lengths[1023:1081] = [len(str(1 << k)) for k in range(58)]
+        self.pow10 = np.array([10**k for k in range(19)], np.uint64)
+        layout = []
+        for sign in ([], [24]):  # source columns 3-19 hold 17 digits, 20-23 those of
+            for n in range(1, 18):  # the exponent, and 24-31 "-.0e+," and two NULs
+                digs = list(range(20 - n, 20))
+                for place in range(24):
+                    if place < 20:  # positional, the decimal point after digit place - 3
+                        point = place - 3
+                        if point <= 0:
+                            text = [26, 25, *[26] * -point, *digs]
+                        elif point < n:
+                            text = [*digs[:point], 25, *digs[point:]]
+                        else:
+                            text = [*digs, *[26] * (point - n), 25, 26]
+                    else:  # d.ddde-XX, e-XXX, e+XX, e+XXX
+                        text = [digs[0], *([25, *digs[1:]] if n > 1 else []), 27,
+                                28 if place >= 22 else 24, *[21, 22, 23][1 - place % 2 :]]
+                    text = [*sign, *text, 29]
+                    layout.append(text + [30] * (25 - len(text)))
+        self.layout = np.array(layout, np.intp)
+        self.text_lengths = (self.layout < 30).sum(axis=1)
+        self.consts = np.frombuffer(b"-.0e+,\0\0", np.uint64)[0]
+
+
+def _format_tables() -> _FormatTables:
+    global _TABLES
+    if _TABLES is None:
+        _TABLES = _FormatTables()
+    return _TABLES
+
+
+def _mul_64(m_lo, m_hi, b):
+    """(low, high) 64 bits of the product of m < 2**55, given as its 32-bit
+    halves, and b < 2**64."""
+    b_lo, b_hi = b & _LOW32, b >> _U(32)
+    lh = m_lo * b_hi
+    low = m_lo * b_lo
+    mid = m_hi * b_lo + (lh & _LOW32) + (low >> _U(32))  # below 2**56
+    return (low & _LOW32) | (mid << _U(32)), m_hi * b_hi + (lh >> _U(32)) + (mid >> _U(32))
+
+
+def _shift_right(mid, hi, shift):
+    """The 128-bit integer hi:mid shifted right by 0 < shift < 64, below 2**64."""
+    return (hi << (_U(64) - shift)) | (mid >> shift)
+
+
+def _products(m2, exp, two):
+    """d2s's vr, vp and vm: (4 * m2 + 0, + 2 and - 1 - mmShift) times the
+    multiplier of each exponent ``exp``, shifted right by its j, where
+    ``two`` is 1 where mmShift is 0 (a power of two, whose lower neighbour
+    is nearer).  All three come from hi:mid:lo = 2 * m2 * the multiplier,
+    a 192-bit product on 32-bit halves: its top 128 bits give vr; with the
+    multiplier added, vp; and twice that product (where ``two``) less the
+    multiplier, shifted one bit further, vm."""
+    t = _format_tables()
+    m = m2 << _U(1)
+    m_lo, m_hi = m & _LOW32, m >> _U(32)
+    mul_lo, mul_hi = t.mul[0].take(exp), t.mul[1].take(exp)
+    lo, carry = _mul_64(m_lo, m_hi, mul_lo)
+    mid, hi = _mul_64(m_lo, m_hi, mul_hi)
+    mid += carry
+    hi += mid < carry
+    shift = t.shift.take(exp)
+    vr = _shift_right(mid, hi, shift)
+    lo_p = lo + mul_lo
+    mid_p = mid + mul_hi + (lo_p < lo)
+    vp = _shift_right(mid_p, hi + (mid_p < mid), shift)
+    lo_m = lo << two
+    mid_m = (mid << two) | ((lo >> _U(63)) & two)
+    hi_m = (hi << two) | ((mid >> _U(63)) & two)
+    lo_n = lo_m - mul_lo
+    mid_n = mid_m - mul_hi - (lo_n > lo_m)
+    return vr, vp, _shift_right(mid_n, hi_m - (mid_n > mid_m), shift + two)
+
+
+def _shortest(bits):
+    """Ryu's d2d over an array: (digits, e10) of each positive finite double
+    of ``bits``, its shortest decimal digits as an integer and their power
+    of ten.  Each step is d2s's, on whole arrays: every cell takes every
+    path, and the cells of a rare case are picked out by index."""
+    t = _format_tables()
+    exp = (bits >> _U(52)).astype(np.intp)
+    m2 = bits & _U((1 << 52) - 1)
+    two = ((m2 == 0) & (exp > 1)).astype(np.uint64)  # d2s's mmShift is 0
+    m2 |= (exp != 0).astype(np.uint64) << _U(52)
+    even = (m2 & _U(1)) == 0
+    vr, vp, vm = _products(m2, exp, two)
+    e10 = t.e10.take(exp)
+    mv = m2 << _U(2)
+    vr_zeros = (mv & t.low.take(exp)) == 0
+    vm_zeros = np.zeros(len(bits), bool)
+    odd = t.odd.take(exp)
+    if odd.any():
+        k = np.flatnonzero(odd == 2)
+        vm_zeros[k] = even[k] & (two[k] == 0)
+        vp[k] -= ~even[k]
+        k = np.flatnonzero(odd == 1)
+        five, mv_k = t.five.take(exp[k]), mv[k]
+        by_five = mv_k % _U(5) == 0
+        vr_zeros[k] = by_five & (mv_k % five == 0)
+        vm_zeros[k] = ~by_five & even[k] & ((mv_k - _U(2) + two[k]) % five == 0)
+        vp[k] -= ~by_five & ~even[k] & ((mv_k + _U(2)) % five == 0)
+    # an integer below 2**53 is its own digits, less the trailing zeros
+    # that the steps below strip as they strip vm's
+    small = np.flatnonzero((m2 & t.whole.take(exp)) == 0)
+    if small.size:
+        vr[small] = vp[small] = vm[small] = m2[small] >> (1075 - exp[small]).astype(np.uint64)
+        vm_zeros[small] = even[small] = True
+        e10[small] = 0
+    digits, removed = _trim(vr, vp, vm, vm_zeros, vr_zeros, even)
+    return digits, e10 + removed
+
+
+def _trim(vr, vp, vm, vm_zeros, vr_zeros, even):
+    """d2d's last step: the shortest digits, from vr, and how many digits
+    were removed from it.  A digit is removed while vp and vm still differ
+    above it, and the digits round up where the last digit removed is 5
+    or more, or where they meet vm.  Most cells of random doubles remove
+    one or two digits, so two masked steps keep the digits of each count a
+    cell reaches, and the cells that remove more go on one digit at a time,
+    by index.  d2d's general case, where vm or vr may have had only zeros
+    removed, takes its cells by index too (:func:`_trim_zeros`)."""
+    digits, removed = vr + (vr == vm), np.zeros(len(vr), np.intp)
+    r, p, m = vr, vp, vm
+    for _ in range(2):
+        last, r, p, m = r, r // _U(10), p // _U(10), m // _U(10)
+        go = p > m  # only where the step before went
+        digits = np.where(go, r + ((r == m) | (last - r * _U(10) >= _U(5))), digits)
+        removed += go
+    k = np.flatnonzero(p // _U(10) > m // _U(10))
+    r, p, m = r[k], p[k], m[k]
+    while k.size:
+        last, r, p, m = r, r // _U(10), p // _U(10), m // _U(10)
+        digits[k] = r + ((r == m) | (last - r * _U(10) >= _U(5)))
+        removed[k] += 1
+        go = p // _U(10) > m // _U(10)
+        k, r, p, m = k[go], r[go], p[go], m[go]
+    odd = np.flatnonzero(vm_zeros | vr_zeros)
+    if odd.size:
+        digits[odd], removed[odd] = _trim_zeros(*(x[odd] for x in (vr, vp, vm, vm_zeros,
+                                                                    vr_zeros, even)))
+    return digits, removed
+
+
+def _trim_zeros(vr, vp, vm, vm_zeros, vr_zeros, even):
+    """d2d's general case of :func:`_trim`, on the cells that need it: a
+    digit is also removed while vm ends in 0 and had only zeros removed,
+    and a tie (a last digit 5 with only zeros removed before it) rounds to
+    even.  The arguments are updated in place."""
+    last, removed = np.zeros(len(vr), np.uint64), np.zeros(len(vr), np.intp)
+    k = np.arange(len(vr))
+    while True:
+        p, m = vp[k] // _U(10), vm[k] // _U(10)
+        tail = vm[k] == m * _U(10)
+        go = (p > m) | (vm_zeros[k] & tail)
+        k, p, m, tail = k[go], p[go], m[go], tail[go]
+        if not k.size:
+            break
+        vm_zeros[k] &= tail
+        vr_zeros[k] &= last[k] == 0
+        r = vr[k] // _U(10)
+        last[k] = vr[k] - r * _U(10)
+        vr[k], vp[k], vm[k] = r, p, m
+        removed[k] += 1
+    last[vr_zeros & (last == 5) & ((vr & _U(1)) == 0)] = 4
+    return vr + (((vr == vm) & ~(even & vm_zeros)) | (last >= 5)), removed
+
+
+def _float_cells(cells, first_end: int, step: int):
+    """The text of a block of float64 cells: (text, the offset of each
+    cell's first character in it).  Each cell is written as ``repr`` writes
+    it and followed by a comma, or by a line end for the cells at
+    ``first_end``, ``first_end + step``, and so on.  Only a finite cell can
+    be written: any other raises a ValueError.
+
+    The shortest digits come from :func:`_shortest` (zero is written
+    0.0).  Each cell's 32-byte source row holds the 17 digits, zero-padded,
+    the digits of its decimal exponent and the characters ``-.0e+``, its
+    separator and NULs.  Its key (sign, digit count, and the place of the
+    decimal point: positional for exponents -4 < d <= 16, the exponent
+    form d.ddde+XX else, as repr has them) picks 25 of those bytes from the
+    layout table, and the NULs that pad them are then dropped."""
+    t = _format_tables()
+    bits = cells.view(np.uint64)
+    size = bits & _U((1 << 63) - 1)
+    if (bad := np.flatnonzero(size >= _U(0x7FF << 52))).size:
+        raise ValueError(f"only finite floats are formatted, not {float(cells[bad[0]])!r}")
+    zero = np.flatnonzero(size == 0)
+    size[zero] = _U(0x3FF << 52)  # formatted as 1.0, then its digit made 0
+    digits, exp10 = _shortest(size)
+    digits[zero] = 0
+    n = (digits.astype(np.float64).view(np.uint64) >> _U(52)).astype(np.intp)
+    n = t.lengths.take(n)
+    n += digits >= t.pow10.take(n)
+    point = exp10 + n + 400  # the digits are 0.ddd x 10**(point - 400)
+    key = ((bits >> _U(63)).astype(np.intp) * 17 + n - 1) * 24 + t.places.take(point)
+    source = np.empty((len(cells), 32), np.uint8)
+    source.view(np.uint64)[:, 3] = t.consts
+    source[first_end::step, 29] = ord("\n")
+    quads = source.view(np.uint32)
+    high = digits // _U(10**16)
+    source[:, 3] = high + _U(ord("0"))
+    digits -= high * _U(10**16)
+    upper = digits // _U(10**8)
+    for at, group in ((1, upper), (3, digits - upper * _U(10**8))):  # 8 digits in each
+        top = group // _U(10**4)
+        quads[:, at] = t.lut.take(top.astype(np.intp))
+        quads[:, at + 1] = t.lut.take((group - top * _U(10**4)).astype(np.intp))
+    quads[:, 5] = t.exponents.take(point)
+    text = np.empty((len(cells), 25), np.uint8)
+    for lo in range(0, len(cells), _GATHER_CELLS):
+        at = t.layout.take(key[lo : lo + _GATHER_CELLS], axis=0)
+        at += np.arange(32 * lo, 32 * (lo + len(at)), 32)[:, None]
+        source.reshape(-1).take(at, out=text[lo : lo + _GATHER_CELLS])
+    text = text.tobytes().translate(None, b"\0")
+    lengths = t.text_lengths.take(key)
+    return text.decode("ascii"), np.cumsum(lengths) - lengths
 
 
 def _flag_rows(ids, values) -> list:

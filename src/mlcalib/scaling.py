@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (NumericalError, ValidationError, check_cells, check_pair, dumps_canonical,
-                   json_field, read_json, sigmoid)
+from .core import (NumericalError, ValidationError, as_floats, check_cells, check_pair,
+                   dumps_canonical, json_field, read_json, sigmoid)
 from .rowfiles import write_rows
 
 TS = "ts"
@@ -227,9 +227,10 @@ def apply_scaling(logits, params: ScalingParams) -> np.ndarray:
 
     Per-class parameters broadcast over rows; with T = 1, b = 0 the output
     equals sigmoid of the raw logits.  A non-finite logit is a
-    NumericalError.
+    NumericalError, and logits that are no array of numbers a
+    ValidationError.
     """
-    z = np.asarray(logits, dtype=np.float64)
+    z = as_floats(logits, "logits")
     if z.ndim != 2:
         raise ValidationError(f"logits must be 2-d, got shape {z.shape}")
     _check_dims(z, params)

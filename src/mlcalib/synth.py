@@ -14,8 +14,9 @@ inverse normal CDF, ported from Cephes with the same bits as
 in rounds of row parts.  Each part draws the uniforms of its own rows
 [a, b), at the counters [a * C, b * C), builds their logits and labels,
 and formats its text of every file, so no process holds an N x C matrix.
-predictions.csv holds the ``repr`` of each logit.  labels.csv is written
-from a bool matrix, whose text comes from one uint8 matrix per part: a
+predictions.csv holds each logit as ``repr`` writes it, from rowfiles'
+float formatter, which makes no Python call per cell.  labels.csv is
+written from a bool matrix, whose text comes from one uint8 matrix per part: a
 ``0`` or ``1`` byte per cell, with the commas and line ends between them.
 manifest.json's rows come from ``core.manifest_rows``, which gets the
 plain ids and times of each part's rows, and truth.json from
@@ -256,8 +257,10 @@ def write_fixture(cfg: SynthConfig, out_dir: str) -> dict:
     files = {"predictions.csv": ("CSV", head, ""), "labels.csv": ("CSV", head, ""),
              "manifest.json": ("manifest", *MANIFEST_ENDS),
              "truth.json": ("truth", dumps_canonical(_truth(cfg, plan)) + "\n", "")}
-    # a row's labels and its manifest entry each format in about the time
-    # of one float cell of its logits
+    # a row's labels and its manifest entry each count as one cell: they
+    # take about 1.5 and 5 times as long as formatting one of its logits
+    # now, but more weight would only split a few files near the floor
+    # sooner, where parts gain nothing
     paths = write_rows(out_dir, files, cfg.n, cfg.n * (cfg.c + 2), rows)
     return {name.split(".")[0]: path for name, path in paths.items()}
 

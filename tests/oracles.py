@@ -253,6 +253,13 @@ def oracle_read_matrix_csv(path, kind):
     return classes, ids, np.array(rows, dtype=np.float64)
 
 
+def oracle_csv_rows(ids, values):
+    """The UTF-8 text of a float matrix CSV's rows by one ``repr`` call per
+    cell: each id, as given, then each cell of its row, joined by commas."""
+    return "".join(f"{sample_id},{','.join(map(repr, row))}\n"
+                   for sample_id, row in zip(ids, values.tolist())).encode("utf-8")
+
+
 def oracle_split_first_minutes(d, minutes):
     """The first-minutes split as a running total, one manifest row at a
     time: rows grouped per dataset_id in first-seen order, each group

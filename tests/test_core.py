@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mlcalib import rowfiles
 from mlcalib.cli import main
@@ -31,7 +32,7 @@ from mlcalib.core import (
     sigmoid,
 )
 from mlcalib.rowfiles import (
-    _CSV_BLOCK_ROWS,
+    _BLOCK_CELLS,
     _MAX_PARTS,
     _read_matrix_csv,
     load_dataset,
@@ -43,7 +44,7 @@ from mlcalib.rowfiles import (
 from mlcalib.synth import SynthConfig, _uniforms, write_fixture
 
 from conftest import simple_meta, write_triple
-from oracles import oracle_read_matrix_csv
+from oracles import oracle_csv_rows, oracle_read_matrix_csv
 
 
 def _meta(n, dataset_id="ds"):
@@ -740,19 +741,25 @@ def _rows_of(ids, values):
     return lambda start, stop: [matrix_rows(ids[start:stop], values[start:stop])]
 
 
-def _round_trip(path, ids, classes):
-    # the writer quotes as csv.writer does, and the reader gives back the
-    # ids, classes and value bits it was handed
-    values = np.random.default_rng(len(ids)).normal(size=(len(ids), len(classes)))
-    write_rows(str(path.parent), {path.name: ("CSV", matrix_head(classes), "")}, len(ids),
-               values.size, _rows_of(ids, values))
+def _writer_text(ids, classes, values) -> bytes:
+    """A matrix CSV as csv.writer's default dialect writes it, with \\n line
+    ends and each cell its repr."""
     rows = [[sid, *map(repr, row)] for sid, row in zip(ids, values.tolist())]
     lines = []
     for cells in [["sample_id", *classes], *rows]:
         line = io.StringIO(newline="")
         csv.writer(line).writerow(cells)  # the default dialect ends a row in \r\n
         lines.append(line.getvalue()[:-2] + "\n")
-    assert path.read_bytes() == "".join(lines).encode("utf-8")
+    return "".join(lines).encode("utf-8")
+
+
+def _round_trip(path, ids, classes):
+    # the writer quotes as csv.writer does, and the reader gives back the
+    # ids, classes and value bits it was handed
+    values = np.random.default_rng(len(ids)).normal(size=(len(ids), len(classes)))
+    write_rows(str(path.parent), {path.name: ("CSV", matrix_head(classes), "")}, len(ids),
+               values.size, _rows_of(ids, values))
+    assert path.read_bytes() == _writer_text(ids, classes, values)
     got_classes, got_ids, got = _read_matrix_csv(str(path), "predictions")
     assert (got_classes, got_ids) == (tuple(classes), ids)
     assert got.view(np.int64).tolist() == values.view(np.int64).tolist()
@@ -773,24 +780,116 @@ def test_matrix_csv_round_trips_any_id_in_parts(tmp_path_factory, parts, ids, cl
 
 
 def test_matrix_csv_spans_row_blocks(tmp_path):
-    # rows are formatted a block at a time; the bytes are those of one
-    # csv.writer row per id, across block edges and a partial last block
-    n = 2 * _CSV_BLOCK_ROWS + 3
+    # cells are formatted a block at a time, and a block of 3-cell rows
+    # ends inside a row; the bytes are those of one csv.writer row per id,
+    # across block edges and a partial last block
+    n = 2 * (_BLOCK_CELLS // 3) + 3
     ids = [f"s{i}" for i in range(n)]
-    values = np.random.default_rng(7).normal(size=(n, 2))
-    values[_CSV_BLOCK_ROWS - 1 : _CSV_BLOCK_ROWS + 1] = [[-0.0, np.inf], [5e-324, np.nan]]
+    values = np.random.default_rng(7).normal(size=(n, 3))
+    values.flat[_BLOCK_CELLS - 2 : _BLOCK_CELLS + 2] = [-0.0, 5e-324, 1e16, 1e-5]
     path = tmp_path / "blocks.csv"
-    write_rows(str(tmp_path), {"blocks.csv": ("CSV", matrix_head("ab"), "")}, n, values.size,
+    write_rows(str(tmp_path), {"blocks.csv": ("CSV", matrix_head("abc"), "")}, n, values.size,
                _rows_of(ids, values))
     want = io.StringIO(newline="")
     writer = csv.writer(want, lineterminator="\n")
-    writer.writerow(["sample_id", "a", "b"])
+    writer.writerow(["sample_id", "a", "b", "c"])
     writer.writerows([sid, *map(repr, row)] for sid, row in zip(ids, values.tolist()))
     assert path.read_bytes() == want.getvalue().encode("utf-8")
 
 
 def test_matrix_csv_spans_row_blocks_in_parts(tmp_path, parts):
     test_matrix_csv_spans_row_blocks(tmp_path)
+
+
+def _with_neighbours(values):
+    """``values`` and the floats next to each, below and above, all finite."""
+    values = np.asarray(values, dtype=np.float64)
+    near = np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+    return near[np.isfinite(near)]
+
+
+# the formatter's edge cases, each with its negatives
+_FLOAT_CASES = {
+    "zeros and extremes": [0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+                           1.7976931348623157e308],
+    "powers of two": _with_neighbours(2.0 ** np.arange(-1074, 1024)),
+    "powers of ten": _with_neighbours([float(f"1e{k}") for k in range(-323, 309)]),
+    "integers": np.arange(10**5 + 1),
+    "near 2**53": 2.0**53 + np.arange(-3000, 3001),
+    "layout switches": _with_neighbours(_with_neighbours([1e-4, 1e16])),
+}
+
+
+def _assert_formats_as_repr(values, columns=1):
+    """The rows matrix_rows writes for ``values``, ``columns`` cells a row,
+    are those of the oracle's one repr call per cell, row by row."""
+    values = np.asarray(values, dtype=np.float64)
+    values = values[: values.size // columns * columns].reshape(-1, columns)
+    ids = [str(i) for i in range(len(values))]
+    got = b"".join(matrix_rows(ids, values)).splitlines()
+    assert got == oracle_csv_rows(ids, values).splitlines()
+
+
+@pytest.mark.parametrize("case", _FLOAT_CASES)
+def test_floats_format_as_repr(case):
+    values = np.asarray(_FLOAT_CASES[case], dtype=np.float64)
+    _assert_formats_as_repr(np.concatenate([values, -values]))
+
+
+def test_random_bit_patterns_format_as_repr():
+    bits = np.random.default_rng(0).integers(0, 2**64, 2**20, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    assert values.size >= 10**6
+    _assert_formats_as_repr(values, columns=16)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=_ANY_IDS, columns=st.integers(1, 5), block=st.sampled_from([1, 7]), data=st.data())
+def test_matrix_csv_is_the_same_in_any_blocks(tmp_path_factory, ids, columns, block, data):
+    """Blocks of 1 and of 7 cells, which cut rows anywhere, write the bytes
+    of one csv.writer row per id, any id, with each cell its repr."""
+    values = data.draw(hnp.arrays(np.float64, (len(ids), columns),
+                                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    path = tmp_path_factory.getbasetemp() / "any-blocks.csv"
+    classes = [f"c{k}" for k in range(columns)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rowfiles, "_BLOCK_CELLS", block)
+        write_rows(str(path.parent), {path.name: ("CSV", matrix_head(classes), "")}, len(ids),
+                   values.size, _rows_of(ids, values))
+    assert path.read_bytes() == _writer_text(ids, classes, values)
+
+
+@pytest.mark.parametrize("kind", ["logits", "exponent form", "integral", "short digits"])
+def test_formatter_calls_do_not_grow_with_cells(kind):
+    """With its layout gathered at once, a block of _BLOCK_CELLS cells makes
+    the same calls as a block of 64 that it repeats: no cell, whatever its
+    digits or layout, takes a path of its own."""
+    rng = np.random.default_rng(1)
+    few = {"logits": rng.normal(size=64) * 3, "exponent form": rng.normal(size=64) * 1e-9,
+           "integral": rng.integers(-10**6, 10**6, 64).astype(np.float64),
+           "short digits": rng.integers(1, 100, 64) / 8}[kind]
+
+    def calls(values):
+        names = []
+        matrix_rows(["r"], values[None, :])  # the tables are built before counting
+        sys.setprofile(lambda frame, event, arg: names.append(
+            arg.__name__ if event == "c_call" else frame.f_code.co_name))
+        try:
+            matrix_rows(["r"], values[None, :])
+        finally:
+            sys.setprofile(None)
+        return names
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rowfiles, "_GATHER_CELLS", _BLOCK_CELLS)
+        assert calls(np.tile(few, _BLOCK_CELLS // 64)) == calls(few)
+
+
+def test_matrix_rows_refuses_non_finite_cells():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="only finite floats"):
+            matrix_rows(["a", "b"], np.array([[1.0, 2.0], [3.0, bad]]))
 
 
 # a fixture whose ids need CSV quoting and JSON escaping, with times that
@@ -910,7 +1009,7 @@ class TestParts:
         """A child that raises, is killed or cannot be started has its part
         formatted or parsed in this process: the same bytes and values, and
         no child is left behind."""
-        n = 3 * _CSV_BLOCK_ROWS
+        n = 3072
         ids = [f"s{i}" for i in range(n)]
         values = np.random.default_rng(3).normal(size=(n, 3))
         head, rows = ("CSV", matrix_head("abc"), ""), _rows_of(ids, values)

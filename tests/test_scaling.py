@@ -60,6 +60,12 @@ def test_non_finite_logit_is_a_numerical_error(entry, value):
         run(z, _Y)
 
 
+@pytest.mark.parametrize("logits", [[["a", "1"]], [[0.5, 0.1], [0.2]]], ids=["string", "ragged"])
+def test_logits_that_are_no_array_of_numbers_are_refused(logits):
+    with pytest.raises(ValidationError, match="^logits must be an array of numbers: "):
+        apply_scaling(logits, ScalingParams.identity())
+
+
 def _synth(true_t, true_b, seed=29, n=10000, c=5):
     cfg = SynthConfig(
         n=n,
