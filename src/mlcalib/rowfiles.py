@@ -337,7 +337,8 @@ class _FormatTables:
 
     For the layout: ``lut`` holds the 4 ASCII digits of 0 to 9999 as
     uint32; ``lengths`` (binade -> digits of its least integer) and
-    ``pow10`` count the digits of an integer; and row ``key`` of ``layout``
+    ``pow10`` (10**k for k < 19, which :func:`_trim` also divides by)
+    count the digits of an integer; and row ``key`` of ``layout``
     lists the 25 bytes of a cell's text, as columns of its 32-byte source
     row (see :func:`_float_cells`), with the key made of its sign, digit
     count and the place of its decimal point.
@@ -486,27 +487,22 @@ def _shortest(bits):
 def _trim(vr, vp, vm, vm_zeros, vr_zeros, even):
     """d2d's last step: the shortest digits, from vr, and how many digits
     were removed from it.  A digit is removed while vp and vm still differ
-    above it, and the digits round up where the last digit removed is 5
-    or more, or where they meet vm.  Most cells of random doubles remove
-    one or two digits, so two masked steps keep the digits of each count a
-    cell reaches, and the cells that remove more go on one digit at a time,
-    by index.  d2d's general case, where vm or vr may have had only zeros
-    removed, takes its cells by index too (:func:`_trim_zeros`)."""
-    digits, removed = vr + (vr == vm), np.zeros(len(vr), np.intp)
-    r, p, m = vr, vp, vm
-    for _ in range(2):
-        last, r, p, m = r, r // _U(10), p // _U(10), m // _U(10)
-        go = p > m  # only where the step before went
-        digits = np.where(go, r + ((r == m) | (last - r * _U(10) >= _U(5))), digits)
-        removed += go
-    k = np.flatnonzero(p // _U(10) > m // _U(10))
-    r, p, m = r[k], p[k], m[k]
-    while k.size:
-        last, r, p, m = r, r // _U(10), p // _U(10), m // _U(10)
-        digits[k] = r + ((r == m) | (last - r * _U(10) >= _U(5)))
-        removed[k] += 1
-        go = p // _U(10) > m // _U(10)
-        k, r, p, m = k[go], r[go], p[go], m[go]
+    above it; that holds for the first t digits and no more, so t is found
+    by bisection, 16, 8, 4, 2 and 1 digits at a time, with the same steps
+    for every cell.  The digits round up where the last digit removed is 5
+    or more, or where they meet vm.  d2d's general case, where vm or vr may
+    have had only zeros removed, takes its cells by index
+    (:func:`_trim_zeros`)."""
+    removed, p, m = np.zeros(len(vr), np.intp), vp.copy(), vm.copy()
+    for k in (16, 8, 4, 2, 1):
+        p_k, m_k = p // _U(10**k), m // _U(10**k)
+        go = p_k > m_k
+        np.copyto(p, p_k, where=go)
+        np.copyto(m, m_k, where=go)
+        np.add(removed, k, out=removed, where=go)
+    above = vr // _format_tables().pow10.take(np.maximum(removed - 1, 0))  # to the last removed
+    r = np.where(removed > 0, above // _U(10), vr)
+    digits = r + ((r == m) | ((removed > 0) & (above - r * _U(10) >= _U(5))))
     odd = np.flatnonzero(vm_zeros | vr_zeros)
     if odd.size:
         digits[odd], removed[odd] = _trim_zeros(*(x[odd] for x in (vr, vp, vm, vm_zeros,

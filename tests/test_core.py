@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -860,30 +861,52 @@ def test_matrix_csv_is_the_same_in_any_blocks(tmp_path_factory, ids, columns, bl
     assert path.read_bytes() == _writer_text(ids, classes, values)
 
 
+def _formatter_run(values):
+    """The lines and C calls that formatting one row of ``values`` runs,
+    once the formatter's tables are built."""
+    matrix_rows(["r"], values[None, :])
+    run = []
+
+    def lines(frame, event, arg):
+        run.append((frame.f_code.co_name, frame.f_lineno))
+        return lines
+
+    gc.disable()  # a collection may run Python callbacks at any line
+    sys.settrace(lines)
+    sys.setprofile(lambda frame, event, arg: event == "c_call" and run.append(arg.__name__))
+    try:
+        matrix_rows(["r"], values[None, :])
+    finally:
+        sys.setprofile(None)
+        sys.settrace(None)
+        gc.enable()
+    return run
+
+
 @pytest.mark.parametrize("kind", ["logits", "exponent form", "integral", "short digits"])
 def test_formatter_calls_do_not_grow_with_cells(kind):
-    """With its layout gathered at once, a block of _BLOCK_CELLS cells makes
-    the same calls as a block of 64 that it repeats: no cell, whatever its
-    digits or layout, takes a path of its own."""
+    """With its layout gathered at once, a block of _BLOCK_CELLS cells runs
+    the same lines and calls as a block of 64 that it repeats: no cell,
+    whatever its digits or layout, takes a path of its own."""
     rng = np.random.default_rng(1)
     few = {"logits": rng.normal(size=64) * 3, "exponent form": rng.normal(size=64) * 1e-9,
            "integral": rng.integers(-10**6, 10**6, 64).astype(np.float64),
            "short digits": rng.integers(1, 100, 64) / 8}[kind]
-
-    def calls(values):
-        names = []
-        matrix_rows(["r"], values[None, :])  # the tables are built before counting
-        sys.setprofile(lambda frame, event, arg: names.append(
-            arg.__name__ if event == "c_call" else frame.f_code.co_name))
-        try:
-            matrix_rows(["r"], values[None, :])
-        finally:
-            sys.setprofile(None)
-        return names
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rowfiles, "_GATHER_CELLS", _BLOCK_CELLS)
-        assert calls(np.tile(few, _BLOCK_CELLS // 64)) == calls(few)
+        assert _formatter_run(np.tile(few, _BLOCK_CELLS // 64)) == _formatter_run(few)
+
+
+def test_digits_are_removed_in_the_same_steps_however_many():
+    """Every cell of d2d's common case removes its digits in the same five
+    steps: a block of values of 1 to 3 shortest digits, whose vr loses 14 or
+    more, runs the same lines and calls as a block of 17-digit logits."""
+    rng = np.random.default_rng(2)
+    short = np.array([float(f"{i}e-{k}") for i, k in zip(rng.integers(1, 1000, 64),
+                                                           rng.integers(5, 300, 64))])
+    assert all(len(repr(v).split("e")[0].replace(".", "").strip("0")) <= 3
+               for v in short.tolist())
+    assert _formatter_run(short) == _formatter_run(rng.normal(size=64) * 3)
 
 
 def test_matrix_rows_refuses_non_finite_cells():
