@@ -27,8 +27,9 @@ values read do not depend on how many parts or rounds there are.
 
 A float cell is written by one numpy kernel, :func:`_float_cells`, a
 block of at most _BLOCK_CELLS cells at a time: each finite float64 as
-``repr`` writes it, the shortest digits by Ryu's d2s in uint64
-arithmetic, with no Python call per cell.
+``repr`` writes it, the shortest digits by Schubfach in uint64
+arithmetic, with the same steps for every cell and no Python call per
+cell.
 """
 
 from __future__ import annotations
@@ -314,9 +315,10 @@ def _csv_rows(ids, values) -> list:
 
 # The float formatter.  _float_cells writes each finite float64 as repr
 # does: the shortest digits that read back to it (the closest of those to
-# it where several are as short), from Ryu's d2s (Adams, PLDI 2018) in
-# uint64 arithmetic, then repr's layout of them.  Its tables are built on
-# first use, so importing the package builds none.
+# it where several are as short, ties to even), by Schubfach (Giulietti,
+# "The Schubfach way to render doubles", 2020) in uint64 arithmetic, then
+# repr's layout of them.  Its tables are built on first use, so importing
+# the package builds none.
 _U = np.uint64
 _LOW32 = _U(0xFFFF_FFFF)
 _TABLES = None
@@ -325,44 +327,22 @@ _TABLES = None
 class _FormatTables:
     """The formatter's tables.
 
-    Indexed by the biased binary exponent of a double, 0 to 2046: the two
-    64-bit halves of its 125-bit Ryu multiplier, ``5**-e10 * 2**k`` for
-    an exponent e2 >= 0 and ``5**-(e2 + q) * 2**k`` below, each rounded as
-    d2s's DOUBLE_POW5_INV_SPLIT and DOUBLE_POW5_SPLIT entries are; the
-    shift of a product by it (j - 65 in d2s); the decimal exponent e10 of
-    the digits it gives; the masks of the low bits that decide d2s's rare
-    trailing-zero cases and, for the integers below 2**53, the fraction
-    bits; and which exponents need d2s's other trailing-zero tests (1 where
-    e2 >= 0 and q <= 21, 2 where e2 < 0 and q <= 1).
+    ``g`` holds, for e from -292 to 324 (at e + 292), the two 64-bit
+    halves, low and high, of Schubfach's 128-bit ``g(e) = floor(10**e *
+    2**(127 - floor(log2(10**e)))) + 1``.
 
     For the layout: ``lut`` holds the 4 ASCII digits of 0 to 9999 as
     uint32; ``lengths`` (binade -> digits of its least integer) and
-    ``pow10`` (10**k for k < 19, which :func:`_trim` also divides by)
-    count the digits of an integer; and row ``key`` of ``layout``
-    lists the 25 bytes of a cell's text, as columns of its 32-byte source
-    row (see :func:`_float_cells`), with the key made of its sign, digit
-    count and the place of its decimal point.
+    ``pow10`` (10**k for k < 19) count the digits of an integer; and row
+    ``key`` of ``layout`` lists the 25 bytes of a cell's text, as columns
+    of its 32-byte source row (see :func:`_float_cells`), with the key made
+    of its sign, digit count and the place of its decimal point.
     """
 
     def __init__(self):
-        e2 = np.maximum(np.arange(2047), 1) - 1077
-        up = e2 >= 0
-        q = np.where(up, (e2 * 78913 >> 18) - (e2 > 3), (-e2 * 732923 >> 20) - (-e2 > 1))
-        power = np.where(up, q, -e2 - q)  # of the 5 in the multiplier
-        bits = (power * 1217359 >> 19) + 1  # of 5**power
-        # d2s's two tables, an entry k >= 0 of the inverse one and ~k of the other
-        entries, of_exp = np.unique(np.where(up, power, ~power), return_inverse=True)
-        muls = [(1 << (5**k).bit_length() + 124) // 5**k + 1 if k >= 0
-                else (5**~k << 125) >> (5**~k).bit_length() for k in entries.tolist()]
-        self.mul = [np.array([m >> s & (1 << 64) - 1 for m in muls], np.uint64).take(of_exp)
-                    for s in (0, 64)]
-        self.shift = np.where(up, q - e2 + bits + 59, q - bits + 60).astype(np.uint64)
-        self.e10 = np.where(up, q, q + e2)
-        self.low = np.where(~up & (q < 63), (1 << np.minimum(q, 62)) - 1, -1).astype(np.uint64)
-        integral = (e2 >= -54) & (e2 <= -2)
-        self.whole = np.where(integral, (1 << np.clip(-e2 - 2, 0, 52)) - 1, -1).astype(np.uint64)
-        self.odd = np.where(up & (q <= 21), 1, np.where(~up & (q <= 1), 2, 0)).astype(np.int8)
-        self.five = np.where(up & (q <= 21), 5 ** np.minimum(q, 21), 1).astype(np.uint64)
+        g = [(10**e << 128 >> (10**e).bit_length()) + 1 if e >= 0
+             else (1 << 127 + (10**-e).bit_length()) // 10**-e + 1 for e in range(-292, 325)]
+        self.g = np.array([[x >> s & (1 << 64) - 1 for x in g] for s in (0, 64)], np.uint64)
         digits = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
         self.lut = digits.view(np.uint32).reshape(-1)
         point = np.arange(-400, 400)  # a decimal point's place, offset by 400
@@ -403,135 +383,86 @@ def _format_tables() -> _FormatTables:
 
 
 def _mul_64(m_lo, m_hi, b):
-    """(low, high) 64 bits of the product of m < 2**55, given as its 32-bit
+    """(low, high) 64 bits of the product of m < 2**59, given as its 32-bit
     halves, and b < 2**64."""
     b_lo, b_hi = b & _LOW32, b >> _U(32)
     lh = m_lo * b_hi
     low = m_lo * b_lo
-    mid = m_hi * b_lo + (lh & _LOW32) + (low >> _U(32))  # below 2**56
+    mid = m_hi * b_lo + (lh & _LOW32) + (low >> _U(32))  # below 2**60
     return (low & _LOW32) | (mid << _U(32)), m_hi * b_hi + (lh >> _U(32)) + (mid >> _U(32))
 
 
-def _shift_right(mid, hi, shift):
-    """The 128-bit integer hi:mid shifted right by 0 < shift < 64, below 2**64."""
-    return (hi << (_U(64) - shift)) | (mid >> shift)
-
-
-def _products(m2, exp, two):
-    """d2s's vr, vp and vm: (4 * m2 + 0, + 2 and - 1 - mmShift) times the
-    multiplier of each exponent ``exp``, shifted right by its j, where
-    ``two`` is 1 where mmShift is 0 (a power of two, whose lower neighbour
-    is nearer).  All three come from hi:mid:lo = 2 * m2 * the multiplier,
-    a 192-bit product on 32-bit halves: its top 128 bits give vr; with the
-    multiplier added, vp; and twice that product (where ``two``) less the
-    multiplier, shifted one bit further, vm."""
+def _products(c, k, h, closer):
+    """Schubfach's vbl, vb and vbr: g(-k) times ``(4c - 2 + closer) << h``,
+    ``4c << h`` and ``(4c + 2) << h``, each rounded to odd, that is bits 128
+    to 191 of the 192-bit product, OR'd with whether bits 64 to 127 exceed
+    1.  vb's product hi:mid:lo is taken on 32-bit halves; vbr's adds
+    ``g << (h + 1)`` to it and vbl's subtracts ``g << (h + 1 - closer)``."""
     t = _format_tables()
-    m = m2 << _U(1)
+    g_lo, g_hi = t.g[0].take(292 - k), t.g[1].take(292 - k)
+    m = c << (h + _U(2))
     m_lo, m_hi = m & _LOW32, m >> _U(32)
-    mul_lo, mul_hi = t.mul[0].take(exp), t.mul[1].take(exp)
-    lo, carry = _mul_64(m_lo, m_hi, mul_lo)
-    mid, hi = _mul_64(m_lo, m_hi, mul_hi)
+    lo, carry = _mul_64(m_lo, m_hi, g_lo)
+    mid, hi = _mul_64(m_lo, m_hi, g_hi)
     mid += carry
     hi += mid < carry
-    shift = t.shift.take(exp)
-    vr = _shift_right(mid, hi, shift)
-    lo_p = lo + mul_lo
-    mid_p = mid + mul_hi + (lo_p < lo)
-    vp = _shift_right(mid_p, hi + (mid_p < mid), shift)
-    lo_m = lo << two
-    mid_m = (mid << two) | ((lo >> _U(63)) & two)
-    hi_m = (hi << two) | ((mid >> _U(63)) & two)
-    lo_n = lo_m - mul_lo
-    mid_n = mid_m - mul_hi - (lo_n > lo_m)
-    return vr, vp, _shift_right(mid_n, hi_m - (mid_n > mid_m), shift + two)
+    (dn_lo, dn_mid, dn_hi), (up_lo, up_mid, up_hi) = (
+        (g_lo << s, (g_hi << s) | (g_lo >> (_U(64) - s)), g_hi >> (_U(64) - s))
+        for s in (h + _U(1) - closer, h + _U(1)))  # g << s, low to high
+    borrow = lo < dn_lo
+    mid_dn = mid - dn_mid - borrow
+    hi_dn = hi - dn_hi - ((mid < dn_mid) | ((mid == dn_mid) & borrow))
+    carry = lo + up_lo < lo
+    mid_up = mid + up_mid + carry
+    hi_up = hi + up_hi + ((mid_up < mid) | ((mid_up == mid) & carry))
+    return hi_dn | (mid_dn > _U(1)), hi | (mid > _U(1)), hi_up | (mid_up > _U(1))
 
 
 def _shortest(bits):
-    """Ryu's d2d over an array: (digits, e10) of each positive finite double
-    of ``bits``, its shortest decimal digits as an integer and their power
-    of ten.  Each step is d2s's, on whole arrays: every cell takes every
-    path, and the cells of a rare case are picked out by index."""
-    t = _format_tables()
+    """Schubfach over an array: (digits, e10) of each positive finite
+    double of ``bits``, its shortest decimal digits as an integer and their
+    power of ten, the nearest to it where several are as short, ties to
+    even.  Each step is one on whole arrays, the same for every cell.
+
+    For the double c * 2**q, with k = floor(log10(2**q)) (of 3/4 * 2**q
+    where its lower neighbour is nearer, ``closer``), vb / 4 is about
+    c * 2**q / 10**k, and the decimals d * 10**k that read back to the
+    double are those with d in [lower / 4, upper / 4].  With s = vb // 4,
+    the digits are s // 10 or s // 10 + 1, one fewer, where exactly one of
+    those two (times 10) is such a d; else s or s + 1 where exactly one of
+    those is; else the nearer of those two to vb / 4.  Their trailing zeros
+    are then removed (:func:`_trim`)."""
     exp = (bits >> _U(52)).astype(np.intp)
-    m2 = bits & _U((1 << 52) - 1)
-    two = ((m2 == 0) & (exp > 1)).astype(np.uint64)  # d2s's mmShift is 0
-    m2 |= (exp != 0).astype(np.uint64) << _U(52)
-    even = (m2 & _U(1)) == 0
-    vr, vp, vm = _products(m2, exp, two)
-    e10 = t.e10.take(exp)
-    mv = m2 << _U(2)
-    vr_zeros = (mv & t.low.take(exp)) == 0
-    vm_zeros = np.zeros(len(bits), bool)
-    odd = t.odd.take(exp)
-    if odd.any():
-        k = np.flatnonzero(odd == 2)
-        vm_zeros[k] = even[k] & (two[k] == 0)
-        vp[k] -= ~even[k]
-        k = np.flatnonzero(odd == 1)
-        five, mv_k = t.five.take(exp[k]), mv[k]
-        by_five = mv_k % _U(5) == 0
-        vr_zeros[k] = by_five & (mv_k % five == 0)
-        vm_zeros[k] = ~by_five & even[k] & ((mv_k - _U(2) + two[k]) % five == 0)
-        vp[k] -= ~by_five & ~even[k] & ((mv_k + _U(2)) % five == 0)
-    # an integer below 2**53 is its own digits, less the trailing zeros
-    # that the steps below strip as they strip vm's
-    small = np.flatnonzero((m2 & t.whole.take(exp)) == 0)
-    if small.size:
-        vr[small] = vp[small] = vm[small] = m2[small] >> (1075 - exp[small]).astype(np.uint64)
-        vm_zeros[small] = even[small] = True
-        e10[small] = 0
-    digits, removed = _trim(vr, vp, vm, vm_zeros, vr_zeros, even)
-    return digits, e10 + removed
+    frac = bits & _U((1 << 52) - 1)
+    closer = (frac == 0) & (exp > 1)
+    c = frac | ((exp != 0).astype(np.uint64) << _U(52))
+    q = np.maximum(exp, 1) - 1075
+    k = (q * 1262611 - closer * 524031) >> 22
+    h = (q + ((-k * 1741647) >> 19) + 1).astype(np.uint64)
+    vbl, vb, vbr = _products(c, k, h, closer.astype(np.uint64))
+    odd = c & _U(1)  # the interval's ends read back to c only where it is even
+    lower, upper = vbl + odd, vbr - odd
+    s, sp = vb >> _U(2), vb // _U(40)
+    up_in, wp_in = lower <= sp * _U(40), sp * _U(40) + _U(40) <= upper
+    u_in, w_in = lower <= s << _U(2), (s << _U(2)) + _U(4) <= upper
+    nearest = (vb & _U(3)) + (s & _U(1)) > _U(2)  # past halfway, or at it with s odd
+    fewer = up_in != wp_in
+    digits = np.where(fewer, sp + wp_in, s + np.where(u_in != w_in, w_in, nearest))
+    digits, removed = _trim(digits)
+    return digits, k + fewer + removed
 
 
-def _trim(vr, vp, vm, vm_zeros, vr_zeros, even):
-    """d2d's last step: the shortest digits, from vr, and how many digits
-    were removed from it.  A digit is removed while vp and vm still differ
-    above it; that holds for the first t digits and no more, so t is found
-    by bisection, 16, 8, 4, 2 and 1 digits at a time, with the same steps
-    for every cell.  The digits round up where the last digit removed is 5
-    or more, or where they meet vm.  d2d's general case, where vm or vr may
-    have had only zeros removed, takes its cells by index
-    (:func:`_trim_zeros`)."""
-    removed, p, m = np.zeros(len(vr), np.intp), vp.copy(), vm.copy()
+def _trim(digits):
+    """``digits`` less their trailing zeros, and how many were removed.
+    There are at most 16, so they are removed by bisection, 16, 8, 4, 2
+    and 1 at a time, with the same steps for every cell."""
+    removed = np.zeros(len(digits), np.intp)
     for k in (16, 8, 4, 2, 1):
-        p_k, m_k = p // _U(10**k), m // _U(10**k)
-        go = p_k > m_k
-        np.copyto(p, p_k, where=go)
-        np.copyto(m, m_k, where=go)
+        cut = digits // _U(10**k)
+        go = cut * _U(10**k) == digits
+        np.copyto(digits, cut, where=go)
         np.add(removed, k, out=removed, where=go)
-    above = vr // _format_tables().pow10.take(np.maximum(removed - 1, 0))  # to the last removed
-    r = np.where(removed > 0, above // _U(10), vr)
-    digits = r + ((r == m) | ((removed > 0) & (above - r * _U(10) >= _U(5))))
-    odd = np.flatnonzero(vm_zeros | vr_zeros)
-    if odd.size:
-        digits[odd], removed[odd] = _trim_zeros(*(x[odd] for x in (vr, vp, vm, vm_zeros,
-                                                                    vr_zeros, even)))
     return digits, removed
-
-
-def _trim_zeros(vr, vp, vm, vm_zeros, vr_zeros, even):
-    """d2d's general case of :func:`_trim`, on the cells that need it: a
-    digit is also removed while vm ends in 0 and had only zeros removed,
-    and a tie (a last digit 5 with only zeros removed before it) rounds to
-    even.  The arguments are updated in place."""
-    last, removed = np.zeros(len(vr), np.uint64), np.zeros(len(vr), np.intp)
-    k = np.arange(len(vr))
-    while True:
-        p, m = vp[k] // _U(10), vm[k] // _U(10)
-        tail = vm[k] == m * _U(10)
-        go = (p > m) | (vm_zeros[k] & tail)
-        k, p, m, tail = k[go], p[go], m[go], tail[go]
-        if not k.size:
-            break
-        vm_zeros[k] &= tail
-        vr_zeros[k] &= last[k] == 0
-        r = vr[k] // _U(10)
-        last[k] = vr[k] - r * _U(10)
-        vr[k], vp[k], vm[k] = r, p, m
-        removed[k] += 1
-    last[vr_zeros & (last == 5) & ((vr & _U(1)) == 0)] = 4
-    return vr + (((vr == vm) & ~(even & vm_zeros)) | (last >= 5)), removed
 
 
 def _float_cells(cells, first_end: int, step: int):

@@ -818,6 +818,10 @@ _FLOAT_CASES = {
     "integers": np.arange(10**5 + 1),
     "near 2**53": 2.0**53 + np.arange(-3000, 3001),
     "layout switches": _with_neighbours(_with_neighbours([1e-4, 1e16])),
+    # one digit fewer, ties to even and trailing zeros, rare among random bits
+    "few digits": np.concatenate([np.arange(10**5) / 8, np.arange(10**4) * 1e-9,
+                                  np.arange(10**4) * 1e20,
+                                  np.round(np.random.default_rng(3).normal(size=10**5) * 3, 4)]),
 }
 
 
@@ -897,16 +901,20 @@ def test_formatter_calls_do_not_grow_with_cells(kind):
         assert _formatter_run(np.tile(few, _BLOCK_CELLS // 64)) == _formatter_run(few)
 
 
-def test_digits_are_removed_in_the_same_steps_however_many():
-    """Every cell of d2d's common case removes its digits in the same five
-    steps: a block of values of 1 to 3 shortest digits, whose vr loses 14 or
-    more, runs the same lines and calls as a block of 17-digit logits."""
+@pytest.mark.parametrize("kind", ["1 to 3 digits", "eighths", "integers", "k * 1e20"])
+def test_digits_are_removed_in_the_same_steps_however_many(kind):
+    """Every cell takes the same steps, however many of its digits are
+    removed or are zeros: a block of values of few shortest digits runs the
+    same lines and calls as a block of 17-digit logits."""
     rng = np.random.default_rng(2)
-    short = np.array([float(f"{i}e-{k}") for i, k in zip(rng.integers(1, 1000, 64),
-                                                           rng.integers(5, 300, 64))])
-    assert all(len(repr(v).split("e")[0].replace(".", "").strip("0")) <= 3
-               for v in short.tolist())
-    assert _formatter_run(short) == _formatter_run(rng.normal(size=64) * 3)
+    few, most = {"1 to 3 digits": (np.array([float(f"{i}e-{k}") for i, k in zip(
+                     rng.integers(1, 1000, 64), rng.integers(5, 300, 64))]), 3),
+                 "eighths": (rng.integers(1, 10**5, 64) / 8, 8),
+                 "integers": (rng.integers(1, 10**6, 64).astype(np.float64), 6),
+                 "k * 1e20": (rng.integers(1, 10**4, 64) * 1e20, 4)}[kind]
+    assert all(len(repr(v).split("e")[0].replace(".", "").strip("0")) <= most
+               for v in few.tolist())
+    assert _formatter_run(few) == _formatter_run(rng.normal(size=64) * 3)
 
 
 def test_matrix_rows_refuses_non_finite_cells():
